@@ -14,6 +14,7 @@ import argparse
 import configparser
 import json
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -67,7 +68,6 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", type=Path, default=None, help="INI config file; flags override it")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None, help="parallel cells (default: cpu count)")
         p.add_argument("--out", type=Path, default=None, help="run directory")
 
     p = sub.add_parser("validate", help="check a dataset file against the schema and filters")
@@ -193,12 +193,6 @@ def _out_dir(args, cfg, command: str) -> Path:
 
 def _seed(args, cfg, command: str) -> int:
     return _get(args.seed, cfg, command, "seed", 42, int)
-
-
-def _jobs(args, cfg, command: str) -> int:
-    import os
-
-    return _get(args.jobs, cfg, command, "jobs", os.cpu_count() or 1, int)
 
 
 def _write_run_manifest(out: Path, command: str, params: dict) -> None:
@@ -381,17 +375,17 @@ def cmd_train(args, cfg) -> int:
 
     prep = preprocess.fit(matrix)
     transformed = preprocess.transform(prep, matrix)
-    fit = evaluation.train_timed(
-        models.default_config(kind, seed=seed), transformed.X, y, feature_names=transformed.names
-    )
+    start = time.perf_counter()
+    model = models.train(models.default_config(kind, seed=seed), transformed.X, y, feature_names=transformed.names)
+    duration = time.perf_counter() - start
     prep.save(out / "preprocess.json")
-    models.save_model(fit.model, out / "model.json")
+    models.save_model(model, out / "model.json")
     _write_run_manifest(
         out,
         "train",
-        {"matrix": str(args.matrix), "model": kind, "seed": seed, "duration_seconds": fit.duration_seconds},
+        {"matrix": str(args.matrix), "model": kind, "seed": seed, "duration_seconds": duration},
     )
-    print(f"trained {kind} on {matrix.n_rows} rows in {fit.duration_seconds:.2f}s -> {out / 'model.json'}")
+    print(f"trained {kind} on {matrix.n_rows} rows in {duration:.2f}s -> {out / 'model.json'}")
     return 0
 
 
@@ -425,7 +419,6 @@ def cmd_sweep(args, cfg) -> int:
         seed=seed,
         k_folds=_get(args.folds, cfg, "sweep", "folds", 5, int),
         with_cv=not args.no_cv and _get(None, cfg, "sweep", "cv", "true") != "false",
-        jobs=_jobs(args, cfg, "sweep"),
         out_dir=out,
         data=data,
     )

@@ -8,7 +8,6 @@ strictly increasing transforms of the scores.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Sequence
@@ -161,30 +160,48 @@ def evaluate_predictions(y, probs, threshold: float = 0.5) -> MetricReport:
     )
 
 
-def cross_validate(
-    config: models.ModelConfig,
-    matrix: FeatureMatrix,
-    y,
-    k: int = 5,
-    seed: int = 0,
-) -> MetricReport:
-    """Stratified k-fold CV with the preprocessing re-fit inside every fold.
+@dataclass(frozen=True)
+class PreprocessedFold:
+    """One CV fold: its row indices, and its train and held-out matrices
+    preprocessed by a fit on the fold's train rows only."""
 
-    Each fold fits preprocessing and the model on the other k-1 folds only,
-    so held-out rows can never influence any fitted state.
+    train_idx: np.ndarray
+    held_idx: np.ndarray
+    X_train: np.ndarray
+    X_held: np.ndarray
+
+
+def preprocessed_folds(matrix: FeatureMatrix, y, k: int = 5, seed: int = 0) -> list[PreprocessedFold]:
+    """Stratified k folds, each with preprocessing fit on its other k-1 folds.
+
+    Held-out rows can never influence a fold's fitted state. The folds depend
+    on ``y`` and ``seed`` alone, so every model kind can share them.
     """
     y = np.asarray(y).astype(np.int8).ravel()
-    folds = stratified_kfold(y, k=k, seed=seed)
     all_idx = np.arange(len(y))
-    per_fold: dict[str, list[float]] = {"pr_auc": [], "roc_auc": [], "f1": []}
-    for held in folds:
+    folds = []
+    for held in stratified_kfold(y, k=k, seed=seed):
         train_idx = np.setdiff1d(all_idx, held)
-        prep = preprocess.fit(matrix.take(train_idx))
-        X_train = preprocess.transform(prep, matrix.take(train_idx)).X
-        X_held = preprocess.transform(prep, matrix.take(held)).X
-        model = models.train(config, X_train, y[train_idx])
-        probs = model.predict_proba(X_held)
-        report = evaluate_predictions(y[held], probs)
+        train = matrix.take(train_idx)
+        prep = preprocess.fit(train)
+        folds.append(
+            PreprocessedFold(
+                train_idx=train_idx,
+                held_idx=held,
+                X_train=preprocess.transform(prep, train).X,
+                X_held=preprocess.transform(prep, matrix.take(held)).X,
+            )
+        )
+    return folds
+
+
+def cross_validate(config: models.ModelConfig, folds: Sequence[PreprocessedFold], y) -> MetricReport:
+    """Fit and score the model on every fold; mean and std over the folds."""
+    y = np.asarray(y).astype(np.int8).ravel()
+    per_fold: dict[str, list[float]] = {"pr_auc": [], "roc_auc": [], "f1": []}
+    for fold in folds:
+        model = models.train(config, fold.X_train, y[fold.train_idx])
+        report = evaluate_predictions(y[fold.held_idx], model.predict_proba(fold.X_held))
         for name, value in report.as_row().items():
             per_fold[name].append(value)
 
@@ -199,17 +216,3 @@ def cross_validate(
         per_fold=per_fold,
         std=stds,
     )
-
-
-@dataclass
-class TimedFit:
-    """A trained model with its wall-clock training duration."""
-
-    model: models.TrainedModel
-    duration_seconds: float
-
-
-def train_timed(config: models.ModelConfig, X, y, feature_names=None) -> TimedFit:
-    start = time.perf_counter()
-    model = models.train(config, X, y, feature_names=feature_names)
-    return TimedFit(model=model, duration_seconds=time.perf_counter() - start)

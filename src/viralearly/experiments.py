@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -100,42 +100,51 @@ def build_window_matrices(
     return out
 
 
-def _evaluate_cell(
-    kind: str,
+def _evaluate_window(
     matrices: WindowMatrices,
     data: PreparedData,
+    model_kinds: Sequence[str],
     seed: int,
-    k_folds: int,
-    with_cv: bool,
-) -> dict:
-    """One (window, model) cell: test metrics plus optional train-side CV."""
-    config = models.default_config(kind, seed=seed)
+    k_folds: int | None,
+) -> list[dict]:
+    """One row per model kind at one window: held-out test metrics, plus
+    train-side CV unless ``k_folds`` is None. The preprocessing and the CV
+    folds are fitted once and shared by every model kind."""
     prep = preprocess.fit(matrices.train)
     tr = preprocess.transform(prep, matrices.train)
     te = preprocess.transform(prep, matrices.test)
-    fit = evaluation.train_timed(config, tr.X, data.y_train, feature_names=tr.names)
-    report = evaluation.evaluate_predictions(data.y_test, fit.model.predict_proba(te.X))
-    row = {
-        "window": matrices.window,
-        "model": kind,
-        "pr_auc": report.pr_auc,
-        "roc_auc": report.roc_auc,
-        "f1": report.f1,
-        "duration_seconds": round(fit.duration_seconds, 3),
-    }
-    if with_cv:
-        cv = evaluation.cross_validate(config, matrices.train, data.y_train, k=k_folds, seed=seed)
-        row.update(
-            {
-                "cv_pr_auc": cv.pr_auc,
-                "cv_pr_auc_std": cv.std["pr_auc"],
-                "cv_roc_auc": cv.roc_auc,
-                "cv_roc_auc_std": cv.std["roc_auc"],
-                "cv_f1": cv.f1,
-                "cv_f1_std": cv.std["f1"],
-            }
-        )
-    return row
+    folds = None
+    if k_folds is not None:
+        folds = evaluation.preprocessed_folds(matrices.train, data.y_train, k=k_folds, seed=seed)
+    rows = []
+    for kind in model_kinds:
+        config = models.default_config(kind, seed=seed)
+        start = time.perf_counter()
+        model = models.train(config, tr.X, data.y_train, feature_names=tr.names)
+        duration = time.perf_counter() - start
+        report = evaluation.evaluate_predictions(data.y_test, model.predict_proba(te.X))
+        row = {
+            "window": matrices.window,
+            "model": kind,
+            "pr_auc": report.pr_auc,
+            "roc_auc": report.roc_auc,
+            "f1": report.f1,
+            "duration_seconds": round(duration, 3),
+        }
+        if folds is not None:
+            cv = evaluation.cross_validate(config, folds, data.y_train)
+            row.update(
+                {
+                    "cv_pr_auc": cv.pr_auc,
+                    "cv_pr_auc_std": cv.std["pr_auc"],
+                    "cv_roc_auc": cv.roc_auc,
+                    "cv_roc_auc_std": cv.std["roc_auc"],
+                    "cv_f1": cv.f1,
+                    "cv_f1_std": cv.std["f1"],
+                }
+            )
+        rows.append(row)
+    return rows
 
 
 def run_window_sweep(
@@ -145,28 +154,17 @@ def run_window_sweep(
     seed: int = 42,
     k_folds: int = 5,
     with_cv: bool = True,
-    jobs: int = 1,
     out_dir: str | Path | None = None,
     data: PreparedData | None = None,
 ) -> list[dict]:
-    """Per (window, model): train on train, score the held-out test split, and
-    (optionally) run stratified CV inside the training split. Deterministic
-    under fixed seeds regardless of ``jobs``."""
+    """Per window in ascending order, per model: train on train, score the
+    held-out test split, and (optionally) run stratified CV inside the
+    training split. Deterministic under fixed seeds."""
     if data is None:
         data = prepare(records)
-    matrices = build_window_matrices(data, windows)
-    cells = [(wm, kind) for wm in matrices for kind in model_kinds]
-
-    def run(cell):
-        wm, kind = cell
-        return _evaluate_cell(kind, wm, data, seed, k_folds, with_cv)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run, cells))
-    else:
-        rows = [run(c) for c in cells]
-    rows.sort(key=lambda r: (r["window"], model_kinds.index(r["model"])))
+    rows = []
+    for wm in build_window_matrices(data, sorted(windows)):
+        rows.extend(_evaluate_window(wm, data, model_kinds, seed, k_folds if with_cv else None))
 
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -203,7 +201,7 @@ def run_ablation(
     for name, excluded in scenarios:
         include = None if excluded is None else [m for m in MODALITIES if m != excluded]
         matrices = build_window_matrices(data, [window], include_modalities=include)[0]
-        cell = _evaluate_cell("gbt", matrices, data, seed, k_folds=0, with_cv=False)
+        cell = _evaluate_window(matrices, data, ("gbt",), seed, k_folds=None)[0]
         rows.append(
             {
                 "scenario": name,
@@ -223,10 +221,6 @@ def run_ablation(
             extra={"window": window, "modalities": list(modalities)},
         )
     return rows
-
-
-def modality_of_parent(matrix: FeatureMatrix, parent: str) -> str:
-    return matrix.spec(parent).modality
 
 
 def importance_over_time(
@@ -258,12 +252,12 @@ def importance_over_time(
             by_parent[parent] = by_parent.get(parent, 0.0) + float(value)
         ranked = sorted(
             by_parent.items(),
-            key=lambda kv: (-kv[1], modality_order[modality_of_parent(wm.train, kv[0])], kv[0]),
+            key=lambda kv: (-kv[1], modality_order[wm.train.spec(kv[0]).modality], kv[0]),
         )
         k = min(top_k, len(ranked))
         counts = {m: 0 for m in MODALITIES}
         for rank, (parent, value) in enumerate(ranked, start=1):
-            modality = modality_of_parent(wm.train, parent)
+            modality = wm.train.spec(parent).modality
             if rank <= k:
                 counts[modality] += 1
             detail_rows.append(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -28,7 +29,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from . import trajectory
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, DatasetError, SchemaError
 from .ingest import EngagementSnapshot, PostRecord
 from .labeling import NormalizationCaps, normalize_metric
 
@@ -341,7 +342,10 @@ def extract_static(record: PostRecord) -> dict[str, dict[str, float | str | None
     for modality in STATIC_MODALITIES:
         values: dict[str, float | str | None] = {}
         for name, kind in MODALITY_CATALOG[modality]:
-            values[name] = _coerce(blob.get(name), kind)
+            value = _coerce(blob.get(name), kind)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DatasetError(f"post {record.post_id}: static feature {name!r} is not finite ({value})")
+            values[name] = value
         out[modality] = values
     textual = out["textual"]
     if textual["title_word_count"] is None:

@@ -179,14 +179,6 @@ def labeling_feature_matrix(
     return np.array([_labeling_row(r, caps, window_minutes, keys) for r in records])
 
 
-def final_engagement_features(
-    record: PostRecord, caps: NormalizationCaps, keys: Sequence[str] = LABELING_FEATURES
-) -> dict[str, float]:
-    """Full-horizon engagement features (labels describe the ultimate outcome)."""
-    row = _labeling_row(record, caps, None, keys)
-    return dict(zip(keys, row))
-
-
 @dataclass(frozen=True)
 class HybridWeights:
     """Learned mixing weights; under max normalization the top feature is 1.0."""
@@ -199,14 +191,6 @@ class HybridWeights:
             "weights": {k: self.weights[k] for k in sorted(self.weights)},
             "source_windows": list(self.source_windows),
         }
-
-
-#: Reference mixing preset: score-dominant, comments second, peak velocity a
-#: smaller but real contributor. Shipped for runs that skip weight learning.
-REFERENCE_HYBRID_WEIGHTS = HybridWeights(
-    weights={"norm_score": 1.0, "norm_comments": 0.44, "peak_velocity": 0.14},
-    source_windows=DEFAULT_WEIGHT_WINDOWS,
-)
 
 
 def learn_hybrid_weights(

@@ -136,11 +136,6 @@ def train(config: ModelConfig, X, y, feature_names: list[str] | None = None) -> 
     return TrainedModel(config=config, feature_names=list(feature_names), inner=inner)
 
 
-def predict_proba(model: TrainedModel, X) -> np.ndarray:
-    """Positive-class probabilities in [0, 1], deterministic."""
-    return model.predict_proba(X)
-
-
 _INNER_CLASSES = {
     "logreg": LogisticModel,
     "gbt": GBTModel,
@@ -187,7 +182,6 @@ __all__ = [
     "TrainedModel",
     "default_config",
     "train",
-    "predict_proba",
     "save_model",
     "load_model",
     "fit_logreg",

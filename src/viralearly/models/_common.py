@@ -8,10 +8,14 @@ from ..errors import FitError
 
 
 def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce to float64 matrix / int8 labels; reject single-class targets."""
+    """Coerce to float64 matrix / int8 labels; reject non-finite features and
+    single-class targets."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise FitError(f"X must be 2-D, got shape {X.shape}")
+    n_bad = int(np.sum(~np.isfinite(X)))
+    if n_bad:
+        raise FitError(f"X has {n_bad} non-finite values")
     y = np.asarray(y).astype(np.int8).ravel()
     if len(y) != X.shape[0]:
         raise FitError(f"X has {X.shape[0]} rows but y has {len(y)}")

@@ -216,7 +216,7 @@ class TestAcceptance:
     def test_07b_full_sweep_runtime(self, tmp_path):
         records, _ = generate(SynthConfig(n_posts=5000, viral_frac=0.05, seed=42))
         start = time.perf_counter()
-        rows = experiments.run_window_sweep(records, seed=42, jobs=2, out_dir=tmp_path)
+        rows = experiments.run_window_sweep(records, seed=42, out_dir=tmp_path)
         elapsed = time.perf_counter() - start
         passed = elapsed < 600.0 and len(rows) == 24
         _report(

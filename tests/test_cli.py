@@ -27,6 +27,10 @@ class TestExitCodes:
     def test_missing_required_flag(self):
         assert main(["validate"]) == 1
 
+    def test_jobs_flag_is_usage_error(self, synth_dir, tmp_path):
+        argv = ["sweep", "--data", str(synth_dir / "posts.jsonl"), "--out", str(tmp_path), "--jobs", "2"]
+        assert main(argv) == 1
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["validate", "--data", str(tmp_path / "nope.jsonl")]) == 2
 

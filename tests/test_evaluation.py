@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viralearly import models, preprocess
+from viralearly import models
 from viralearly.errors import MetricError, SplitError
 from viralearly.evaluation import (
     chronological_split,
     cross_validate,
     f1_at_threshold,
     pr_auc,
+    preprocessed_folds,
     roc_auc,
     stratified_kfold,
 )
@@ -183,7 +184,8 @@ class TestCrossValidate:
         rng = np.random.default_rng(0)
         X = np.concatenate([rng.uniform(-3, -1, 60), rng.uniform(1, 3, 60)])[:, None]
         y = np.concatenate([np.zeros(60), np.ones(60)]).astype(int)
-        report = cross_validate(models.default_config("logreg"), simple_matrix(X), y, k=5, seed=0)
+        folds = preprocessed_folds(simple_matrix(X), y, k=5, seed=0)
+        report = cross_validate(models.default_config("logreg"), folds, y)
         assert report.pr_auc == pytest.approx(1.0)
         assert report.std["pr_auc"] == pytest.approx(0.0)
 
@@ -192,28 +194,29 @@ class TestCrossValidate:
         X = rng.normal(size=(300, 4))
         y = np.zeros(300, dtype=int)
         y[rng.permutation(300)[:90]] = 1  # labels independent of X
-        report = cross_validate(models.default_config("logreg"), simple_matrix(X), y, k=5, seed=0)
+        folds = preprocessed_folds(simple_matrix(X), y, k=5, seed=0)
+        report = cross_validate(models.default_config("logreg"), folds, y)
         assert 0.4 <= report.roc_auc <= 0.6
 
     def test_per_fold_values_recorded(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(100, 2))
         y = (X[:, 0] > 0).astype(int)
-        report = cross_validate(models.default_config("logreg"), simple_matrix(X), y, k=4, seed=2)
+        folds = preprocessed_folds(simple_matrix(X), y, k=4, seed=2)
+        report = cross_validate(models.default_config("logreg"), folds, y)
         assert len(report.per_fold["pr_auc"]) == 4
 
     def test_fold_preprocessing_blind_to_held_rows(self):
-        # the fitted preprocess state for a fold must not change when the
-        # held-out rows are corrupted
+        # corrupting fold j's held-out rows must leave that fold's
+        # preprocessed training matrix byte-identical
         rng = np.random.default_rng(7)
         X = rng.normal(size=(60, 3))
         y = (X[:, 0] > 0).astype(int)
-        matrix = simple_matrix(X)
-        folds = stratified_kfold(y, k=3, seed=0)
-        held = folds[0]
-        train_idx = np.setdiff1d(np.arange(60), held)
-        baseline = preprocess.fit(matrix.take(train_idx)).to_json()
-        X_bad = X.copy()
-        X_bad[held] = 1e9
-        corrupted = simple_matrix(X_bad)
-        assert preprocess.fit(corrupted.take(train_idx)).to_json() == baseline
+        folds = preprocessed_folds(simple_matrix(X), y, k=3, seed=0)
+        for j, fold in enumerate(folds):
+            X_bad = X.copy()
+            X_bad[fold.held_idx] = 1e9
+            corrupted = preprocessed_folds(simple_matrix(X_bad), y, k=3, seed=0)[j]
+            assert np.array_equal(corrupted.train_idx, fold.train_idx)
+            assert corrupted.X_train.tobytes() == fold.X_train.tobytes()
+            assert not np.array_equal(corrupted.X_held, fold.X_held)

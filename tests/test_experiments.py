@@ -13,6 +13,11 @@ from viralearly.experiments import (
 from viralearly.features import MODALITY_CATALOG
 
 from conftest import make_record
+from oracles import reference_window_sweep
+
+
+def without_duration(rows):
+    return [{k: v for k, v in row.items() if k != "duration_seconds"} for row in rows]
 
 
 @pytest.fixture(scope="module")
@@ -46,13 +51,26 @@ class TestWindowSweep:
         assert manifest["n_train"] == data.n_train
         assert "labeling_artifacts_sha256" in manifest
 
-    def test_jobs_do_not_change_results(self, corpus, data):
-        kwargs = dict(windows=(30.0, 60.0), model_kinds=("logreg",), with_cv=False, seed=3, data=data)
-        serial = run_window_sweep(corpus, jobs=1, **kwargs)
-        threaded = run_window_sweep(corpus, jobs=2, **kwargs)
-        for a, b in zip(serial, threaded):
-            assert a["pr_auc"] == b["pr_auc"]
-            assert a["roc_auc"] == b["roc_auc"]
+    def test_seeded_repeat_gives_identical_rows(self, corpus, data):
+        kwargs = dict(windows=(30.0, 60.0), model_kinds=("logreg", "gbt"), k_folds=3, seed=3, data=data)
+        first = run_window_sweep(corpus, **kwargs)
+        second = run_window_sweep(corpus, **kwargs)
+        assert without_duration(first) == without_duration(second)
+
+    def test_matches_per_cell_reference(self, corpus, data):
+        # shared per-window preprocessing and folds must reproduce the
+        # per-cell path exactly: same keys, same order, same floats
+        windows, kinds = (120.0, 30.0), ("logreg", "gbt", "mlp")
+        rows = run_window_sweep(corpus, windows=windows, model_kinds=kinds, k_folds=3, seed=5, data=data)
+        reference = reference_window_sweep(data, windows, kinds, seed=5, k_folds=3)
+        assert [list(r) for r in rows] == [list(r) for r in reference]
+        assert without_duration(rows) == without_duration(reference)
+
+        baseline = run_ablation(corpus, window=120.0, modalities=(), seed=5, data=data)
+        gbt_cell = next(r for r in reference if r["window"] == 120.0 and r["model"] == "gbt")
+        assert baseline == [
+            {"scenario": "baseline", "window": 120.0, "pr_auc": gbt_cell["pr_auc"], "roc_auc": gbt_cell["roc_auc"]}
+        ]
 
     def test_rows_ordered_by_window_then_model(self, corpus, data):
         rows = run_window_sweep(

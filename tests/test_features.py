@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from viralearly import features
-from viralearly.errors import ConfigError, SchemaError
+from viralearly.errors import ConfigError, DatasetError, SchemaError
 from viralearly.features import (
     FeatureMatrix,
     WindowSpec,
@@ -159,6 +159,14 @@ class TestExtractStatic:
         static = extract_static(r)
         assert static["visual"]["template_name"] is None
         assert static["textual"]["is_title_present"] == 0.0
+
+    def test_non_finite_numeric_rejected(self):
+        # json.loads accepts Infinity/NaN and float("inf") parses; neither
+        # may reach a matrix, where logreg and the MLP would predict NaN
+        for bad in ("inf", float("-inf"), float("nan")):
+            r = make_record(post_id="p7", static_features={"controversy_score": bad})
+            with pytest.raises(DatasetError, match="p7.*controversy_score"):
+                extract_static(r)
 
 
 class TestCausality:

@@ -35,6 +35,13 @@ class TestCommon:
             with pytest.raises(FitError):
                 train(default_config(kind), X, y)
 
+    def test_non_finite_features_rejected_everywhere(self):
+        X, y = separable_1d()
+        X[3, 0] = np.inf
+        for kind in models.MODEL_KINDS:
+            with pytest.raises(FitError, match="non-finite"):
+                train(default_config(kind), X, y)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             default_config("svm")
