@@ -195,9 +195,12 @@ def _seed(args, cfg, command: str) -> int:
     return _get(args.seed, cfg, command, "seed", 42, int)
 
 
-def _write_run_manifest(out: Path, command: str, params: dict) -> None:
-    doc = {"command": command, "package_version": __version__, "params": params}
-    (out / "run_manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True, default=str), encoding="utf-8")
+def _write_run_manifest(out: Path, command: str, params: dict, study: str | None = None) -> None:
+    """``run_manifest.json``, or for a study the command and params added to its own manifest."""
+    path = out / (f"{study}_manifest.json" if study else "run_manifest.json")
+    doc = json.loads(path.read_text(encoding="utf-8")) if study else {"package_version": __version__}
+    doc.update(command=command, params=params)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=str), encoding="utf-8")
 
 
 def _load_records(path: Path) -> list[ingest.PostRecord]:
@@ -317,8 +320,8 @@ def cmd_label(args, cfg) -> int:
     data.artifacts.save(out / "labeling.json")
 
     rows = []
-    for split_name, recs in (("train", data.train_records), ("test", data.test_records)):
-        scores, labels = data.artifacts.label_records(recs)
+    splits = (("train", data.train_records, data.scores_train, data.y_train), ("test", data.test_records, data.scores_test, data.y_test))
+    for split_name, recs, scores, labels in splits:
         rows.extend(
             {"post_id": r.post_id, "hybrid_score": float(s), "label": int(l), "split": split_name}
             for r, s, l in zip(recs, scores, labels)
@@ -422,7 +425,8 @@ def cmd_sweep(args, cfg) -> int:
         out_dir=out,
         data=data,
     )
-    _write_run_manifest(out, "sweep", {"data": str(args.data), "seed": seed, "windows": list(windows), "models": list(kinds)})
+    params = {"data": args.data, "artifacts": args.artifacts, "seed": seed, "windows": list(windows), "models": list(kinds)}
+    _write_run_manifest(out, "sweep", params, "window_sweep")
     print(f"wrote {len(rows)} rows to {out / 'window_sweep.csv'}")
     return 0
 
@@ -434,7 +438,7 @@ def cmd_ablate(args, cfg) -> int:
     window = _get(args.window, cfg, "ablate", "window", experiments.ABLATION_WINDOW_MINUTES, float)
     data = _prepare_from_args(args, cfg, "ablate", records, seed)
     rows = experiments.run_ablation(records, window=window, seed=seed, out_dir=out, data=data)
-    _write_run_manifest(out, "ablate", {"data": str(args.data), "seed": seed, "window": window})
+    _write_run_manifest(out, "ablate", {"data": args.data, "artifacts": args.artifacts, "seed": seed, "window": window}, "ablation")
     print(f"wrote {len(rows)} rows to {out / f'ablation_{int(window)}.csv'}")
     return 0
 
@@ -449,7 +453,8 @@ def cmd_importance(args, cfg) -> int:
     counts, _ = experiments.importance_over_time(
         records, windows=windows, top_k=top_k, seed=seed, out_dir=out, data=data
     )
-    _write_run_manifest(out, "importance", {"data": str(args.data), "seed": seed, "windows": list(windows), "top_k": top_k})
+    params = {"data": args.data, "artifacts": args.artifacts, "seed": seed, "windows": list(windows), "top_k": top_k}
+    _write_run_manifest(out, "importance", params, "importance_over_time")
     print(f"wrote {len(counts)} rows to {out / 'modality_importance.csv'}")
     return 0
 

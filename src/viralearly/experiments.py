@@ -14,12 +14,12 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import __version__, evaluation, models, preprocess
-from .features import DEFAULT_WINDOW_SWEEP, MODALITIES, FeatureMatrix, WindowSpec, assemble_matrix
+from .features import DEFAULT_WINDOW_SWEEP, MODALITIES, STATIC_MODALITIES, WINDOWED_MODALITIES, FeatureMatrix, WindowSpec, assemble_matrix
 from .ingest import PostRecord
 from .labeling import DEFAULT_WEIGHT_WINDOWS, LabelingArtifacts
 
@@ -35,6 +35,8 @@ class PreparedData:
     train_records: list[PostRecord]
     test_records: list[PostRecord]
     artifacts: LabelingArtifacts
+    scores_train: np.ndarray  # hybrid scores the labels were assigned from
+    scores_test: np.ndarray
     y_train: np.ndarray
     y_test: np.ndarray
     boundary_iso: str
@@ -65,12 +67,14 @@ def prepare(
         artifacts = LabelingArtifacts.fit(
             train, windows=weight_windows, top_frac=top_frac, forest_config=forest_config
         )
-    _, y_train = artifacts.label_records(train)
-    _, y_test = artifacts.label_records(test)
+    scores_train, y_train = artifacts.label_records(train)
+    scores_test, y_test = artifacts.label_records(test)
     return PreparedData(
         train_records=train,
         test_records=test,
         artifacts=artifacts,
+        scores_train=scores_train,
+        scores_test=scores_test,
         y_train=y_train,
         y_test=y_test,
         boundary_iso=split.boundary.isoformat(),
@@ -84,19 +88,16 @@ class WindowMatrices:
     test: FeatureMatrix
 
 
-def build_window_matrices(
-    data: PreparedData, windows: Sequence[float], include_modalities: Iterable[str] | None = None
-) -> list[WindowMatrices]:
-    out = []
+def build_window_matrices(data: PreparedData, windows: Sequence[float]) -> list[WindowMatrices]:
+    """Per window, that window's temporal and network columns joined to the
+    static columns, which do not depend on the window and are built once per split."""
+    caps, splits = data.artifacts.caps, (data.train_records, data.test_records)
+    out, static = [], None
     for minutes in windows:
         w = WindowSpec(float(minutes))
-        out.append(
-            WindowMatrices(
-                window=float(minutes),
-                train=assemble_matrix(data.train_records, w, data.artifacts.caps, include_modalities),
-                test=assemble_matrix(data.test_records, w, data.artifacts.caps, include_modalities),
-            )
-        )
+        static = static or [assemble_matrix(records, w, caps, STATIC_MODALITIES) for records in splits]
+        train, test = (assemble_matrix(r, w, caps, WINDOWED_MODALITIES).join(s) for r, s in zip(splits, static))
+        out.append(WindowMatrices(window=w.minutes, train=train, test=test))
     return out
 
 
@@ -196,20 +197,15 @@ def run_ablation(
     """Baseline (all features) plus one gbt row per excluded modality."""
     if data is None:
         data = prepare(records)
+    full = build_window_matrices(data, [window])[0]
+    scenarios = [("baseline", full)] + [
+        (f"exclude_{m}", WindowMatrices(full.window, full.train.without_modality(m), full.test.without_modality(m)))
+        for m in modalities
+    ]
     rows = []
-    scenarios = [("baseline", None)] + [(f"exclude_{m}", m) for m in modalities]
-    for name, excluded in scenarios:
-        include = None if excluded is None else [m for m in MODALITIES if m != excluded]
-        matrices = build_window_matrices(data, [window], include_modalities=include)[0]
+    for name, matrices in scenarios:
         cell = _evaluate_window(matrices, data, ("gbt",), seed, k_folds=None)[0]
-        rows.append(
-            {
-                "scenario": name,
-                "window": window,
-                "pr_auc": cell["pr_auc"],
-                "roc_auc": cell["roc_auc"],
-            }
-        )
+        rows.append({"scenario": name, "window": window, "pr_auc": cell["pr_auc"], "roc_auc": cell["roc_auc"]})
     if out_dir is not None:
         out_dir = Path(out_dir)
         write_csv(out_dir / f"ablation_{int(window)}.csv", rows)

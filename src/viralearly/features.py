@@ -1,10 +1,10 @@
 """Windowed feature extraction: temporal, network, and static modalities.
 
 Every extractor sees only data available up to the observation window W
-(:func:`window_view`), so matrices are causally safe by construction. Matrix
-column names are prefixed with their modality (``temporal__peak_velocity``)
-to keep names unique across catalogs; the unprefixed names below follow the
-published feature tables.
+(:func:`window_view`, :func:`labeling.engagement_curve`), so matrices are
+causally safe by construction. Matrix column names are prefixed with their
+modality (``temporal__peak_velocity``) to keep names unique across catalogs;
+the unprefixed names below follow the published feature tables.
 
 Conventions for the engineered temporal dynamics:
 
@@ -24,17 +24,18 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import trajectory
 from .errors import ConfigError, DatasetError, SchemaError
-from .ingest import EngagementSnapshot, PostRecord
-from .labeling import NormalizationCaps, normalize_metric
+from .ingest import EngagementSnapshot, PostRecord, coerce_static
+from .labeling import NormalizationCaps, engagement_curve
 
-MODALITIES = ("temporal", "network", "visual", "textual", "contextual")
+WINDOWED_MODALITIES = ("temporal", "network")
 STATIC_MODALITIES = ("visual", "textual", "contextual")
+MODALITIES = WINDOWED_MODALITIES + STATIC_MODALITIES
 
 DEFAULT_WINDOW_SWEEP = (30.0, 60.0, 120.0, 180.0, 240.0, 300.0, 360.0, 420.0)
 
@@ -210,26 +211,20 @@ def extract_temporal(record: PostRecord, w: WindowSpec, caps: NormalizationCaps)
         is_weekend=float(created.weekday() >= 5),
         window_minutes=float(w.minutes),
     )
-    snaps = window_view(record, w)
-    if not snaps:
+    curve = engagement_curve(record, caps, w.minutes)
+    if curve is None:
         return out
-
-    subs = record.subreddit.subscribers
-    t = np.array([s.t_minutes for s in snaps])
-    norm = np.array([normalize_metric(s.score, subs, caps.cap_for("score")) for s in snaps])
-    last = snaps[-1]
+    snaps, t, norm, v, a = curve.snapshots, curve.t, curve.norm, curve.velocity, curve.acceleration
 
     out.norm_score = float(norm[-1])
-    out.norm_comments = normalize_metric(last.comments, subs, caps.cap_for("comments"))
-    out.norm_crossposts = normalize_metric(last.crossposts, subs, caps.cap_for("crossposts"))
-    out.upvote_ratio = last.upvote_ratio
-    out.category_snapshot = last.category
+    out.norm_comments = curve.norm_comments
+    out.norm_crossposts = curve.norm_crossposts
+    out.upvote_ratio = snaps[-1].upvote_ratio
+    out.category_snapshot = snaps[-1].category
 
-    tv, v = trajectory.velocity_series(t, norm)
     if len(v):
         out.peak_velocity = float(np.max(v))
         out.burst_count = float(trajectory.burst_count(v))
-    _, a = trajectory.acceleration_series(t, norm)
     if len(a):
         out.peak_acceleration = float(np.max(a))
         out.min_acceleration = float(np.min(a))
@@ -245,50 +240,31 @@ def extract_temporal(record: PostRecord, w: WindowSpec, caps: NormalizationCaps)
         setattr(out, attr, trajectory.least_squares_slope(t[tail], norm[tail]))
 
     out.time_to_peak = float(t[int(np.argmax(norm))])
-    takeoff = trajectory.takeoff_point(t, norm)
-    if takeoff is not None:
-        out.time_to_takeoff, out.takeoff_velocity = takeoff
+    if curve.takeoff is not None:
+        out.time_to_takeoff, out.takeoff_velocity = curve.takeoff
 
-    out.first_vote_min = _first_time(snaps, "score")
-    out.first_comment_min = _first_time(snaps, "comments")
-    out.first_crosspost_min = _first_time(snaps, "crossposts")
+    for attr, metric in (("first_vote_min", "score"), ("first_comment_min", "comments"), ("first_crosspost_min", "crossposts")):
+        setattr(out, attr, next((float(s.t_minutes) for s in snaps if getattr(s, metric) > 0), None))
 
-    time_in = _time_in_categories(snaps, w.minutes)
-    out.time_in_new = time_in["new"]
-    out.time_in_rising = time_in["rising"]
-    out.time_in_hot = time_in["hot"]
-    out.time_in_top = time_in["top"]
-    out.pct_time_in_new = time_in["new"] / w.minutes
-    out.pct_time_in_rising = time_in["rising"] / w.minutes
-    out.pct_time_in_hot = time_in["hot"] / w.minutes
-    out.pct_time_in_top = time_in["top"] / w.minutes
-
-    cats = [s.category for s in snaps]
-    out.transitions_within = float(sum(a != b for a, b in zip(cats, cats[1:])))
+    out.transitions_within, time_in = _category_path(snaps, w.minutes)
+    for cat in RANKED_CATEGORIES:
+        setattr(out, f"time_in_{cat}", time_in[cat])
+        setattr(out, f"pct_time_in_{cat}", time_in[cat] / w.minutes)
     return out
 
 
-def _first_time(snaps: Sequence[EngagementSnapshot], attr: str) -> float | None:
-    for s in snaps:
-        if getattr(s, attr) > 0:
-            return float(s.t_minutes)
-    return None
-
-
-def _time_in_categories(snaps: Sequence[EngagementSnapshot], window: float) -> dict[str, float]:
-    """Left-attributed dwell time per ranked category, held to the window end.
-
-    The state observed at t_i persists over [t_i, t_{i+1}) and the last
-    observation holds through W; time before the first snapshot stays
-    unattributed ("unknown" absorbs it).
-    """
-    out = {c: 0.0 for c in RANKED_CATEGORIES}
-    for i, snap in enumerate(snaps):
-        start = snap.t_minutes
-        end = snaps[i + 1].t_minutes if i + 1 < len(snaps) else window
-        if snap.category in out:
-            out[snap.category] += max(0.0, end - start)
-    return out
+def _category_path(snaps: Sequence[EngagementSnapshot], window: float) -> tuple[float, dict[str, float]]:
+    """Category changes between consecutive snapshots, and the left-attributed
+    dwell time per ranked category: the state observed at t_i persists over
+    [t_i, t_{i+1}) and the last one through W; time before the first snapshot
+    stays unattributed ("unknown" absorbs it)."""
+    time_in = {c: 0.0 for c in RANKED_CATEGORIES}
+    ends = [s.t_minutes for s in snaps[1:]] + [window]
+    for snap, end in zip(snaps, ends):
+        if snap.category in time_in:
+            time_in[snap.category] += max(0.0, end - snap.t_minutes)
+    transitions = sum(a.category != b.category for a, b in zip(snaps, snaps[1:]))
+    return float(transitions), time_in
 
 
 def extract_network(record: PostRecord, w: WindowSpec) -> NetworkFeatures:
@@ -305,28 +281,18 @@ def extract_network(record: PostRecord, w: WindowSpec) -> NetworkFeatures:
         return out
 
     cats = [s.category for s in snaps]
-    transitions = sum(a != b for a, b in zip(cats, cats[1:]))
-    out.category_transitions = float(transitions)
+    transitions, time_in = _category_path(snaps, w.minutes)
+    out.category_transitions = transitions
     out.category_stability = 1.0 - transitions / (len(cats) - 1) if len(cats) > 1 else 1.0
     out.unique_categories = float(len(set(cats)))
 
     rank = {c: i for i, c in enumerate(RANKED_CATEGORIES)}
-    promotions = demotions = 0
-    for a, b in zip(cats, cats[1:]):
-        if a in rank and b in rank and a != b:
-            if rank[b] > rank[a]:
-                promotions += 1
-            else:
-                demotions += 1
+    moves = [rank[b] > rank[a] for a, b in zip(cats, cats[1:]) if a in rank and b in rank and a != b]
+    promotions, demotions = sum(moves), len(moves) - sum(moves)
     out.promotion_demotion_ratio = promotions / demotions if demotions else float(promotions)
 
-    path: list[str] = []
-    for c in cats:
-        if not path or path[-1] != c:
-            path.append(c)
+    path = [c for i, c in enumerate(cats) if i == 0 or cats[i - 1] != c]
     out.progression_pattern = ">".join(path[:4]) + (">+" if len(path) > 4 else "")
-
-    time_in = _time_in_categories(snaps, w.minutes)
     out.pct_time_in_new = time_in["new"] / w.minutes
 
     for cat, attr in (("hot", "time_to_hot"), ("rising", "time_to_rising"), ("top", "time_to_top")):
@@ -342,7 +308,7 @@ def extract_static(record: PostRecord) -> dict[str, dict[str, float | str | None
     for modality in STATIC_MODALITIES:
         values: dict[str, float | str | None] = {}
         for name, kind in MODALITY_CATALOG[modality]:
-            value = _coerce(blob.get(name), kind)
+            value = coerce_static(blob.get(name), kind)
             if isinstance(value, float) and not math.isfinite(value):
                 raise DatasetError(f"post {record.post_id}: static feature {name!r} is not finite ({value})")
             values[name] = value
@@ -353,19 +319,6 @@ def extract_static(record: PostRecord) -> dict[str, dict[str, float | str | None
     if textual["is_title_present"] is None:
         textual["is_title_present"] = float(bool(record.title.strip()))
     return out
-
-
-def _coerce(value: Any, kind: str) -> float | str | None:
-    if value is None:
-        return None
-    if kind == "numeric":
-        if isinstance(value, bool):
-            return float(value)
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            return None
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -426,6 +379,19 @@ class FeatureMatrix:
             self.columns,
             {name: arr[idx] for name, arr in self.data.items()},
         )
+
+    def join(self, other: "FeatureMatrix") -> "FeatureMatrix":
+        """This matrix's columns followed by ``other``'s, over the same rows."""
+        if other.row_ids != self.row_ids:
+            raise SchemaError("cannot join feature matrices over different rows")
+        return FeatureMatrix(self.row_ids, self.columns + other.columns, {**self.data, **other.data})
+
+    def without_modality(self, modality: str) -> "FeatureMatrix":
+        """The same rows with one modality's columns dropped."""
+        if modality not in MODALITIES:
+            raise ConfigError(f"unknown modality {modality!r}")
+        kept = [c for c in self.columns if c.modality != modality]
+        return FeatureMatrix(self.row_ids, kept, {c.name: self.data[c.name] for c in kept})
 
     def to_csv(self, path: str | Path) -> Path:
         """Write values plus a `<stem>.manifest.json` sidecar; returns the sidecar path."""
@@ -495,20 +461,13 @@ def assemble_matrix(
     Column order is deterministic: modality in canonical order, then name.
     Records without a static blob get missing-valued static columns.
     """
-    if include_modalities is None:
-        include = set(MODALITIES)
-    else:
-        include = set(include_modalities)
-        unknown = include - set(MODALITIES)
-        if unknown:
-            raise ConfigError(f"unknown modalities: {sorted(unknown)}")
-
-    columns: list[ColumnSpec] = []
-    for modality in MODALITIES:
-        if modality not in include:
-            continue
-        for name, kind in sorted(MODALITY_CATALOG[modality]):
-            columns.append(ColumnSpec(f"{modality}__{name}", modality, kind))
+    include = set(MODALITIES if include_modalities is None else include_modalities)
+    unknown = include - set(MODALITIES)
+    if unknown:
+        raise ConfigError(f"unknown modalities: {sorted(unknown)}")
+    columns = [
+        ColumnSpec(f"{m}__{name}", m, kind) for m in MODALITIES if m in include for name, kind in sorted(MODALITY_CATALOG[m])
+    ]
 
     cells: dict[str, list] = {c.name: [] for c in columns}
     for record in records:
@@ -522,14 +481,10 @@ def assemble_matrix(
         for c in columns:
             cells[c.name].append(values[c.modality][c.base_name])
 
-    data: dict[str, np.ndarray] = {}
-    for c in columns:
-        if c.kind == "numeric":
-            data[c.name] = np.array(
-                [np.nan if v is None else float(v) for v in cells[c.name]], dtype=np.float64
-            )
-        else:
-            data[c.name] = np.array(
-                [None if v is None else str(v) for v in cells[c.name]], dtype=object
-            )
+    data = {
+        c.name: np.array([np.nan if v is None else float(v) for v in cells[c.name]], dtype=np.float64)
+        if c.kind == "numeric"
+        else np.array([None if v is None else str(v) for v in cells[c.name]], dtype=object)
+        for c in columns
+    }
     return FeatureMatrix([r.post_id for r in records], columns, data)

@@ -11,6 +11,7 @@ split-agnostic by construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from importlib import resources
@@ -113,6 +114,8 @@ class PostRecord:
         try:
             author = d["author"]
             sub = d["subreddit"]
+            if not isinstance(d.get("static_features"), (dict, type(None))):
+                raise TypeError("static_features is not an object")
             return cls(
                 post_id=str(d["post_id"]),
                 created_utc=_parse_utc(d["created_utc"]),
@@ -341,13 +344,38 @@ def validate_record(record: PostRecord) -> ValidationReport:
         if snap.upvote_ratio is not None and not 0.0 <= snap.upvote_ratio <= 1.0:
             v.append(f"upvote_ratio outside [0, 1] at index {i}")
             break
+    blob = record.static_features or {}
+    for name in NUMERIC_STATIC_FIELDS:
+        value = coerce_static(blob.get(name), "numeric")
+        if isinstance(value, float) and not math.isfinite(value):
+            v.append(f"static feature {name!r} is not finite ({value})")
     return report
+
+
+def coerce_static(value: Any, kind: str) -> float | str | None:
+    """A static-feature value as read downstream: a number (unreadable ones
+    are missing) or a category string; None stays missing."""
+    if value is None:
+        return None
+    if kind == "numeric":
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            return None
+        except OverflowError:  # an integer beyond the float range
+            return math.inf if value > 0 else -math.inf
+    return str(value)
 
 
 def dataset_schema() -> dict[str, Any]:
     """Return the shipped JSON schema for the dataset line format."""
     text = resources.files("viralearly").joinpath("data/post_record.schema.json").read_text("utf-8")
     return json.loads(text)
+
+
+# Static features read as numbers: those the schema types as number, integer or boolean.
+_STATIC_SCHEMA = dataset_schema()["properties"]["static_features"]["properties"]
+NUMERIC_STATIC_FIELDS = tuple(name for name, spec in _STATIC_SCHEMA.items() if spec["type"] in ("number", "integer", "boolean"))
 
 
 def truncate_record(record: PostRecord, minutes: float) -> PostRecord:

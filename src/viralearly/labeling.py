@@ -30,7 +30,7 @@ import numpy as np
 
 from . import models, trajectory
 from .errors import DegenerateDistributionError, FitError, SchemaError
-from .ingest import PostRecord
+from .ingest import EngagementSnapshot, PostRecord
 
 METRICS = ("score", "comments", "crossposts")
 PER_SUBSCRIBER_SCALE = 100_000.0
@@ -131,52 +131,59 @@ def make_preliminary_target(
     return labels
 
 
-def _labeling_row(record: PostRecord, caps: NormalizationCaps, window_minutes: float | None, keys: Sequence[str]) -> list[float]:
+@dataclass(frozen=True)
+class EngagementCurve:
+    """A post's curve up to a window, the one source of the hybrid score's
+    inputs and of the temporal features; ``norm`` is the capped per-100k score."""
+
+    snapshots: tuple[EngagementSnapshot, ...]
+    t: np.ndarray
+    norm: np.ndarray
+    velocity: np.ndarray
+    acceleration: np.ndarray
+    takeoff: tuple[float, float] | None  # (time, velocity there), None if never
+    norm_comments: float
+    norm_crossposts: float
+
+
+def engagement_curve(record: PostRecord, caps: NormalizationCaps, window_minutes: float | None = None) -> EngagementCurve | None:
+    """The curve over snapshots with t <= W (all when W is None); None if nothing was observed by W."""
     snaps = record.snapshots
     if window_minutes is not None:
         snaps = tuple(s for s in snaps if s.t_minutes <= window_minutes)
-    subs = record.subreddit.subscribers
     if not snaps:
-        # Nothing observed in scope: zero engagement, takeoff never reached.
-        horizon = window_minutes if window_minutes is not None else 0.0
-        defaults = {k: 0.0 for k in LABELING_FEATURES}
-        defaults["time_to_takeoff"] = horizon
-        return [defaults[k] for k in keys]
-
+        return None
+    subs = record.subreddit.subscribers
     t = np.array([s.t_minutes for s in snaps])
     norm = np.array([normalize_metric(s.score, subs, caps.cap_for("score")) for s in snaps])
-    horizon = window_minutes if window_minutes is not None else float(t[-1])
-
-    values: dict[str, float] = {}
-    for key in keys:
-        if key == "norm_score":
-            values[key] = float(norm[-1])
-        elif key == "norm_comments":
-            values[key] = normalize_metric(snaps[-1].comments, subs, caps.cap_for("comments"))
-        elif key == "norm_crossposts":
-            values[key] = normalize_metric(snaps[-1].crossposts, subs, caps.cap_for("crossposts"))
-        elif key == "peak_velocity":
-            _, v = trajectory.velocity_series(t, norm)
-            values[key] = float(np.max(v)) if len(v) else 0.0
-        elif key == "peak_acceleration":
-            _, a = trajectory.acceleration_series(t, norm)
-            values[key] = float(np.max(a)) if len(a) else 0.0
-        elif key == "time_to_takeoff":
-            point = trajectory.takeoff_point(t, norm)
-            values[key] = point[0] if point is not None else horizon
-        else:
-            raise SchemaError(f"unknown labeling feature {key!r}")
-    return [values[k] for k in keys]
+    return EngagementCurve(
+        snapshots=snaps,
+        t=t,
+        norm=norm,
+        velocity=trajectory.velocity_series(t, norm)[1],
+        acceleration=trajectory.acceleration_series(t, norm)[1],
+        takeoff=trajectory.takeoff_point(t, norm),
+        norm_comments=normalize_metric(snaps[-1].comments, subs, caps.cap_for("comments")),
+        norm_crossposts=normalize_metric(snaps[-1].crossposts, subs, caps.cap_for("crossposts")),
+    )
 
 
-def labeling_feature_matrix(
-    records: Sequence[PostRecord],
-    caps: NormalizationCaps,
-    window_minutes: float | None = None,
-    keys: Sequence[str] = LABELING_FEATURES,
-) -> np.ndarray:
-    """Design matrix of labeling features, windowed or over the full horizon."""
-    return np.array([_labeling_row(r, caps, window_minutes, keys) for r in records])
+def labeling_feature_matrix(records: Sequence[PostRecord], caps: NormalizationCaps, window_minutes: float | None = None) -> np.ndarray:
+    """Design matrix of :data:`LABELING_FEATURES`, windowed or over the full
+    horizon. Takeoff never reached counts as the horizon; nothing observed in
+    scope counts as zero engagement."""
+    rows = []
+    for record in records:
+        c = engagement_curve(record, caps, window_minutes)
+        if c is None:
+            rows.append([0.0] * 5 + [window_minutes if window_minutes is not None else 0.0])
+            continue
+        horizon = window_minutes if window_minutes is not None else float(c.t[-1])
+        peak_v = float(np.max(c.velocity)) if len(c.velocity) else 0.0
+        peak_a = float(np.max(c.acceleration)) if len(c.acceleration) else 0.0
+        takeoff = c.takeoff[0] if c.takeoff is not None else horizon
+        rows.append([float(c.norm[-1]), c.norm_comments, c.norm_crossposts, peak_v, peak_a, takeoff])
+    return np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -257,7 +264,13 @@ def score_records(
 ) -> np.ndarray:
     """Hybrid scores over the full tracked horizon for each record."""
     keys = list(weights.weights)
-    X = labeling_feature_matrix(records, caps, window_minutes=None, keys=keys)
+    unknown = set(keys) - set(LABELING_FEATURES)
+    if unknown:
+        raise SchemaError(f"unknown labeling features {sorted(unknown)}")
+    # Columns in the weights' key order, C-ordered: the summation order of
+    # the product, and so every score bit, depends on the memory layout.
+    order = [LABELING_FEATURES.index(k) for k in keys]
+    X = np.ascontiguousarray(labeling_feature_matrix(records, caps)[:, order])
     beta = np.array([weights.weights[k] for k in keys])
     return X @ beta
 

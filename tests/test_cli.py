@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from viralearly import experiments, ingest
+from viralearly import experiments, ingest, models
 from viralearly.cli import main
 
 from conftest import make_record
@@ -42,6 +42,22 @@ class TestExitCodes:
     def test_clean_data_validates_ok(self, synth_dir):
         assert main(["validate", "--data", str(synth_dir / "posts.jsonl")]) == 0
 
+    def test_non_finite_static_feature_is_data_error(self, tmp_path, capsys):
+        assert main(["synth", "--n", "300", "--signal", "mixed", "--seed", "3", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "posts.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            doc = json.loads(line)
+            if doc["post_id"] == "p000005":
+                doc["static_features"]["controversy_score"] = "inf"
+                lines[i] = json.dumps(doc)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", "--data", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "p000005: static feature 'controversy_score' is not finite (inf)" in out
+        assert "invalid_records=1 " in out
+
 
 class TestSynthCommand:
     def test_outputs_written(self, synth_dir):
@@ -74,6 +90,13 @@ class TestLabelAndSweep:
         assert main(base + ["--out", str(end_to_end)]) == 0
         assert main(base + ["--out", str(via_artifacts), "--artifacts", str(lab / "labeling.json")]) == 0
 
+        manifest = json.loads((via_artifacts / "window_sweep_manifest.json").read_text())
+        assert manifest["command"] == "sweep"
+        assert manifest["params"]["data"] == str(synth_dir / "posts.jsonl")
+        assert manifest["params"]["artifacts"] == str(lab / "labeling.json")
+        assert manifest["dataset_fingerprint"].startswith("240:")
+        assert sorted(p.name for p in via_artifacts.glob("*.json")) == ["window_sweep_manifest.json"]
+
         rows_a = experiments.read_csv(end_to_end / "window_sweep.csv")
         rows_b = experiments.read_csv(via_artifacts / "window_sweep.csv")
         assert len(rows_a) == 2
@@ -82,6 +105,35 @@ class TestLabelAndSweep:
             assert a["pr_auc"] == b["pr_auc"]
             assert a["roc_auc"] == b["roc_auc"]
             assert a["f1"] == b["f1"]
+
+    def test_label_writes_the_scores_it_labeled_with(self, synth_dir, tmp_path):
+        lab = tmp_path / "lab"
+        assert main(["label", "--data", str(synth_dir / "posts.jsonl"), "--out", str(lab)]) == 0
+        # rescored with the in-memory artifacts: reloaded weights come back in
+        # sorted key order, which sums each score in a different order
+        records = list(ingest.parse_dataset(synth_dir / "posts.jsonl"))
+        data = experiments.prepare(records, forest_config=models.default_config("random_forest", seed=42))
+        rows = experiments.read_csv(lab / "labels.csv")
+        recs = data.train_records + data.test_records
+        scores, labels = data.artifacts.label_records(recs)
+        assert [r["post_id"] for r in rows] == [r.post_id for r in recs]
+        assert [float(r["hybrid_score"]) for r in rows] == scores.tolist()
+        assert [int(r["label"]) for r in rows] == labels.tolist()
+
+    def test_each_study_writes_one_manifest(self, synth_dir, tmp_path):
+        data = str(synth_dir / "posts.jsonl")
+        runs = {
+            "ablate": (["--window", "30"], "ablation_manifest.json"),
+            "importance": (["--windows", "30", "--top-k", "5"], "importance_over_time_manifest.json"),
+        }
+        for command, (flags, name) in runs.items():
+            out = tmp_path / command
+            assert main([command, "--data", data, "--out", str(out), "--seed", "4"] + flags) == 0
+            assert sorted(p.name for p in out.glob("*.json")) == [name]
+            manifest = json.loads((out / name).read_text())
+            assert manifest["command"] == command
+            assert manifest["params"]["data"] == data
+            assert manifest["params"]["seed"] == manifest["seed"] == 4
 
     def test_sweep_row_count(self, synth_dir, tmp_path):
         out = tmp_path / "sweep"

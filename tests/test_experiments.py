@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from viralearly import synth
+from viralearly.errors import ConfigError
 from viralearly.experiments import (
     importance_over_time,
     prepare,
@@ -107,6 +108,10 @@ class TestAblation:
         assert names[0] == "baseline"
         assert set(names[1:]) == {f"exclude_{m}" for m in MODALITY_CATALOG}
         assert (tmp_path / "ablation_120.csv").exists()
+
+    def test_unknown_modality_rejected(self, corpus, data):
+        with pytest.raises(ConfigError, match="audio"):
+            run_ablation(corpus, window=120.0, modalities=("audio",), data=data)
 
     def test_informationless_modality_equals_baseline(self):
         # no static blobs: visual columns exist but are all-missing, so

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from viralearly import features
+from viralearly import features, ingest
 from viralearly.errors import ConfigError, DatasetError, SchemaError
 from viralearly.features import (
     FeatureMatrix,
@@ -167,6 +167,19 @@ class TestExtractStatic:
             r = make_record(post_id="p7", static_features={"controversy_score": bad})
             with pytest.raises(DatasetError, match="p7.*controversy_score"):
                 extract_static(r)
+
+
+def test_static_catalogs_agree_with_schema():
+    # the validator takes the numeric fields from the schema, the extractor
+    # from these catalogs; they must not drift apart
+    schema = ingest.dataset_schema()["properties"]["static_features"]["properties"]
+    catalog = {name: (m, kind) for m in features.STATIC_MODALITIES for name, kind in features.MODALITY_CATALOG[m]}
+    assert set(catalog) == set(schema)
+    schema_types = {"numeric": {"number", "integer", "boolean"}, "categorical": {"string"}}
+    for name, (modality, kind) in catalog.items():
+        assert schema[name]["type"] in schema_types[kind], name
+        assert schema[name]["x-modality"] == modality, name
+    assert set(ingest.NUMERIC_STATIC_FIELDS) == {name for name, (_, kind) in catalog.items() if kind == "numeric"}
 
 
 class TestCausality:

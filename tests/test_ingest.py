@@ -30,6 +30,15 @@ class TestParseDataset:
         assert len(diags) == 1
         assert diags[0].line_no == 2
 
+    def test_static_features_must_be_an_object(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        doc = make_record().to_json_dict()
+        write_lines(path, [json.dumps({**doc, "static_features": ["inf"]}), json.dumps({**doc, "static_features": None})])
+        diags = []
+        records = list(ingest.parse_dataset(path, on_error=diags.append))
+        assert len(records) == 1
+        assert [(d.line_no, d.message) for d in diags] == [(1, "bad post record: static_features is not an object")]
+
     def test_malformed_raises_without_error_channel(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_lines(path, ["{}"])
@@ -128,6 +137,18 @@ class TestValidateRecord:
     def test_unknown_category_flagged(self):
         record = make_record(categories=["new", "weird", "new"])
         assert any("unknown category" in v for v in ingest.validate_record(record).violations)
+
+    def test_non_finite_static_number_flagged(self):
+        # the values extract_static would reject, caught before any sweep
+        for bad, shown in (("inf", "inf"), ("-Infinity", "-inf"), (float("nan"), "nan"), (10**400, "inf"), (-(10**400), "-inf")):
+            record = make_record(static_features={"controversy_score": bad, "template_name": "inf"})
+            assert ingest.validate_record(record).violations == [
+                f"static feature 'controversy_score' is not finite ({shown})"
+            ]
+
+    def test_readable_static_values_pass(self):
+        blob = {"controversy_score": 3, "image_width": "640.5", "is_offensive": True, "title_word_count": "n/a", "template_name": "inf"}
+        assert ingest.validate_record(make_record(static_features=blob)).ok
 
 
 def test_dataset_schema_ships():
