@@ -207,9 +207,19 @@ def _load_records(path: Path) -> list[ingest.PostRecord]:
     return list(ingest.parse_dataset(path))
 
 
-def _load_labels(path: Path) -> dict[str, int]:
-    rows = experiments.read_csv(path)
-    return {row["post_id"]: int(row["label"]) for row in rows}
+def _labels_for(path: Path, row_ids: list[str]) -> np.ndarray:
+    """The 0/1 label of each matrix row from a labels CSV; DatasetError when
+    a row has no label there or a label is not 0 or 1."""
+    labels = {}
+    for row in experiments.read_csv(path):
+        label = row.get("label")
+        if row.get("post_id") is None or label not in ("0", "1"):
+            raise ingest.DatasetError(f"{path}: row without a 0/1 label: {row}")
+        labels[row["post_id"]] = int(label)
+    missing = [rid for rid in row_ids if rid not in labels]
+    if missing:
+        raise ingest.DatasetError(f"labels missing for {len(missing)} posts (e.g. {missing[:3]})")
+    return np.array([labels[rid] for rid in row_ids], dtype=np.int8)
 
 
 def _prepare_from_args(args, cfg, command: str, records, seed: int) -> experiments.PreparedData:
@@ -285,23 +295,15 @@ def cmd_collect(args, cfg) -> int:
     if not ids:
         raise _UsageError("no post ids to track")
 
-    results = [
-        collector.track_post(source, pid, until_minutes=until, clock=clock) for pid in ids
-    ]
+    # one line per post as soon as it finishes, so a failure later in the run keeps it
     with open(out / "tracked.jsonl", "w", encoding="utf-8") as fh:
-        for res in results:
-            fh.write(
-                json.dumps(
-                    {
-                        "post_id": res.post_id,
-                        "reason": res.reason,
-                        "snapshots": [ingest._snapshot_to_dict(s) for s in res.snapshots],
-                    }
-                )
-                + "\n"
-            )
+        for pid in ids:
+            res = collector.track_post(source, pid, until_minutes=until, clock=clock)
+            snapshots = [ingest._snapshot_to_dict(s) for s in res.snapshots]
+            fh.write(json.dumps({"post_id": res.post_id, "reason": res.reason, "snapshots": snapshots}) + "\n")
+            fh.flush()
     _write_run_manifest(out, "collect", {"until": until, "n_posts": len(ids), "source": str(replay or base_url)})
-    print(f"tracked {len(results)} posts to {out / 'tracked.jsonl'}")
+    print(f"tracked {len(ids)} posts to {out / 'tracked.jsonl'}")
     return 0
 
 
@@ -370,11 +372,7 @@ def cmd_train(args, cfg) -> int:
     seed = _seed(args, cfg, "train")
     kind = _get(args.model, cfg, "train", "model", "gbt")
     matrix = FeatureMatrix.from_csv(args.matrix)
-    labels = _load_labels(args.labels)
-    missing = [rid for rid in matrix.row_ids if rid not in labels]
-    if missing:
-        raise ingest.DatasetError(f"labels missing for {len(missing)} posts (e.g. {missing[:3]})")
-    y = np.array([labels[rid] for rid in matrix.row_ids], dtype=np.int8)
+    y = _labels_for(args.labels, matrix.row_ids)
 
     prep = preprocess.fit(matrix)
     transformed = preprocess.transform(prep, matrix)
@@ -397,8 +395,7 @@ def cmd_evaluate(args, cfg) -> int:
     model = models.load_model(args.model)
     prep = preprocess.PreprocessModel.load(args.preprocess)
     matrix = FeatureMatrix.from_csv(args.matrix)
-    labels = _load_labels(args.labels)
-    y = np.array([labels[rid] for rid in matrix.row_ids], dtype=np.int8)
+    y = _labels_for(args.labels, matrix.row_ids)
     probs = model.predict_proba(preprocess.transform(prep, matrix).X)
     report = evaluation.evaluate_predictions(y, probs)
     doc = {**report.as_row(), "n_pos": report.n_pos, "n_neg": report.n_neg}

@@ -9,11 +9,14 @@ time in tests and wall-clock time in production.
 
 from __future__ import annotations
 
+import email.utils
 import json
+import math
 import time as _time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from typing import Iterable, Protocol, Sequence
 
 from .errors import ConfigError
@@ -260,9 +263,11 @@ class HttpPollingSource:
     """Polls ``GET {base_url}/{post_id}`` for a JSON post state.
 
     Expected body: score, comments, crossposts, category, optional
-    upvote_ratio, removed. 429/503 responses honor Retry-After (seconds) via
-    :class:`RateLimitedError`; 404/410 are permanent; other failures are
-    transient. ``auth_header`` is passed through verbatim as Authorization.
+    upvote_ratio, removed. 429/503 responses honor Retry-After (seconds or
+    an HTTP-date) via :class:`RateLimitedError`; 404/410 are permanent; other
+    failures are transient, and so is a body that is not a JSON object or
+    lacks a numeric score, comments or crossposts. ``auth_header`` is passed
+    through verbatim as Authorization.
     """
 
     def __init__(self, base_url: str, auth_header: str | None = None, timeout_seconds: float = 10.0):
@@ -276,22 +281,48 @@ class HttpPollingSource:
             request.add_header("Authorization", self.auth_header)
         try:
             with urllib.request.urlopen(request, timeout=self.timeout_seconds) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
+                body = resp.read()
         except urllib.error.HTTPError as exc:
             if exc.code in (429, 503):
-                retry_after = exc.headers.get("Retry-After")
-                minutes = float(retry_after) / 60.0 if retry_after else None
+                minutes = _retry_after_minutes(exc.headers.get("Retry-After"))
                 raise RateLimitedError(f"HTTP {exc.code}", retry_after_minutes=minutes) from exc
             if exc.code in (404, 410):
                 raise PermanentSourceError(f"HTTP {exc.code} for {post_id}") from exc
             raise TransientSourceError(f"HTTP {exc.code}") from exc
-        except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
+        except (urllib.error.URLError, TimeoutError) as exc:
             raise TransientSourceError(str(exc)) from exc
+        try:
+            payload = json.loads(body.decode("utf-8"))
+        except ValueError as exc:  # undecodable bytes or invalid JSON
+            raise TransientSourceError(f"unreadable body for {post_id}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise TransientSourceError(f"body for {post_id} is not a JSON object")
+        counts = [payload.get(key) for key in ("score", "comments", "crossposts")]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in counts):
+            raise TransientSourceError(f"missing or non-numeric counts for {post_id}: {counts}")
+        score, comments, crossposts = (int(v) for v in counts)
         return PollResult(
-            score=int(payload["score"]),
-            comments=int(payload["comments"]),
-            crossposts=int(payload["crossposts"]),
+            score=score,
+            comments=comments,
+            crossposts=crossposts,
             category=str(payload.get("category", "unknown")),
             upvote_ratio=payload.get("upvote_ratio"),
             removed=bool(payload.get("removed", False)),
         )
+
+
+def _retry_after_minutes(value: str | None) -> float | None:
+    """A Retry-After header in minutes: delay-seconds or an HTTP-date
+    (RFC 9110, 10.2.3); None when absent or unreadable."""
+    if not value:
+        return None
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        return int(value) / 60.0
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:  # "-0000": a UTC time from an unknown zone
+        when = when.replace(tzinfo=timezone.utc)
+    return max((when - datetime.now(timezone.utc)).total_seconds(), 0.0) / 60.0

@@ -27,6 +27,12 @@ def _check_binary(y) -> np.ndarray:
     return y
 
 
+def _tie_block_ends(sorted_scores: np.ndarray) -> np.ndarray:
+    """Last index of each run of equal values in a sorted score vector."""
+    change = np.nonzero(sorted_scores[1:] != sorted_scores[:-1])[0]
+    return np.concatenate([change, [len(sorted_scores) - 1]])
+
+
 def pr_auc(y, scores) -> float:
     """Average precision: sum of precision * recall-increment at each threshold.
 
@@ -36,10 +42,8 @@ def pr_auc(y, scores) -> float:
     y = _check_binary(y)
     s = np.asarray(scores, dtype=np.float64).ravel()
     order = np.argsort(-s, kind="mergesort")
-    s_sorted, y_sorted = s[order], y[order]
-    block_end = np.nonzero(np.diff(s_sorted))[0]
-    ends = np.concatenate([block_end, [len(s) - 1]])
-    tp = np.cumsum(y_sorted)[ends].astype(np.float64)
+    ends = _tie_block_ends(s[order])
+    tp = np.cumsum(y[order])[ends].astype(np.float64)
     pp = ends + 1.0
     n_pos = float(y.sum())
     precision = tp / pp
@@ -53,15 +57,10 @@ def roc_auc(y, scores) -> float:
     y = _check_binary(y)
     s = np.asarray(scores, dtype=np.float64).ravel()
     order = np.argsort(s, kind="mergesort")
+    ends = _tie_block_ends(s[order])
+    starts = np.concatenate([[0], ends[:-1] + 1])
     ranks = np.empty(len(s), dtype=np.float64)
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank (1-based)
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)  # midranks (1-based)
     n_pos = float(y.sum())
     n_neg = float(len(y) - n_pos)
     rank_sum = float(ranks[y == 1].sum())

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import trajectory
 from .errors import ConfigError, DatasetError, SchemaError
-from .ingest import EngagementSnapshot, PostRecord, coerce_static
+from .ingest import STATIC_FEATURE_SCHEMA, EngagementSnapshot, PostRecord, coerce_static
 from .labeling import NormalizationCaps, engagement_curve
 
 WINDOWED_MODALITIES = ("temporal", "network")
@@ -125,8 +125,11 @@ class NetworkFeatures:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-# Catalog entries: (unprefixed name, kind). Static names follow the on-disk
-# static_features blob documented in data/post_record.schema.json.
+# Catalog entries: (unprefixed name, kind). The static entries are read from
+# the static_features blob of data/post_record.schema.json, in its order:
+# x-modality names the modality and the JSON type gives the kind.
+_STATIC_KINDS = {"number": "numeric", "integer": "numeric", "boolean": "numeric", "string": "categorical"}
+
 TEMPORAL_COLUMNS: tuple[tuple[str, str], ...] = tuple(
     (f.name, "categorical" if f.name == "category_snapshot" else "numeric")
     for f in fields(TemporalFeatures)
@@ -137,67 +140,17 @@ NETWORK_COLUMNS: tuple[tuple[str, str], ...] = tuple(
     for f in fields(NetworkFeatures)
 )
 
-CONTEXTUAL_COLUMNS: tuple[tuple[str, str], ...] = (
-    ("is_offensive", "numeric"),
-    ("offense_type", "categorical"),
-    ("cultural_reference_type", "categorical"),
-    ("primary_topic", "categorical"),
-    ("target_audience", "categorical"),
-    ("meme_type", "categorical"),
-    ("analyzed_media_type", "categorical"),
-    ("title_media_coherence", "categorical"),
-    ("controversy_score", "numeric"),
-    ("controversy_type", "categorical"),
-    ("emotional_resonance", "categorical"),
-    ("humor_type", "categorical"),
-    ("insight_commentary_score", "numeric"),
-    ("novelty_uniqueness_score", "numeric"),
-    ("profanity_level", "categorical"),
-    ("relatability_score", "numeric"),
-    ("format_effort", "categorical"),
-    ("format_simplicity", "numeric"),
-    ("format_appeal", "numeric"),
-    ("format_clarity", "numeric"),
-    ("social_platform", "categorical"),
-    ("social_shareability", "categorical"),
-    ("social_currency", "categorical"),
-    ("social_trend", "categorical"),
-)
-
-TEXTUAL_COLUMNS: tuple[tuple[str, str], ...] = (
-    ("text_language", "categorical"),
-    ("text_sentiment_overall", "categorical"),
-    ("text_word_count", "numeric"),
-    ("text_image_alignment", "categorical"),
-    ("text_tone", "categorical"),
-    ("is_title_present", "numeric"),
-    ("title_word_count", "numeric"),
-    ("title_sentiment", "categorical"),
-)
-
-VISUAL_COLUMNS: tuple[tuple[str, str], ...] = (
-    ("media_type", "categorical"),
-    ("image_height", "numeric"),
-    ("image_width", "numeric"),
-    ("key_objects_primary", "categorical"),
-    ("composition", "categorical"),
-    ("panels", "categorical"),
-    ("template_is_variant", "numeric"),
-    ("template_name", "categorical"),
-    ("facial_expression_is_face", "numeric"),
-    ("facial_expression_primary_emotion", "categorical"),
-    ("identified_person_is_celebrity", "numeric"),
-    ("identified_person_is_character", "numeric"),
-    ("identified_character_name", "categorical"),
-    ("identified_person_celebrity_name", "categorical"),
-)
-
 MODALITY_CATALOG: dict[str, tuple[tuple[str, str], ...]] = {
     "temporal": TEMPORAL_COLUMNS,
     "network": NETWORK_COLUMNS,
-    "visual": VISUAL_COLUMNS,
-    "textual": TEXTUAL_COLUMNS,
-    "contextual": CONTEXTUAL_COLUMNS,
+    **{
+        modality: tuple(
+            (name, _STATIC_KINDS[spec["type"]])
+            for name, spec in STATIC_FEATURE_SCHEMA.items()
+            if spec["x-modality"] == modality
+        )
+        for modality in STATIC_MODALITIES
+    },
 }
 
 

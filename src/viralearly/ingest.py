@@ -373,9 +373,12 @@ def dataset_schema() -> dict[str, Any]:
     return json.loads(text)
 
 
+#: The known static-feature keys in schema order, each with its JSON type and ``x-modality``.
+STATIC_FEATURE_SCHEMA: dict[str, dict] = dataset_schema()["properties"]["static_features"]["properties"]
 # Static features read as numbers: those the schema types as number, integer or boolean.
-_STATIC_SCHEMA = dataset_schema()["properties"]["static_features"]["properties"]
-NUMERIC_STATIC_FIELDS = tuple(name for name, spec in _STATIC_SCHEMA.items() if spec["type"] in ("number", "integer", "boolean"))
+NUMERIC_STATIC_FIELDS = tuple(
+    name for name, spec in STATIC_FEATURE_SCHEMA.items() if spec["type"] in ("number", "integer", "boolean")
+)
 
 
 def truncate_record(record: PostRecord, minutes: float) -> PostRecord:

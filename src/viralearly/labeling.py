@@ -385,10 +385,14 @@ class LabelingArtifacts:
             raise SchemaError(f"unsupported artifacts version {doc.get('format_version')!r}")
         hw = doc["hybrid_weights"]
         th = doc["threshold"]
+        unknown = set(hw["weights"]) - set(LABELING_FEATURES)
+        if unknown:
+            raise SchemaError(f"unknown labeling features {sorted(unknown)} in artifacts")
         return cls(
             caps=NormalizationCaps({k: float(v) for k, v in doc["caps"].items()}),
             weights=HybridWeights(
-                weights={k: float(v) for k, v in hw["weights"].items()},
+                # LABELING_FEATURES order, as a fit has it: the scores sum in key order
+                weights={k: float(hw["weights"][k]) for k in LABELING_FEATURES if k in hw["weights"]},
                 source_windows=tuple(float(w) for w in hw["source_windows"]),
             ),
             threshold=ViralityThreshold(

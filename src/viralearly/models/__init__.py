@@ -23,7 +23,7 @@ from .mlp import MLPModel, MLPParams, fit_mlp, init_params, loss_and_gradients
 
 MODEL_KINDS = ("logreg", "gbt", "mlp", "random_forest")
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 _DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
     "logreg": {

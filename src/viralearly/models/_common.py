@@ -50,3 +50,39 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 def logloss_terms(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample binary cross-entropy from logits, overflow-safe."""
     return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+
+
+class _Tree:
+    """Flat-array binary tree shared by the forest and the GBT.
+
+    Node i splits on ``X[:, feature[i]] < value[i]`` (true goes to
+    ``left[i]``, false to ``right[i]``); ``feature[i] < 0`` marks a leaf,
+    whose output is ``leaf_value[i]``.
+    """
+
+    __slots__ = ("feature", "value", "left", "right", "leaf_value")
+
+    def __init__(self, feature, value, left, right, leaf_value):
+        self.feature = np.asarray(feature, dtype=np.int32)
+        self.value = np.asarray(value, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.int32)
+        self.right = np.asarray(right, dtype=np.int32)
+        self.leaf_value = np.asarray(leaf_value, dtype=np.float64)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        node = np.zeros(len(X), dtype=np.int32)
+        while True:
+            feat = self.feature[node]
+            live = feat >= 0
+            if not live.any():
+                return self.leaf_value[node]
+            rows = np.nonzero(live)[0]
+            go_left = X[rows, feat[rows]] < self.value[node[rows]]
+            node[rows] = np.where(go_left, self.left[node[rows]], self.right[node[rows]])
+
+    def to_payload(self) -> dict:
+        return {name: getattr(self, name).tolist() for name in self.__slots__}
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "_Tree":
+        return cls(*(payload[name] for name in cls.__slots__))

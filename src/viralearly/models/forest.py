@@ -14,24 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._common import check_training_data
-
-
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "prob")
-
-    def __init__(self, prob: float):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left: "_Node | None" = None
-        self.right: "_Node | None" = None
-        self.prob = prob
+from ._common import _Tree, check_training_data
 
 
 class RandomForestModel:
     kind = "random_forest"
 
-    def __init__(self, trees: list[_Node], n_features: int, importance: np.ndarray):
+    def __init__(self, trees: list[_Tree], n_features: int, importance: np.ndarray):
         self.trees = trees
         self.n_features = int(n_features)
         self._importance = importance
@@ -44,56 +33,20 @@ class RandomForestModel:
         X = np.asarray(X, dtype=np.float64)
         out = np.zeros(len(X))
         for tree in self.trees:
-            out += _predict_tree(tree, X)
+            out += tree.predict(X)
         return out / len(self.trees)
 
     def to_payload(self) -> dict:
         return {
             "n_features": self.n_features,
             "importance": self._importance.tolist(),
-            "trees": [_node_to_dict(t) for t in self.trees],
+            "trees": [t.to_payload() for t in self.trees],
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "RandomForestModel":
-        trees = [_node_from_dict(t) for t in payload["trees"]]
+        trees = [_Tree.from_payload(t) for t in payload["trees"]]
         return cls(trees, payload["n_features"], np.asarray(payload["importance"]))
-
-
-def _node_to_dict(node: _Node) -> dict:
-    if node.feature < 0:
-        return {"prob": node.prob}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-        "prob": node.prob,
-    }
-
-
-def _node_from_dict(d: dict) -> _Node:
-    node = _Node(d["prob"])
-    if "feature" in d:
-        node.feature = d["feature"]
-        node.threshold = d["threshold"]
-        node.left = _node_from_dict(d["left"])
-        node.right = _node_from_dict(d["right"])
-    return node
-
-
-def _predict_tree(root: _Node, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X))
-    stack = [(root, np.arange(len(X)))]
-    while stack:
-        node, rows = stack.pop()
-        if node.feature < 0 or len(rows) == 0:
-            out[rows] = node.prob
-            continue
-        go_left = X[rows, node.feature] < node.threshold
-        stack.append((node.left, rows[go_left]))
-        stack.append((node.right, rows[~go_left]))
-    return out
 
 
 def _gini(n_pos: float, n: float) -> float:
@@ -124,16 +77,17 @@ def fit_random_forest(
     depth_cap = np.inf if max_depth is None else max_depth
 
     importance = np.zeros(d)
-    trees: list[_Node] = []
+    trees: list[_Tree] = []
     for child_seq in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(child_seq)
         boot = rng.integers(0, n, size=n)
         tree_imp = np.zeros(d)
-        root = _build_node(Xc[boot], yc[boot], rng, mtry, min_samples_split, depth_cap, 0, tree_imp, n)
+        nodes: list[list] = []
+        _build_node(nodes, Xc[boot], yc[boot], rng, mtry, min_samples_split, depth_cap, 0, tree_imp, n)
         total = tree_imp.sum()
         if total > 0:
             importance += tree_imp / total
-        trees.append(root)
+        trees.append(_Tree(*zip(*nodes)))
 
     total = importance.sum()
     if total > 0:
@@ -141,13 +95,17 @@ def fit_random_forest(
     return RandomForestModel(trees, d, importance)
 
 
-def _build_node(Xn, yn, rng, mtry, min_samples_split, depth_cap, depth, tree_imp, n_total) -> _Node:
+def _build_node(nodes, Xn, yn, rng, mtry, min_samples_split, depth_cap, depth, tree_imp, n_total) -> int:
+    """Grow the subtree for these rows, appending its
+    ``[feature, threshold, left, right, prob]`` rows to ``nodes`` in preorder;
+    returns its root's index."""
     n = len(yn)
     n_pos = float(yn.sum())
-    node = _Node(prob=n_pos / n)
+    nid = len(nodes)
+    nodes.append([-1, 0.0, -1, -1, n_pos / n])
     parent_gini = _gini(n_pos, n)
     if n < min_samples_split or parent_gini == 0.0 or depth >= depth_cap:
-        return node
+        return nid
 
     d = Xn.shape[1]
     candidates = np.sort(rng.choice(d, size=min(mtry, d), replace=False))
@@ -177,19 +135,18 @@ def _build_node(Xn, yn, rng, mtry, min_samples_split, depth_cap, depth, tree_imp
             best_thr = mid if lo < mid else hi
 
     if best_j < 0:
-        return node
+        return nid
 
     go_left = Xn[:, best_j] < best_thr
     tree_imp[best_j] += (n / n_total) * best_imp
-    node.feature = best_j
-    node.threshold = best_thr
-    node.left = _build_node(
-        Xn[go_left], yn[go_left], rng, mtry, min_samples_split, depth_cap, depth + 1, tree_imp, n_total
+    left = _build_node(
+        nodes, Xn[go_left], yn[go_left], rng, mtry, min_samples_split, depth_cap, depth + 1, tree_imp, n_total
     )
-    node.right = _build_node(
-        Xn[~go_left], yn[~go_left], rng, mtry, min_samples_split, depth_cap, depth + 1, tree_imp, n_total
+    right = _build_node(
+        nodes, Xn[~go_left], yn[~go_left], rng, mtry, min_samples_split, depth_cap, depth + 1, tree_imp, n_total
     )
-    return node
+    nodes[nid][:4] = [best_j, best_thr, left, right]
+    return nid
 
 
 def _gini_vec(n_pos: np.ndarray, n: np.ndarray) -> np.ndarray:

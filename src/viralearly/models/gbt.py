@@ -18,37 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._common import check_training_data, sigmoid
+from ._common import _Tree, check_training_data, sigmoid
 
 IMPORTANCE_TYPES = ("gain", "cover", "frequency")
 
 # A mathematically-zero gain can round to a tiny negative; still split there
 # so symmetric targets (XOR-like) are not stuck at the constant predictor.
 _GAIN_EPS = 1e-12
-
-
-class _Tree:
-    """Flat-array tree: feature < 0 marks a leaf."""
-
-    __slots__ = ("feature", "value", "left", "right", "leaf_value")
-
-    def __init__(self, feature, value, left, right, leaf_value):
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.value = np.asarray(value, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.leaf_value = np.asarray(leaf_value, dtype=np.float64)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(X), dtype=np.int32)
-        while True:
-            feat = self.feature[node]
-            live = feat >= 0
-            if not live.any():
-                return self.leaf_value[node]
-            rows = np.nonzero(live)[0]
-            go_left = X[rows, feat[rows]] < self.value[node[rows]]
-            node[rows] = np.where(go_left, self.left[node[rows]], self.right[node[rows]])
 
 
 class GBTModel:
@@ -83,29 +59,16 @@ class GBTModel:
         return {
             "base_logit": self.base_logit,
             "n_features": self.n_features,
-            "trees": [
-                {
-                    "feature": t.feature.tolist(),
-                    "value": t.value.tolist(),
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "leaf_value": t.leaf_value.tolist(),
-                }
-                for t in self.trees
-            ],
+            "trees": [t.to_payload() for t in self.trees],
             "importance": {k: v.tolist() for k, v in self._importance.items()},
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "GBTModel":
-        trees = [
-            _Tree(t["feature"], t["value"], t["left"], t["right"], t["leaf_value"])
-            for t in payload["trees"]
-        ]
         imp = payload["importance"]
         return cls(
             payload["base_logit"],
-            trees,
+            [_Tree.from_payload(t) for t in payload["trees"]],
             payload["n_features"],
             np.asarray(imp["gain"]),
             np.asarray(imp["cover"]),
@@ -196,11 +159,7 @@ def _grow_tree(
     n, d = codes64.shape
     lam = reg_lambda
 
-    feature: list[int] = [-1]
-    value: list[float] = [0.0]
-    left: list[int] = [-1]
-    right: list[int] = [-1]
-    leaf_value: list[float] = [0.0]
+    nodes = [[-1, 0.0, -1, -1, 0.0]]  # [feature, value, left, right, leaf_value] rows
 
     row_node = np.zeros(n, dtype=np.int32)
     frontier = [0]
@@ -214,7 +173,7 @@ def _grow_tree(
             break
         to_compute = [nid for nid in frontier if nid not in derive_from]
         if to_compute and d:
-            slot = np.full(len(feature), -1, dtype=np.int64)
+            slot = np.full(len(nodes), -1, dtype=np.int64)
             for k, nid in enumerate(to_compute):
                 slot[nid] = k
             row_slot = slot[row_node]
@@ -266,16 +225,10 @@ def _grow_tree(
                     gain_imp[bj] += max(best_gain, 0.0)
                     cover_imp[bj] += H
                     freq_imp[bj] += 1.0
-                    lid, rid = len(feature), len(feature) + 1
-                    feature.extend([-1, -1])
-                    value.extend([0.0, 0.0])
-                    left.extend([-1, -1])
-                    right.extend([-1, -1])
-                    leaf_value.extend([0.0, 0.0])
-                    feature[nid] = bj
-                    value[nid] = float(thresholds[bj][bb]) if bb < len(thresholds[bj]) else np.inf
-                    left[nid] = lid
-                    right[nid] = rid
+                    lid, rid = len(nodes), len(nodes) + 1
+                    nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
+                    thr = float(thresholds[bj][bb]) if bb < len(thresholds[bj]) else np.inf
+                    nodes[nid][:4] = [bj, thr, lid, rid]
                     node_rows = np.nonzero(row_node == nid)[0]
                     goes_left = codes64[node_rows, bj] - bj * n_bins <= bb
                     row_node[node_rows] = np.where(goes_left, lid, rid)
@@ -285,10 +238,10 @@ def _grow_tree(
                     next_frontier.extend([lid, rid])
                     make_leaf = False
             if make_leaf:
-                leaf_value[nid] = learning_rate * (-G / (H + lam))
+                nodes[nid][4] = learning_rate * (-G / (H + lam))
                 hists.pop(nid, None)  # split nodes keep theirs for the sibling derivation
         frontier = next_frontier
 
-    tree = _Tree(feature, value, left, right, leaf_value)
+    tree = _Tree(*zip(*nodes))
     margin += tree.leaf_value[row_node]
     return tree

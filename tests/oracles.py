@@ -17,6 +17,17 @@ normalize and count category transitions themselves, and window matrices
 that extract every modality, static ones included, once per window. They
 reuse the package's trajectory math, normalization, static extraction and
 feature dataclasses.
+
+The tree references are the two tree learners as they were before both came
+to build the shared flat-array tree: the random forest with its linked
+``_Node`` objects, recursive build and stack-based prediction, and the GBT
+growing five parallel lists per tree. They reuse the package's input checks,
+binning and sigmoid; the GBT one also builds the package's tree and model
+types, so its payloads compare directly.
+
+``reference_roc_auc`` is the midrank loop the vectorised tie-block ranks
+replaced, and ``STATIC_CATALOG`` pins the static feature catalog as it was
+written out by hand before it was derived from the shipped schema.
 """
 
 import time
@@ -41,6 +52,8 @@ from viralearly.features import (
     extract_static,
 )
 from viralearly.labeling import LABELING_FEATURES, normalize_metric
+from viralearly.models._common import _Tree, check_training_data, sigmoid
+from viralearly.models.gbt import _GAIN_EPS, GBTModel, _bin_columns
 
 
 def brute_force_average_precision(y, scores):
@@ -368,3 +381,346 @@ def reference_build_window_matrices(data, windows, include_modalities=None):
         )
         for minutes in windows
     ]
+
+
+# -- metrics ----------------------------------------------------------------
+
+
+def reference_roc_auc(y, scores):
+    """Mann-Whitney via midranks assigned by a Python scan over tie runs."""
+    y = np.asarray(y).astype(np.int8).ravel()
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    order = np.argsort(s, kind="mergesort")
+    ranks = np.empty(len(s), dtype=np.float64)
+    sorted_s = s[order]
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank (1-based)
+        i = j + 1
+    n_pos = float(y.sum())
+    n_neg = float(len(y) - n_pos)
+    rank_sum = float(ranks[y == 1].sum())
+    return (rank_sum - n_pos * (n_pos + 1.0) / 2.0) / (n_pos * n_neg)
+
+
+# -- static feature catalog ---------------------------------------------------
+
+#: (name, modality, kind) of every static column, in catalog order.
+STATIC_CATALOG = (
+    ("media_type", "visual", "categorical"),
+    ("image_height", "visual", "numeric"),
+    ("image_width", "visual", "numeric"),
+    ("key_objects_primary", "visual", "categorical"),
+    ("composition", "visual", "categorical"),
+    ("panels", "visual", "categorical"),
+    ("template_is_variant", "visual", "numeric"),
+    ("template_name", "visual", "categorical"),
+    ("facial_expression_is_face", "visual", "numeric"),
+    ("facial_expression_primary_emotion", "visual", "categorical"),
+    ("identified_person_is_celebrity", "visual", "numeric"),
+    ("identified_person_is_character", "visual", "numeric"),
+    ("identified_character_name", "visual", "categorical"),
+    ("identified_person_celebrity_name", "visual", "categorical"),
+    ("text_language", "textual", "categorical"),
+    ("text_sentiment_overall", "textual", "categorical"),
+    ("text_word_count", "textual", "numeric"),
+    ("text_image_alignment", "textual", "categorical"),
+    ("text_tone", "textual", "categorical"),
+    ("is_title_present", "textual", "numeric"),
+    ("title_word_count", "textual", "numeric"),
+    ("title_sentiment", "textual", "categorical"),
+    ("is_offensive", "contextual", "numeric"),
+    ("offense_type", "contextual", "categorical"),
+    ("cultural_reference_type", "contextual", "categorical"),
+    ("primary_topic", "contextual", "categorical"),
+    ("target_audience", "contextual", "categorical"),
+    ("meme_type", "contextual", "categorical"),
+    ("analyzed_media_type", "contextual", "categorical"),
+    ("title_media_coherence", "contextual", "categorical"),
+    ("controversy_score", "contextual", "numeric"),
+    ("controversy_type", "contextual", "categorical"),
+    ("emotional_resonance", "contextual", "categorical"),
+    ("humor_type", "contextual", "categorical"),
+    ("insight_commentary_score", "contextual", "numeric"),
+    ("novelty_uniqueness_score", "contextual", "numeric"),
+    ("profanity_level", "contextual", "categorical"),
+    ("relatability_score", "contextual", "numeric"),
+    ("format_effort", "contextual", "categorical"),
+    ("format_simplicity", "contextual", "numeric"),
+    ("format_appeal", "contextual", "numeric"),
+    ("format_clarity", "contextual", "numeric"),
+    ("social_platform", "contextual", "categorical"),
+    ("social_shareability", "contextual", "categorical"),
+    ("social_currency", "contextual", "categorical"),
+    ("social_trend", "contextual", "categorical"),
+)
+
+
+# -- tree learners --------------------------------------------------------------
+
+
+class ReferenceNode:
+    __slots__ = ("feature", "threshold", "left", "right", "prob")
+
+    def __init__(self, prob):
+        self.feature = -1
+        self.threshold = 0.0
+        self.left = None
+        self.right = None
+        self.prob = prob
+
+
+def reference_preorder(root):
+    """(feature, threshold, prob) of every node, root first, left before right."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append((node.feature, node.threshold, node.prob))
+        if node.feature >= 0:
+            stack += [node.right, node.left]
+    return out
+
+
+def reference_fit_random_forest(
+    X, y, n_trees=100, max_features="sqrt", min_samples_split=2, max_depth=None, seed=42
+):
+    """(linked-node trees, importances) of the bagged Gini forest."""
+    X, y = check_training_data(X, y)
+    n, d = X.shape
+    keys = (y.astype(np.float64),) + tuple(X[:, j] for j in range(d - 1, -1, -1))
+    order = np.lexsort(keys)
+    Xc, yc = X[order], y[order].astype(np.float64)
+    mtry = max(1, int(np.sqrt(d))) if max_features == "sqrt" else max(1, int(max_features))
+    depth_cap = np.inf if max_depth is None else max_depth
+
+    importance = np.zeros(d)
+    trees = []
+    for child_seq in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(child_seq)
+        boot = rng.integers(0, n, size=n)
+        tree_imp = np.zeros(d)
+        root = _reference_build_node(Xc[boot], yc[boot], rng, mtry, min_samples_split, depth_cap, 0, tree_imp, n)
+        total = tree_imp.sum()
+        if total > 0:
+            importance += tree_imp / total
+        trees.append(root)
+    total = importance.sum()
+    if total > 0:
+        importance /= total
+    return trees, importance
+
+
+def reference_forest_predict_proba(trees, X):
+    X = np.asarray(X, dtype=np.float64)
+    out = np.zeros(len(X))
+    for root in trees:
+        pred = np.empty(len(X))
+        stack = [(root, np.arange(len(X)))]
+        while stack:
+            node, rows = stack.pop()
+            if node.feature < 0 or len(rows) == 0:
+                pred[rows] = node.prob
+                continue
+            go_left = X[rows, node.feature] < node.threshold
+            stack.append((node.left, rows[go_left]))
+            stack.append((node.right, rows[~go_left]))
+        out += pred
+    return out / len(trees)
+
+
+def _gini_vec(n_pos, n):
+    p = n_pos / n
+    return 2.0 * p * (1.0 - p)
+
+
+def _reference_build_node(Xn, yn, rng, mtry, min_samples_split, depth_cap, depth, tree_imp, n_total):
+    n = len(yn)
+    n_pos = float(yn.sum())
+    node = ReferenceNode(prob=n_pos / n)
+    p = n_pos / n
+    parent_gini = 2.0 * p * (1.0 - p)
+    if n < min_samples_split or parent_gini == 0.0 or depth >= depth_cap:
+        return node
+
+    d = Xn.shape[1]
+    candidates = np.sort(rng.choice(d, size=min(mtry, d), replace=False))
+    best_imp, best_j, best_thr = 0.0, -1, 0.0
+    for j in candidates:
+        col = Xn[:, j]
+        sort_idx = np.argsort(col, kind="mergesort")
+        vals = col[sort_idx]
+        cut = np.nonzero(vals[:-1] < vals[1:])[0]
+        if len(cut) == 0:
+            continue
+        pos_cum = np.cumsum(yn[sort_idx])[cut]
+        n_left = cut + 1.0
+        n_right = n - n_left
+        pos_right = n_pos - pos_cum
+        child = (n_left * _gini_vec(pos_cum, n_left) + n_right * _gini_vec(pos_right, n_right)) / n
+        improvement = parent_gini - child
+        b = int(np.argmax(improvement))
+        if best_j < 0 or improvement[b] > best_imp + 1e-15:
+            lo, hi = float(vals[cut[b]]), float(vals[cut[b] + 1])
+            mid = (lo + hi) / 2.0
+            best_imp = float(improvement[b])
+            best_j = int(j)
+            best_thr = mid if lo < mid else hi
+
+    if best_j < 0:
+        return node
+
+    go_left = Xn[:, best_j] < best_thr
+    tree_imp[best_j] += (n / n_total) * best_imp
+    node.feature = best_j
+    node.threshold = best_thr
+    node.left = _reference_build_node(
+        Xn[go_left], yn[go_left], rng, mtry, min_samples_split, depth_cap, depth + 1, tree_imp, n_total
+    )
+    node.right = _reference_build_node(
+        Xn[~go_left], yn[~go_left], rng, mtry, min_samples_split, depth_cap, depth + 1, tree_imp, n_total
+    )
+    return node
+
+
+def reference_fit_gbt(
+    X, y, n_rounds=100, learning_rate=0.3, max_depth=6, min_child_weight=1.0, reg_lambda=1.0,
+    max_bins=64, scale_pos_weight="auto",
+):
+    X, y = check_training_data(X, y)
+    n, d = X.shape
+    if scale_pos_weight == "auto":
+        n_pos = int(np.sum(y == 1))
+        spw = (n - n_pos) / n_pos
+    else:
+        spw = float(scale_pos_weight)
+    w = np.where(y == 1, spw, 1.0).astype(np.float64)
+
+    base_rate = float(np.sum(w * y) / np.sum(w))
+    base_rate = min(max(base_rate, 1e-12), 1.0 - 1e-12)
+    base_logit = float(np.log(base_rate / (1.0 - base_rate)))
+
+    codes, thresholds = _bin_columns(X, max_bins)
+    n_bins = max(int(codes.max()) + 1, 2) if d else 2
+    feat_offsets = (np.arange(d, dtype=np.int64) * n_bins)[None, :]
+    codes64 = codes.astype(np.int64) + feat_offsets
+
+    gain_imp = np.zeros(d)
+    cover_imp = np.zeros(d)
+    freq_imp = np.zeros(d)
+    trees = []
+    margin = np.full(n, base_logit)
+    for _ in range(n_rounds):
+        p = sigmoid(margin)
+        g = w * (p - y)
+        h = w * p * (1.0 - p)
+        tree = _reference_grow_tree(
+            codes64, thresholds, g, h,
+            n_bins=n_bins, max_depth=max_depth,
+            min_child_weight=min_child_weight, reg_lambda=reg_lambda,
+            learning_rate=learning_rate,
+            gain_imp=gain_imp, cover_imp=cover_imp, freq_imp=freq_imp,
+            margin=margin,
+        )
+        trees.append(tree)
+    return GBTModel(base_logit, trees, d, gain_imp, cover_imp, freq_imp)
+
+
+def _reference_grow_tree(
+    codes64, thresholds, g, h, *, n_bins, max_depth, min_child_weight,
+    reg_lambda, learning_rate, gain_imp, cover_imp, freq_imp, margin,
+):
+    n, d = codes64.shape
+    lam = reg_lambda
+
+    feature = [-1]
+    value = [0.0]
+    left = [-1]
+    right = [-1]
+    leaf_value = [0.0]
+
+    row_node = np.zeros(n, dtype=np.int32)
+    frontier = [0]
+    hists = {}
+    derive_from = {}
+
+    for depth in range(max_depth + 1):
+        if not frontier:
+            break
+        to_compute = [nid for nid in frontier if nid not in derive_from]
+        if to_compute and d:
+            slot = np.full(len(feature), -1, dtype=np.int64)
+            for k, nid in enumerate(to_compute):
+                slot[nid] = k
+            row_slot = slot[row_node]
+            rows = np.nonzero(row_slot >= 0)[0]
+            flat = (row_slot[rows, None] * (d * n_bins) + codes64[rows]).ravel()
+            size = len(to_compute) * d * n_bins
+            hist_g = np.bincount(flat, weights=np.repeat(g[rows], d), minlength=size)
+            hist_h = np.bincount(flat, weights=np.repeat(h[rows], d), minlength=size)
+            hist_n = np.bincount(flat, minlength=size).astype(np.float64)
+            hist_g = hist_g.reshape(len(to_compute), d, n_bins)
+            hist_h = hist_h.reshape(len(to_compute), d, n_bins)
+            hist_n = hist_n.reshape(len(to_compute), d, n_bins)
+            for k, nid in enumerate(to_compute):
+                hists[nid] = (hist_g[k], hist_h[k], hist_n[k])
+        for nid in frontier:
+            if nid in derive_from:
+                pid, sib = derive_from.pop(nid)
+                pg, ph, pn = hists.pop(pid)
+                sg, sh, sn = hists[sib]
+                hists[nid] = (pg - sg, ph - sh, pn - sn)
+
+        next_frontier = []
+        for nid in frontier:
+            hg, hh, hn = hists[nid] if d else (None, None, None)
+            G = float(hg[0].sum()) if d else 0.0
+            H = float(hh[0].sum()) if d else 0.0
+            N = float(hn[0].sum()) if d else float(n)
+            make_leaf = True
+            if d and N >= 2 and depth < max_depth:
+                GLc = np.cumsum(hg, axis=1)
+                HLc = np.cumsum(hh, axis=1)
+                NLc = np.cumsum(hn, axis=1)
+                GR = G - GLc
+                HR = H - HLc
+                NR = N - NLc
+                parent_score = G * G / (H + lam)
+                gains = 0.5 * (GLc**2 / (HLc + lam) + GR**2 / (HR + lam) - parent_score)
+                valid = (HLc >= min_child_weight) & (HR >= min_child_weight) & (NLc >= 1) & (NR >= 1)
+                gains = np.where(valid, gains, -np.inf)
+                best_flat = int(np.argmax(gains))
+                best_gain = float(gains.ravel()[best_flat])
+                if np.isfinite(best_gain) and best_gain >= -_GAIN_EPS:
+                    bj, bb = divmod(best_flat, n_bins)
+                    gain_imp[bj] += max(best_gain, 0.0)
+                    cover_imp[bj] += H
+                    freq_imp[bj] += 1.0
+                    lid, rid = len(feature), len(feature) + 1
+                    feature.extend([-1, -1])
+                    value.extend([0.0, 0.0])
+                    left.extend([-1, -1])
+                    right.extend([-1, -1])
+                    leaf_value.extend([0.0, 0.0])
+                    feature[nid] = bj
+                    value[nid] = float(thresholds[bj][bb]) if bb < len(thresholds[bj]) else np.inf
+                    left[nid] = lid
+                    right[nid] = rid
+                    node_rows = np.nonzero(row_node == nid)[0]
+                    goes_left = codes64[node_rows, bj] - bj * n_bins <= bb
+                    row_node[node_rows] = np.where(goes_left, lid, rid)
+                    n_left = float(NLc[bj, bb])
+                    small, big = (lid, rid) if n_left <= N - n_left else (rid, lid)
+                    derive_from[big] = (nid, small)
+                    next_frontier.extend([lid, rid])
+                    make_leaf = False
+            if make_leaf:
+                leaf_value[nid] = learning_rate * (-G / (H + lam))
+                hists.pop(nid, None)
+        frontier = next_frontier
+
+    tree = _Tree(feature, value, left, right, leaf_value)
+    margin += tree.leaf_value[row_node]
+    return tree

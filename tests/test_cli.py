@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from viralearly import experiments, ingest, models
 from viralearly.cli import main
+from viralearly.labeling import LabelingArtifacts
 
 from conftest import make_record
 
@@ -109,8 +111,7 @@ class TestLabelAndSweep:
     def test_label_writes_the_scores_it_labeled_with(self, synth_dir, tmp_path):
         lab = tmp_path / "lab"
         assert main(["label", "--data", str(synth_dir / "posts.jsonl"), "--out", str(lab)]) == 0
-        # rescored with the in-memory artifacts: reloaded weights come back in
-        # sorted key order, which sums each score in a different order
+        # rescored with the in-memory artifacts
         records = list(ingest.parse_dataset(synth_dir / "posts.jsonl"))
         data = experiments.prepare(records, forest_config=models.default_config("random_forest", seed=42))
         rows = experiments.read_csv(lab / "labels.csv")
@@ -119,6 +120,15 @@ class TestLabelAndSweep:
         assert [r["post_id"] for r in rows] == [r.post_id for r in recs]
         assert [float(r["hybrid_score"]) for r in rows] == scores.tolist()
         assert [int(r["label"]) for r in rows] == labels.tolist()
+
+    def test_reloaded_artifacts_rescore_identically(self, synth_dir, tmp_path):
+        lab = tmp_path / "lab"
+        assert main(["label", "--data", str(synth_dir / "posts.jsonl"), "--out", str(lab)]) == 0
+        records = list(ingest.parse_dataset(synth_dir / "posts.jsonl"))
+        data = experiments.prepare(records, artifacts=LabelingArtifacts.load(lab / "labeling.json"))
+        rows = experiments.read_csv(lab / "labels.csv")
+        scores = np.concatenate([data.scores_train, data.scores_test])
+        assert [r["hybrid_score"] for r in rows] == [str(float(s)) for s in scores]
 
     def test_each_study_writes_one_manifest(self, synth_dir, tmp_path):
         data = str(synth_dir / "posts.jsonl")
@@ -147,35 +157,81 @@ class TestLabelAndSweep:
         assert [r["window"] for r in rows] == ["30.0", "120.0"]
 
 
+@pytest.fixture(scope="module")
+def trained_flow(synth_dir, tmp_path_factory):
+    """label -> features (120 min) -> train gbt; returns the run directories."""
+    root = tmp_path_factory.mktemp("flow")
+    lab, feats, trained = root / "lab", root / "feats", root / "model"
+    assert main(["label", "--data", str(synth_dir / "posts.jsonl"), "--out", str(lab)]) == 0
+    assert main(
+        ["features", "--data", str(synth_dir / "posts.jsonl"),
+         "--artifacts", str(lab / "labeling.json"), "--window", "120", "--out", str(feats)]
+    ) == 0
+    assert main(
+        ["train", "--matrix", str(feats / "features_120.csv"),
+         "--labels", str(lab / "labels.csv"), "--model", "gbt", "--out", str(trained)]
+    ) == 0
+    return lab, feats, trained
+
+
+def evaluate_argv(feats, trained, labels, out, model=None):
+    return [
+        "evaluate", "--model", str(model or trained / "model.json"),
+        "--preprocess", str(trained / "preprocess.json"),
+        "--matrix", str(feats / "features_120.csv"),
+        "--labels", str(labels), "--out", str(out),
+    ]
+
+
 class TestFeatureTrainEvaluate:
-    def test_full_flow(self, synth_dir, tmp_path):
-        lab = tmp_path / "lab"
-        assert main(["label", "--data", str(synth_dir / "posts.jsonl"), "--out", str(lab)]) == 0
-        feats = tmp_path / "feats"
-        assert main(
-            ["features", "--data", str(synth_dir / "posts.jsonl"),
-             "--artifacts", str(lab / "labeling.json"), "--window", "120", "--out", str(feats)]
-        ) == 0
+    def test_full_flow(self, trained_flow, tmp_path):
+        lab, feats, trained = trained_flow
         assert (feats / "features_120.csv").exists()
         assert (feats / "features_120.manifest.json").exists()
-
-        trained = tmp_path / "model"
-        assert main(
-            ["train", "--matrix", str(feats / "features_120.csv"),
-             "--labels", str(lab / "labels.csv"), "--model", "gbt", "--out", str(trained)]
-        ) == 0
         assert (trained / "model.json").exists()
         assert (trained / "preprocess.json").exists()
 
         evald = tmp_path / "eval"
-        assert main(
-            ["evaluate", "--model", str(trained / "model.json"),
-             "--preprocess", str(trained / "preprocess.json"),
-             "--matrix", str(feats / "features_120.csv"),
-             "--labels", str(lab / "labels.csv"), "--out", str(evald)]
-        ) == 0
+        assert main(evaluate_argv(feats, trained, lab / "labels.csv", evald)) == 0
         metrics = json.loads((evald / "metrics.json").read_text())
         assert 0.0 <= metrics["pr_auc"] <= 1.0
+
+    @pytest.mark.parametrize("defect", ["missing_row", "text_label", "empty_label", "no_label_column"])
+    def test_bad_labels_are_data_errors(self, trained_flow, tmp_path, defect, capsys):
+        lab, feats, trained = trained_flow
+        lines = (lab / "labels.csv").read_text(encoding="utf-8").splitlines()
+        header, rows = lines[0], lines[1:]
+        label_at = header.split(",").index("label")
+
+        def with_label(line, value):
+            cells = line.split(",")
+            cells[label_at] = value
+            return ",".join(cells)
+
+        if defect == "missing_row":
+            rows = rows[1:]
+        elif defect == "text_label":
+            rows[3] = with_label(rows[3], "viral")
+        elif defect == "empty_label":
+            rows[3] = with_label(rows[3], "")
+        else:
+            header = header.replace("label", "verdict")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+
+        train_argv = ["train", "--matrix", str(feats / "features_120.csv"), "--labels", str(labels), "--out", str(tmp_path / "m")]
+        assert main(train_argv) == 2
+        assert main(evaluate_argv(feats, trained, labels, tmp_path / "e")) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_version_1_model_is_data_error(self, trained_flow, tmp_path, capsys):
+        lab, feats, trained = trained_flow
+        doc = json.loads((trained / "model.json").read_text(encoding="utf-8"))
+        doc["format_version"] = 1
+        old = tmp_path / "model_v1.json"
+        old.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(evaluate_argv(feats, trained, lab / "labels.csv", tmp_path / "e", model=old)) == 2
+        assert "unsupported model file version 1" in capsys.readouterr().err
 
 
 class TestCollectCommand:
@@ -193,6 +249,31 @@ class TestCollectCommand:
         first = json.loads(lines[0])
         assert first["reason"] == "completed"
         assert len(first["snapshots"]) == 3
+
+    def test_http_collection_writes_each_post_when_it_finishes(self, tmp_path, monkeypatch):
+        class Response:
+            def read(self):
+                return json.dumps({"score": 7, "comments": 2, "crossposts": 0, "category": "new"}).encode()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *args):
+                return False
+
+        def fake_urlopen(request, timeout):
+            if request.full_url.endswith("/b"):
+                raise RuntimeError("transport crashed")
+            return Response()
+
+        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+        out = tmp_path / "collected"
+        argv = ["collect", "--base-url", "https://api.example/posts", "--post-ids", "a,b", "--until", "0", "--out", str(out)]
+        with pytest.raises(RuntimeError):
+            main(argv)
+        lines = (out / "tracked.jsonl").read_text().splitlines()
+        assert [json.loads(line)["post_id"] for line in lines] == ["a"]
+        assert json.loads(lines[0])["snapshots"][0]["score"] == 7
 
     def test_needs_exactly_one_source(self, tmp_path):
         assert main(["collect", "--out", str(tmp_path / "x")]) == 1

@@ -157,7 +157,7 @@ class TestFileReplaySource:
 
 class FakeResponse:
     def __init__(self, body):
-        self.body = json.dumps(body).encode()
+        self.body = body if isinstance(body, bytes) else json.dumps(body).encode()
 
     def read(self):
         return self.body
@@ -194,6 +194,63 @@ class TestHttpPollingSource:
         with pytest.raises(RateLimitedError) as err:
             source.fetch("p1")
         assert err.value.retry_after_minutes == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "offset_seconds,expected_minutes",
+        [(90, 1.5), (-3600, 0.0)],
+        ids=["future", "past"],
+    )
+    def test_retry_after_http_date(self, monkeypatch, offset_seconds, expected_minutes):
+        import email.utils
+        import urllib.error
+        from datetime import datetime, timedelta, timezone
+
+        when = datetime.now(timezone.utc) + timedelta(seconds=offset_seconds)
+        header = email.utils.format_datetime(when, usegmt=True)
+
+        def fake_urlopen(request, timeout):
+            raise urllib.error.HTTPError(request.full_url, 503, "busy", {"Retry-After": header}, None)
+
+        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+        with pytest.raises(RateLimitedError) as err:
+            HttpPollingSource("https://api.example/posts").fetch("p1")
+        # the header has whole seconds, and a little time passes before it is read
+        assert err.value.retry_after_minutes == pytest.approx(expected_minutes, abs=2.0 / 60.0)
+
+    def test_unreadable_retry_after_falls_back_to_backoff(self, monkeypatch):
+        import urllib.error
+
+        def fake_urlopen(request, timeout):
+            raise urllib.error.HTTPError(request.full_url, 429, "slow", {"Retry-After": "soon"}, None)
+
+        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+        with pytest.raises(RateLimitedError) as err:
+            HttpPollingSource("https://api.example/posts").fetch("p1")
+        assert err.value.retry_after_minutes is None
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            [1, 2, 3],
+            "hot",
+            None,
+            {"comments": 3, "crossposts": 1},
+            {"score": "many", "comments": 3, "crossposts": 1},
+            {"score": 12, "comments": None, "crossposts": 1},
+            {"score": 12, "comments": 3, "crossposts": True},
+            b"{not json",
+            b"\xff\xfe\x00",
+        ],
+        ids=["list", "string", "null", "missing_score", "text_score", "null_comments", "bool_crossposts", "bad_json", "bad_utf8"],
+    )
+    def test_malformed_body_is_transient(self, monkeypatch, body):
+        monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout: FakeResponse(body))
+        source = HttpPollingSource("https://api.example/posts")
+        with pytest.raises(TransientSourceError):
+            source.fetch("p1")
+        # so tracking retries and skips the poll instead of crashing
+        result = track_post(source, "p1", until_minutes=10.0, clock=SimulatedClock())
+        assert (result.reason, result.snapshots) == ("unreachable", ())
 
     def test_gone_is_permanent(self, monkeypatch):
         import urllib.error

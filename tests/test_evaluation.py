@@ -17,7 +17,7 @@ from viralearly.evaluation import (
 from viralearly.features import ColumnSpec, FeatureMatrix
 
 from conftest import make_record
-from oracles import brute_force_average_precision, pairwise_roc_auc
+from oracles import brute_force_average_precision, pairwise_roc_auc, reference_roc_auc
 
 
 def random_case(rng, n):
@@ -72,6 +72,29 @@ class TestRocAuc:
         for _ in range(30):
             y, s = random_case(rng, int(rng.integers(5, 120)))
             assert roc_auc(y, s) == pytest.approx(pairwise_roc_auc(y, s), abs=1e-9)
+
+    def test_bitwise_equal_to_midrank_loop_on_ties(self):
+        rng = np.random.default_rng(11)
+        for case in range(40):
+            n = int(rng.integers(2, 300))
+            y = rng.integers(0, 2, n)
+            y[0], y[-1] = 0, 1
+            s = rng.integers(0, int(rng.integers(1, 6)), n).astype(float)  # few distinct values
+            if case % 4 == 1:
+                s = np.round(rng.normal(size=n), 1)
+            elif case % 4 == 2:
+                s[rng.random(n) < 0.3] = np.inf
+                s[rng.random(n) < 0.3] = -np.inf
+            elif case % 4 == 3:
+                s[rng.random(n) < 0.5] = 0.0
+                s[rng.random(n) < 0.3] = -0.0
+            assert np.float64(roc_auc(y, s)).tobytes() == np.float64(reference_roc_auc(y, s)).tobytes()
+
+    def test_infinite_ties_are_one_block(self):
+        y = np.array([1, 0, 1, 0, 0, 1])
+        s = np.array([np.inf, np.inf, 0.2, -np.inf, -np.inf, 0.1])
+        assert roc_auc(y, s) == pytest.approx(pairwise_roc_auc(y, s), abs=1e-12)
+        assert pr_auc(y, s) == pytest.approx(brute_force_average_precision(y, s), abs=1e-12)
 
     def test_negation_symmetry_tie_free(self):
         rng = np.random.default_rng(2)

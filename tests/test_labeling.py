@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from viralearly import models
 from viralearly.errors import DegenerateDistributionError, FitError, SchemaError
 from viralearly.labeling import (
+    LABELING_FEATURES,
     HybridWeights,
     LabelingArtifacts,
     NormalizationCaps,
@@ -222,6 +223,20 @@ class TestArtifacts:
         loaded = LabelingArtifacts.load(path)
         assert loaded == arts
         assert loaded.to_json() == arts.to_json()
+
+    def test_load_keeps_feature_order_and_rejects_unknown_keys(self, tmp_path, prepared):
+        import json
+
+        path = tmp_path / "labeling.json"
+        prepared.artifacts.save(path)
+        loaded = LabelingArtifacts.load(path)
+        assert list(loaded.weights.weights) == list(prepared.artifacts.weights.weights) == list(LABELING_FEATURES)
+
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["hybrid_weights"]["weights"]["norm_upvotes"] = 0.5
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaError, match="norm_upvotes"):
+            LabelingArtifacts.load(path)
 
     def test_weights_normalized_to_max_one(self, prepared):
         weights = prepared.artifacts.weights.weights

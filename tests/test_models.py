@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -274,13 +276,11 @@ class TestRandomForest:
         transformed = train(default_config("random_forest", seed=4), Xt, y)
         assert np.array_equal(base.importances, transformed.importances)
 
-        def shape(node):
-            if node.feature < 0:
-                return [("leaf", node.prob)]
-            return [("split", node.feature)] + shape(node.left) + shape(node.right)
-
         for ta, tb in zip(base.inner.trees, transformed.inner.trees):
-            assert shape(ta) == shape(tb)
+            assert np.array_equal(ta.feature, tb.feature)
+            assert np.array_equal(ta.left, tb.left) and np.array_equal(ta.right, tb.right)
+            leaves = ta.feature < 0
+            assert np.array_equal(ta.leaf_value[leaves], tb.leaf_value[leaves])
 
 
 class TestSerialization:
@@ -301,3 +301,19 @@ class TestSerialization:
         assert loaded.feature_names == ["a", "b", "c"]
         assert loaded.config.seed == 3
         assert np.allclose(model.predict_proba(X), loaded.predict_proba(X))
+
+    def test_version_1_file_is_schema_error(self, tmp_path):
+        # a forest in the version-1 layout: one nested node dict per tree
+        tree = {"feature": 0, "threshold": 0.5, "prob": 0.5, "left": {"prob": 0.0}, "right": {"prob": 1.0}}
+        doc = {
+            "format_version": 1,
+            "kind": "random_forest",
+            "seed": 3,
+            "params": {"n_trees": 1},
+            "feature_names": ["a"],
+            "payload": {"n_features": 1, "importance": [1.0], "trees": [tree]},
+        }
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaError, match="version 1"):
+            load_model(path)
