@@ -195,11 +195,16 @@ def _seed(args, cfg, command: str) -> int:
     return _get(args.seed, cfg, command, "seed", 42, int)
 
 
-def _write_run_manifest(out: Path, command: str, params: dict, study: str | None = None) -> None:
-    """``run_manifest.json``, or for a study the command and params added to its own manifest."""
+def _write_run_manifest(
+    out: Path, command: str, params: dict, study: str | None = None, outcome: dict | None = None
+) -> None:
+    """``run_manifest.json``, or for a study the command and params added to
+    its own manifest; ``outcome`` holds what the run counted, if anything."""
     path = out / (f"{study}_manifest.json" if study else "run_manifest.json")
     doc = json.loads(path.read_text(encoding="utf-8")) if study else {"package_version": __version__}
     doc.update(command=command, params=params)
+    if outcome is not None:
+        doc["outcome"] = outcome
     path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=str), encoding="utf-8")
 
 
@@ -295,6 +300,7 @@ def cmd_collect(args, cfg) -> int:
     if not ids:
         raise _UsageError("no post ids to track")
 
+    outcome = {"polls": 0, "retries": 0, "skipped_polls": 0, "rate_limit_wait_minutes": 0.0, "reasons": {}}
     # one line per post as soon as it finishes, so a failure later in the run keeps it
     with open(out / "tracked.jsonl", "w", encoding="utf-8") as fh:
         for pid in ids:
@@ -302,7 +308,12 @@ def cmd_collect(args, cfg) -> int:
             snapshots = [ingest._snapshot_to_dict(s) for s in res.snapshots]
             fh.write(json.dumps({"post_id": res.post_id, "reason": res.reason, "snapshots": snapshots}) + "\n")
             fh.flush()
-    _write_run_manifest(out, "collect", {"until": until, "n_posts": len(ids), "source": str(replay or base_url)})
+            for key in ("polls", "retries", "skipped_polls", "rate_limit_wait_minutes"):
+                outcome[key] += getattr(res, key)
+            outcome["reasons"][res.reason] = outcome["reasons"].get(res.reason, 0) + 1
+    _write_run_manifest(
+        out, "collect", {"until": until, "n_posts": len(ids), "source": str(replay or base_url)}, outcome=outcome
+    )
     print(f"tracked {len(ids)} posts to {out / 'tracked.jsonl'}")
     return 0
 

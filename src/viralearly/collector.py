@@ -128,11 +128,15 @@ class SystemClock:
 
 @dataclass(frozen=True)
 class TrackResult:
-    """Collected series plus why tracking ended."""
+    """Collected series, why tracking ended and what the polling took."""
 
     post_id: str
     snapshots: tuple[EngagementSnapshot, ...]
     reason: str  # completed | removed | unreachable | unavailable
+    polls: int = 0  # scheduled polls made
+    retries: int = 0  # fetches repeated after a transient failure
+    skipped_polls: int = 0  # polls that ran out of retries
+    rate_limit_wait_minutes: float = 0.0  # backoff slept after rate-limited responses
 
 
 def track_post(
@@ -156,15 +160,25 @@ def track_post(
     start = clock.now_minutes()
     snapshots: list[EngagementSnapshot] = []
     next_t = 0.0
+    polls = retries = skipped = 0
+    rate_wait = 0.0
+    reason = None
 
     while next_t <= until_minutes:
         clock.sleep_minutes(next_t - (clock.now_minutes() - start))
-        outcome = _fetch_with_backoff(transport, post_id, clock, max_retries)
+        outcome, poll_retries, poll_wait = _fetch_with_backoff(transport, post_id, clock, max_retries)
+        polls += 1
+        retries += poll_retries
+        rate_wait += poll_wait
         if outcome == "unavailable":
-            return TrackResult(post_id, tuple(snapshots), "unavailable")
-        if isinstance(outcome, PollResult):
+            reason = "unavailable"
+            break
+        if outcome is None:
+            skipped += 1
+        elif isinstance(outcome, PollResult):
             if outcome.removed:
-                return TrackResult(post_id, tuple(snapshots), "removed")
+                reason = "removed"
+                break
             t = clock.now_minutes() - start
             if not snapshots or t > snapshots[-1].t_minutes:
                 snapshots.append(
@@ -179,24 +193,30 @@ def track_post(
                 )
         next_t += schedule_next_poll(next_t, schedule)
 
-    reason = "completed" if snapshots else "unreachable"
-    return TrackResult(post_id, tuple(snapshots), reason)
+    if reason is None:
+        reason = "completed" if snapshots else "unreachable"
+    return TrackResult(post_id, tuple(snapshots), reason, polls, retries, skipped, rate_wait)
 
 
-def _fetch_with_backoff(transport, post_id, clock, max_retries) -> "PollResult | str | None":
+def _fetch_with_backoff(transport, post_id, clock, max_retries) -> tuple["PollResult | str | None", int, float]:
+    """One scheduled poll: its outcome (None when skipped), the retries it
+    made and the minutes it waited after rate-limited responses."""
+    rate_wait = 0.0
     for attempt in range(max_retries + 1):
         try:
-            return transport.fetch(post_id)
+            return transport.fetch(post_id), attempt, rate_wait
         except PermanentSourceError:
-            return "unavailable"
+            return "unavailable", attempt, rate_wait
         except TransientSourceError as exc:
             if attempt >= max_retries:
-                return None  # poll skipped
+                return None, attempt, rate_wait  # poll skipped
             delay = BACKOFF_BASE_MINUTES**attempt
-            if isinstance(exc, RateLimitedError) and exc.retry_after_minutes is not None:
-                delay = max(delay, exc.retry_after_minutes)
+            if isinstance(exc, RateLimitedError):
+                if exc.retry_after_minutes is not None:
+                    delay = max(delay, exc.retry_after_minutes)
+                rate_wait += delay
             clock.sleep_minutes(delay)
-    return None
+    return None, 0, rate_wait
 
 
 def track_posts(
@@ -265,9 +285,10 @@ class HttpPollingSource:
     Expected body: score, comments, crossposts, category, optional
     upvote_ratio, removed. 429/503 responses honor Retry-After (seconds or
     an HTTP-date) via :class:`RateLimitedError`; 404/410 are permanent; other
-    failures are transient, and so is a body that is not a JSON object or
-    lacks a numeric score, comments or crossposts. ``auth_header`` is passed
-    through verbatim as Authorization.
+    failures are transient, and so is a body that is not a JSON object,
+    lacks a numeric score, comments or crossposts, or has an upvote_ratio
+    that is not a number in [0, 1]. ``auth_header`` is passed through
+    verbatim as Authorization.
     """
 
     def __init__(self, base_url: str, auth_header: str | None = None, timeout_seconds: float = 10.0):
@@ -298,17 +319,25 @@ class HttpPollingSource:
         if not isinstance(payload, dict):
             raise TransientSourceError(f"body for {post_id} is not a JSON object")
         counts = [payload.get(key) for key in ("score", "comments", "crossposts")]
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in counts):
+        if not all(_finite_number(v) for v in counts):
             raise TransientSourceError(f"missing or non-numeric counts for {post_id}: {counts}")
+        ratio = payload.get("upvote_ratio")
+        if ratio is not None and not (_finite_number(ratio) and 0.0 <= ratio <= 1.0):
+            raise TransientSourceError(f"upvote_ratio for {post_id} is not a number in [0, 1]: {ratio!r}")
         score, comments, crossposts = (int(v) for v in counts)
         return PollResult(
             score=score,
             comments=comments,
             crossposts=crossposts,
             category=str(payload.get("category", "unknown")),
-            upvote_ratio=payload.get("upvote_ratio"),
+            upvote_ratio=ratio,
             removed=bool(payload.get("removed", False)),
         )
+
+
+def _finite_number(value) -> bool:
+    """A JSON number that is finite; JSON booleans do not count."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _retry_after_minutes(value: str | None) -> float | None:

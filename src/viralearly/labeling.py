@@ -383,21 +383,24 @@ class LabelingArtifacts:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if doc.get("format_version") != ARTIFACTS_FORMAT_VERSION:
             raise SchemaError(f"unsupported artifacts version {doc.get('format_version')!r}")
-        hw = doc["hybrid_weights"]
-        th = doc["threshold"]
-        unknown = set(hw["weights"]) - set(LABELING_FEATURES)
-        if unknown:
-            raise SchemaError(f"unknown labeling features {sorted(unknown)} in artifacts")
-        return cls(
-            caps=NormalizationCaps({k: float(v) for k, v in doc["caps"].items()}),
-            weights=HybridWeights(
-                # LABELING_FEATURES order, as a fit has it: the scores sum in key order
-                weights={k: float(hw["weights"][k]) for k in LABELING_FEATURES if k in hw["weights"]},
-                source_windows=tuple(float(w) for w in hw["source_windows"]),
-            ),
-            threshold=ViralityThreshold(
-                tau=float(th["tau"]),
-                centroids=(float(th["centroids"][0]), float(th["centroids"][1])),
-                fitted_on=str(th["fitted_on"]),
-            ),
-        )
+        try:
+            hw = doc["hybrid_weights"]
+            th = doc["threshold"]
+            unknown = set(hw["weights"]) - set(LABELING_FEATURES)
+            if unknown:
+                raise SchemaError(f"unknown labeling features {sorted(unknown)} in artifacts")
+            return cls(
+                caps=NormalizationCaps({k: float(v) for k, v in doc["caps"].items()}),
+                weights=HybridWeights(
+                    # LABELING_FEATURES order, as a fit has it: the scores sum in key order
+                    weights={k: float(hw["weights"][k]) for k in LABELING_FEATURES if k in hw["weights"]},
+                    source_windows=tuple(float(w) for w in hw["source_windows"]),
+                ),
+                threshold=ViralityThreshold(
+                    tau=float(th["tau"]),
+                    centroids=(float(th["centroids"][0]), float(th["centroids"][1])),
+                    fitted_on=str(th["fitted_on"]),
+                ),
+            )
+        except KeyError as exc:
+            raise SchemaError(f"labeling artifacts lack the key {exc.args[0]!r}") from None

@@ -161,12 +161,15 @@ def load_model(path: str | Path) -> TrainedModel:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format_version") != _FORMAT_VERSION:
         raise SchemaError(f"unsupported model file version {doc.get('format_version')!r}")
-    kind = doc["kind"]
-    if kind not in _INNER_CLASSES:
-        raise SchemaError(f"unknown model kind {kind!r} in file")
-    inner = _INNER_CLASSES[kind].from_payload(doc["payload"])
-    config = ModelConfig(kind=kind, params=doc["params"], seed=doc["seed"])
-    return TrainedModel(config=config, feature_names=doc["feature_names"], inner=inner)
+    try:
+        kind = doc["kind"]
+        if kind not in _INNER_CLASSES:
+            raise SchemaError(f"unknown model kind {kind!r} in file")
+        inner = _INNER_CLASSES[kind].from_payload(doc["payload"])
+        config = ModelConfig(kind=kind, params=doc["params"], seed=doc["seed"])
+        return TrainedModel(config=config, feature_names=doc["feature_names"], inner=inner)
+    except KeyError as exc:
+        raise SchemaError(f"model file lacks the key {exc.args[0]!r}") from None
 
 
 def _jsonable(params: dict[str, Any]) -> dict[str, Any]:

@@ -174,6 +174,22 @@ def trained_flow(synth_dir, tmp_path_factory):
     return lab, feats, trained
 
 
+class FakeResponse:
+    """What ``urlopen`` returns for a JSON body."""
+
+    def __init__(self, doc):
+        self.body = json.dumps(doc).encode()
+
+    def read(self):
+        return self.body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *args):
+        return False
+
+
 def evaluate_argv(feats, trained, labels, out, model=None):
     return [
         "evaluate", "--model", str(model or trained / "model.json"),
@@ -233,6 +249,29 @@ class TestFeatureTrainEvaluate:
         assert main(evaluate_argv(feats, trained, lab / "labels.csv", tmp_path / "e", model=old)) == 2
         assert "unsupported model file version 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("drop", [("model", "payload"), ("model", "payload", "trees"), ("labeling", "threshold")])
+    def test_file_without_a_key_is_data_error(self, synth_dir, trained_flow, tmp_path, capsys, drop):
+        lab, feats, trained = trained_flow
+        kind, *keys = drop
+        source = trained / "model.json" if kind == "model" else lab / "labeling.json"
+        doc = json.loads(source.read_text(encoding="utf-8"))
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        del parent[keys[-1]]
+        broken = tmp_path / source.name
+        broken.write_text(json.dumps(doc), encoding="utf-8")
+        if kind == "model":
+            argv = evaluate_argv(feats, trained, lab / "labels.csv", tmp_path / "e", model=broken)
+        else:
+            argv = ["sweep", "--data", str(synth_dir / "posts.jsonl"), "--artifacts", str(broken),
+                    "--windows", "120", "--models", "gbt", "--no-cv", "--out", str(tmp_path / "s")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"lack the key {keys[-1]!r}" in err or f"lacks the key {keys[-1]!r}" in err
+        assert "Traceback" not in err
+
 
 class TestCollectCommand:
     def test_replay_collection(self, tmp_path):
@@ -249,22 +288,16 @@ class TestCollectCommand:
         first = json.loads(lines[0])
         assert first["reason"] == "completed"
         assert len(first["snapshots"]) == 3
+        outcome = json.loads((out / "run_manifest.json").read_text())["outcome"]
+        assert outcome == {
+            "polls": 6, "retries": 0, "skipped_polls": 0, "rate_limit_wait_minutes": 0.0, "reasons": {"completed": 2}
+        }
 
     def test_http_collection_writes_each_post_when_it_finishes(self, tmp_path, monkeypatch):
-        class Response:
-            def read(self):
-                return json.dumps({"score": 7, "comments": 2, "crossposts": 0, "category": "new"}).encode()
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *args):
-                return False
-
         def fake_urlopen(request, timeout):
             if request.full_url.endswith("/b"):
                 raise RuntimeError("transport crashed")
-            return Response()
+            return FakeResponse({"score": 7, "comments": 2, "crossposts": 0, "category": "new"})
 
         monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
         out = tmp_path / "collected"
@@ -274,6 +307,44 @@ class TestCollectCommand:
         lines = (out / "tracked.jsonl").read_text().splitlines()
         assert [json.loads(line)["post_id"] for line in lines] == ["a"]
         assert json.loads(lines[0])["snapshots"][0]["score"] == 7
+
+    def test_manifest_counts_what_polling_took(self, tmp_path, monkeypatch):
+        import urllib.error
+
+        from viralearly import collector
+
+        calls = {}
+
+        def fake_urlopen(request, timeout):
+            post = request.full_url.rsplit("/", 1)[1]
+            calls[post] = n = calls.get(post, 0) + 1
+            failure = {
+                ("a", 1): (500, {}),  # retried once, then every poll answers
+                ("b", 1): (429, {"Retry-After": "120"}),  # a 2-minute wait, then an answer
+                ("b", 3): (404, {}),  # gone at its second poll
+            }.get((post, n), (500, {}) if post == "c" else None)  # c never answers
+            if failure:
+                raise urllib.error.HTTPError(request.full_url, failure[0], "scripted", failure[1], None)
+            return FakeResponse({"score": n, "comments": 0, "crossposts": 0, "category": "new"})
+
+        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+        monkeypatch.setattr(collector, "SystemClock", collector.SimulatedClock)
+        out = tmp_path / "collected"
+        argv = ["collect", "--base-url", "https://api.example/posts", "--post-ids", "a,b,c", "--until", "10", "--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        # a: 3 polls, 1 retry; b: 2 polls, 1 retry; c: 3 polls, 3 retries each, all skipped
+        assert manifest["outcome"] == {
+            "polls": 8,
+            "retries": 11,
+            "skipped_polls": 3,
+            "rate_limit_wait_minutes": 2.0,
+            "reasons": {"completed": 1, "unavailable": 1, "unreachable": 1},
+        }
+        lines = [json.loads(line) for line in (out / "tracked.jsonl").read_text().splitlines()]
+        assert [(d["post_id"], d["reason"], len(d["snapshots"])) for d in lines] == [
+            ("a", "completed", 3), ("b", "unavailable", 1), ("c", "unreachable", 0)
+        ]
 
     def test_needs_exactly_one_source(self, tmp_path):
         assert main(["collect", "--out", str(tmp_path / "x")]) == 1

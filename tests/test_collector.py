@@ -23,17 +23,20 @@ from conftest import make_record
 class ScriptedSource:
     """Returns score = floor(elapsed) based on the shared simulated clock."""
 
-    def __init__(self, clock, removed_at=None, fail_always=False, fail_on_calls=()):
+    def __init__(self, clock, removed_at=None, fail_always=False, fail_on_calls=(), rate_limited_on_calls=()):
         self.clock = clock
         self.removed_at = removed_at
         self.fail_always = fail_always
         self.fail_on_calls = set(fail_on_calls)
+        self.rate_limited_on_calls = set(rate_limited_on_calls)
         self.calls = 0
 
     def fetch(self, post_id):
         self.calls += 1
         if self.fail_always or self.calls in self.fail_on_calls:
             raise TransientSourceError("scripted failure")
+        if self.calls in self.rate_limited_on_calls:
+            raise RateLimitedError("HTTP 429", retry_after_minutes=3.0)
         t = self.clock.now_minutes()
         if self.removed_at is not None and t >= self.removed_at:
             return PollResult(0, 0, 0, removed=True)
@@ -240,8 +243,15 @@ class TestHttpPollingSource:
             {"score": 12, "comments": 3, "crossposts": True},
             b"{not json",
             b"\xff\xfe\x00",
+            {"score": 12, "comments": 3, "crossposts": 1, "upvote_ratio": "high"},
+            {"score": 12, "comments": 3, "crossposts": 1, "upvote_ratio": float("nan")},
+            {"score": 12, "comments": 3, "crossposts": 1, "upvote_ratio": 1.5},
+            {"score": 12, "comments": 3, "crossposts": 1, "upvote_ratio": True},
         ],
-        ids=["list", "string", "null", "missing_score", "text_score", "null_comments", "bool_crossposts", "bad_json", "bad_utf8"],
+        ids=[
+            "list", "string", "null", "missing_score", "text_score", "null_comments", "bool_crossposts", "bad_json",
+            "bad_utf8", "text_ratio", "nan_ratio", "ratio_above_1", "bool_ratio",
+        ],
     )
     def test_malformed_body_is_transient(self, monkeypatch, body):
         monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout: FakeResponse(body))
@@ -271,6 +281,20 @@ class TestHttpPollingSource:
         monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
         with pytest.raises(TransientSourceError):
             HttpPollingSource("https://api.example/posts").fetch("p1")
+
+
+def test_track_result_counts_polls_retries_and_waits():
+    clock = SimulatedClock()
+    # polls due at 0, 5, ..., 30: the one at 5 is retried once; the one at 15
+    # fails on all four attempts (backoff 1 + 2 + 4 minutes, so the poll due
+    # at 20 runs at 22); the one at 25 is rate-limited with a 3-minute wait
+    source = ScriptedSource(clock, fail_on_calls={2, 5, 6, 7, 8}, rate_limited_on_calls={10})
+    result = track_post(source, "p1", until_minutes=30.0, clock=clock)
+    assert result.reason == "completed"
+    assert [s.t_minutes for s in result.snapshots] == [0.0, 6.0, 10.0, 22.0, 28.0, 30.0]
+    assert (result.polls, result.retries, result.skipped_polls) == (7, 5, 1)
+    assert result.rate_limit_wait_minutes == 3.0
+    assert source.calls == 12
 
 
 def test_track_posts_independent_clocks():

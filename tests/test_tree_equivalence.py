@@ -8,6 +8,7 @@ is bit for bit.
 import numpy as np
 import pytest
 
+from viralearly import experiments, models, preprocess, synth
 from viralearly.models import fit_gbt, fit_random_forest
 from viralearly.models._common import _Tree
 
@@ -91,6 +92,20 @@ def xor_data():
     return X, y
 
 
+def sweep_shaped_data(seed, n=300):
+    """Columns as a sweep window has them: wide numeric ones (one of them
+    few-valued), one-hot groups, constant columns and duplicated columns."""
+    rng = np.random.default_rng(seed)
+    wide = rng.normal(size=(n, 5))
+    wide[:, 1] = np.round(wide[:, 1], 1)
+    wide[:, 2] = rng.integers(0, 4, size=n)
+    groups = [np.eye(k)[rng.integers(0, k, size=n)] for k in (2, 5, 9)]
+    onehot = np.hstack(groups)
+    X = np.hstack([wide, onehot, np.full((n, 3), 2.5), wide[:, [0, 3]], onehot[:, [3, 8]]])
+    y = ((wide[:, 0] + 1.5 * onehot[:, 3] - onehot[:, 9] > 0.4) ^ (rng.random(n) < 0.1)).astype(int)
+    return X, y
+
+
 def gbt_cases():
     X, y = tricky_data(7)
     yield "tricky", X, y, {"n_rounds": 25}
@@ -99,6 +114,22 @@ def gbt_cases():
     yield "tricky_unweighted", Xb, yb, {"n_rounds": 10, "scale_pos_weight": 1.0, "min_child_weight": 3.0}
     yield "xor", *xor_data(), {"n_rounds": 20}
     yield "zero_columns", np.zeros((40, 0)), np.arange(40) % 2, {"n_rounds": 5}
+    # The histogram layout: column 0 owns the node totals, wide and narrow
+    # (one-threshold) columns sit in separate blocks, constant ones in none.
+    Xs, ys = sweep_shaped_data(9)
+    binary = Xs[:, 5:7]
+    yield "sweep_shaped", Xs, ys, {"n_rounds": 30}
+    yield "col0_constant", np.hstack([np.full((len(Xs), 1), -1.0), Xs]), ys, {"n_rounds": 15}
+    yield "col0_binary", np.hstack([binary[:, 1:], Xs]), ys, {"n_rounds": 15}
+    yield "col0_wide", Xs[:, 1:], ys, {"n_rounds": 15}
+    yield "narrow_only", Xs[:, 5:21], ys, {"n_rounds": 15}
+    one_varies = np.hstack([np.full((len(Xs), 2), 4.0), Xs[:, :1], np.zeros((len(Xs), 3))])
+    yield "one_column_varies", one_varies, ys, {"n_rounds": 10}
+    yield "all_constant", np.full((len(Xs), 3), 1.0), ys, {"n_rounds": 5}
+    # depth 3 is reached with several leaves on the last level
+    yield "full_depth", Xs, ys, {"n_rounds": 10, "max_depth": 3, "min_child_weight": 0.5}
+    yield "min_child_weight_0", Xs, ys, {"n_rounds": 15, "min_child_weight": 0.0}
+    yield "max_bins_2", Xs, ys, {"n_rounds": 15, "max_bins": 2}
 
 
 def parent_gbt_payload(model):
@@ -128,4 +159,18 @@ def test_gbt_matches_parallel_list_reference(name, X, y, params):
     for tree, ref_tree in zip(model.trees, ref.trees):
         for field in _Tree.__slots__:
             assert getattr(tree, field).tobytes() == getattr(ref_tree, field).tobytes()
+    assert model.predict_proba(X).tobytes() == ref.predict_proba(X).tobytes()
+
+
+def test_gbt_matches_reference_on_a_window_matrix():
+    """A real sweep input: a synthetic corpus prepared, windowed and
+    preprocessed as the sweep does it, fitted with the default GBT config."""
+    records, _ = synth.generate(synth.SynthConfig(n_posts=300, seed=7))
+    data = experiments.prepare(records)
+    (matrices,) = experiments.build_window_matrices(data, [120.0])
+    X = preprocess.transform(preprocess.fit(matrices.train), matrices.train).X
+    params = models.default_config("gbt").resolved_params()
+    model = fit_gbt(X, data.y_train, **params)
+    ref = reference_fit_gbt(X, data.y_train, **params)
+    assert model.to_payload() == parent_gbt_payload(ref)
     assert model.predict_proba(X).tobytes() == ref.predict_proba(X).tobytes()
