@@ -17,7 +17,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .errors import ConfigError
 from .ingest import EngagementSnapshot, PostRecord
@@ -48,6 +48,10 @@ class PollSchedule:
             raise ConfigError("poll intervals must be positive")
         if any(b < a for a, b in zip(intervals, intervals[1:])):
             raise ConfigError("poll intervals must be non-decreasing across tiers")
+
+
+#: The schedule that tracking follows and that synthetic corpora sit on.
+DEFAULT_POLL_SCHEDULE = PollSchedule()
 
 
 def schedule_next_poll(post_age_minutes: float, schedule: PollSchedule) -> float:
@@ -143,19 +147,17 @@ def track_post(
     transport: PostSource,
     post_id: str,
     until_minutes: float,
-    schedule: PollSchedule | None = None,
     clock: Clock | None = None,
-    max_retries: int = MAX_POLL_RETRIES,
 ) -> TrackResult:
-    """Poll one post from age zero until ``until_minutes`` (inclusive).
+    """Poll one post on the default schedule from age zero until
+    ``until_minutes`` (inclusive).
 
     Transient failures are retried with exponential backoff (base 2, up to
-    ``max_retries`` retries); a poll whose retries are exhausted is skipped,
+    ``MAX_POLL_RETRIES`` retries); a poll whose retries are exhausted is skipped,
     never fabricated. Tracking stops early when the transport reports the
     post removed or permanently unavailable, returning the partial series
     with that reason.
     """
-    schedule = schedule or PollSchedule()
     clock = clock or SimulatedClock()
     start = clock.now_minutes()
     snapshots: list[EngagementSnapshot] = []
@@ -166,7 +168,7 @@ def track_post(
 
     while next_t <= until_minutes:
         clock.sleep_minutes(next_t - (clock.now_minutes() - start))
-        outcome, poll_retries, poll_wait = _fetch_with_backoff(transport, post_id, clock, max_retries)
+        outcome, poll_retries, poll_wait = _fetch_with_backoff(transport, post_id, clock)
         polls += 1
         retries += poll_retries
         rate_wait += poll_wait
@@ -191,24 +193,24 @@ def track_post(
                         category=outcome.category,
                     )
                 )
-        next_t += schedule_next_poll(next_t, schedule)
+        next_t += schedule_next_poll(next_t, DEFAULT_POLL_SCHEDULE)
 
     if reason is None:
         reason = "completed" if snapshots else "unreachable"
     return TrackResult(post_id, tuple(snapshots), reason, polls, retries, skipped, rate_wait)
 
 
-def _fetch_with_backoff(transport, post_id, clock, max_retries) -> tuple["PollResult | str | None", int, float]:
+def _fetch_with_backoff(transport, post_id, clock) -> tuple["PollResult | str | None", int, float]:
     """One scheduled poll: its outcome (None when skipped), the retries it
     made and the minutes it waited after rate-limited responses."""
     rate_wait = 0.0
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_POLL_RETRIES + 1):
         try:
             return transport.fetch(post_id), attempt, rate_wait
         except PermanentSourceError:
             return "unavailable", attempt, rate_wait
         except TransientSourceError as exc:
-            if attempt >= max_retries:
+            if attempt >= MAX_POLL_RETRIES:
                 return None, attempt, rate_wait  # poll skipped
             delay = BACKOFF_BASE_MINUTES**attempt
             if isinstance(exc, RateLimitedError):
@@ -216,21 +218,6 @@ def _fetch_with_backoff(transport, post_id, clock, max_retries) -> tuple["PollRe
                     delay = max(delay, exc.retry_after_minutes)
                 rate_wait += delay
             clock.sleep_minutes(delay)
-    return None, 0, rate_wait
-
-
-def track_posts(
-    transport: PostSource,
-    post_ids: Iterable[str],
-    until_minutes: float,
-    schedule: PollSchedule | None = None,
-    clock_factory=SimulatedClock,
-) -> list[TrackResult]:
-    """Track several posts, each against its own clock."""
-    return [
-        track_post(transport, pid, until_minutes, schedule=schedule, clock=clock_factory())
-        for pid in post_ids
-    ]
 
 
 class FileReplaySource:

@@ -67,10 +67,10 @@ def roc_auc(y, scores) -> float:
     return (rank_sum - n_pos * (n_pos + 1.0) / 2.0) / (n_pos * n_neg)
 
 
-def f1_at_threshold(y, probs, threshold: float = 0.5) -> float:
-    """F1 of the `prob >= threshold` rule; zero when nothing is predicted positive."""
+def f1_at_threshold(y, probs) -> float:
+    """F1 of the `prob >= 0.5` rule; zero when nothing is predicted positive."""
     y = _check_binary(y)
-    pred = (np.asarray(probs, dtype=np.float64).ravel() >= threshold).astype(np.int8)
+    pred = (np.asarray(probs, dtype=np.float64).ravel() >= 0.5).astype(np.int8)
     tp = float(np.sum((pred == 1) & (y == 1)))
     fp = float(np.sum((pred == 1) & (y == 0)))
     fn = float(np.sum((pred == 0) & (y == 1)))
@@ -148,12 +148,12 @@ class MetricReport:
         return {"pr_auc": self.pr_auc, "roc_auc": self.roc_auc, "f1": self.f1}
 
 
-def evaluate_predictions(y, probs, threshold: float = 0.5) -> MetricReport:
+def evaluate_predictions(y, probs) -> MetricReport:
     y = _check_binary(y)
     return MetricReport(
         pr_auc=pr_auc(y, probs),
         roc_auc=roc_auc(y, probs),
-        f1=f1_at_threshold(y, probs, threshold),
+        f1=f1_at_threshold(y, probs),
         n_pos=int(np.sum(y == 1)),
         n_neg=int(np.sum(y == 0)),
     )

@@ -1,10 +1,12 @@
 """Windowed feature extraction: temporal, network, and static modalities.
 
-Every extractor sees only data available up to the observation window W
-(:func:`window_view`, :func:`labeling.engagement_curve`), so matrices are
-causally safe by construction. Matrix column names are prefixed with their
-modality (``temporal__peak_velocity``) to keep names unique across catalogs;
-the unprefixed names below follow the published feature tables.
+Every extractor sees only the snapshots observed by the window W, and one
+function decides which those are: :func:`ingest.observed_by` (t <= W), which
+:func:`extract_network` and :func:`labeling.engagement_curve` call. Matrices
+are therefore causally safe by construction. Matrix column names are
+prefixed with their modality (``temporal__peak_velocity``) to keep names
+unique across catalogs; the unprefixed names below follow the published
+feature tables.
 
 Conventions for the engineered temporal dynamics:
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import trajectory
 from .errors import ConfigError, DatasetError, SchemaError
-from .ingest import STATIC_FEATURE_SCHEMA, EngagementSnapshot, PostRecord, coerce_static
+from .ingest import STATIC_FEATURE_SCHEMA, EngagementSnapshot, PostRecord, coerce_static, load_document, observed_by
 from .labeling import NormalizationCaps, engagement_curve
 
 WINDOWED_MODALITIES = ("temporal", "network")
@@ -53,11 +55,6 @@ class WindowSpec:
     def __post_init__(self):
         if self.minutes <= 0:
             raise ConfigError("window minutes must be positive")
-
-
-def window_view(record: PostRecord, w: WindowSpec) -> tuple[EngagementSnapshot, ...]:
-    """Snapshots with t <= W, order preserved; future data provably excluded."""
-    return tuple(s for s in record.snapshots if s.t_minutes <= w.minutes)
 
 
 @dataclass
@@ -229,7 +226,7 @@ def extract_network(record: PostRecord, w: WindowSpec) -> NetworkFeatures:
         author_karma_per_day=float(author.total_karma) / max(author.account_age_days, 1.0),
         author_total_karma=float(author.total_karma),
     )
-    snaps = window_view(record, w)
+    snaps = observed_by(record, w.minutes)
     if not snaps:
         return out
 
@@ -379,7 +376,7 @@ class FeatureMatrix:
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureMatrix":
         path = Path(path)
-        manifest = json.loads(path.with_suffix(".manifest.json").read_text(encoding="utf-8"))
+        manifest = load_document(path.with_suffix(".manifest.json"), "feature-matrix manifest", None)
         columns = [ColumnSpec(c["name"], c["modality"], c["kind"]) for c in manifest["columns"]]
         by_name = {c.name: c for c in columns}
         row_ids: list[str] = []

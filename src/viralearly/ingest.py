@@ -1,4 +1,5 @@
-"""Dataset schema, line-delimited parsing, validation, and quality filters.
+"""Dataset schema, line-delimited parsing, validation, and quality filters,
+plus the one reader of the JSON documents the pipeline saves.
 
 One post per line, UTF-8 JSON, snapshots embedded. The full field contract
 (including the static-feature blob names) is documented in
@@ -18,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from .errors import DatasetError
+from .errors import DatasetError, SchemaError
 
 CATEGORIES = ("new", "rising", "hot", "top", "unknown")
 MEDIA_TYPES = ("image", "video", "gif", "text", "audio")
@@ -122,7 +123,7 @@ class PostRecord:
                 title=str(d["title"]),
                 author=AuthorInfo(
                     total_karma=int(author["total_karma"]),
-                    account_age_days=float(author["account_age_days"]),
+                    account_age_days=_finite(author["account_age_days"], "account_age_days"),
                     is_premium=bool(author.get("is_premium", False)),
                 ),
                 subreddit=SubredditInfo(
@@ -136,7 +137,7 @@ class PostRecord:
                 snapshots=tuple(_snapshot_from_dict(s) for s in d["snapshots"]),
                 static_features=d.get("static_features"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DatasetError(f"bad post record: {exc}") from exc
 
 
@@ -156,13 +157,21 @@ def _snapshot_to_dict(s: EngagementSnapshot) -> dict[str, Any]:
 def _snapshot_from_dict(d: dict[str, Any]) -> EngagementSnapshot:
     ratio = d.get("upvote_ratio")
     return EngagementSnapshot(
-        t_minutes=float(d["t_minutes"]),
+        t_minutes=_finite(d["t_minutes"], "t_minutes"),
         score=int(d["score"]),
         comments=int(d["comments"]),
         crossposts=int(d["crossposts"]),
-        upvote_ratio=None if ratio is None else float(ratio),
+        upvote_ratio=None if ratio is None else _finite(ratio, "upvote_ratio"),
         category=str(d.get("category", "unknown")),
     )
+
+
+def _finite(value: Any, name: str) -> float:
+    """``value`` as a float; NaN or infinity is a DatasetError naming the field."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise DatasetError(f"{name} is not finite ({value!r})")
+    return x
 
 
 def _format_utc(ts: datetime) -> str:
@@ -182,6 +191,14 @@ def _parse_utc(raw: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
+def _reject_constant(token: str):
+    raise DatasetError(f"{token} is not a JSON number")
+
+
+# RFC 8259 has no NaN or Infinity, which json reads unless told otherwise
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 @dataclass(frozen=True)
 class ParseDiagnostic:
     """A per-line parse failure; line numbers are 1-based."""
@@ -199,8 +216,9 @@ def parse_dataset(
 ) -> Iterator[PostRecord]:
     """Stream post records from a line-delimited dataset file.
 
-    Malformed lines are routed to ``on_error`` with their line number and
-    parsing continues; without an error channel the first malformed line
+    Malformed lines (a ``NaN`` or ``Infinity`` token or a non-finite value
+    included) are routed to ``on_error`` with their line number and parsing
+    continues; without an error channel the first malformed line
     raises :class:`DatasetError` so nothing is dropped silently. An unreadable
     file raises ``OSError``.
     """
@@ -209,7 +227,7 @@ def parse_dataset(
             if not line.strip():
                 continue
             try:
-                payload = json.loads(line)
+                payload = _DECODER.decode(line)
                 if not isinstance(payload, dict):
                     raise DatasetError("record is not an object")
                 yield PostRecord.from_json_dict(payload)
@@ -252,22 +270,19 @@ class FilterSummary:
 
 
 def apply_quality_filters(
-    records: Iterable[PostRecord],
-    min_tracking_minutes: float = MIN_TRACKING_MINUTES,
-    max_gap_minutes: float = MAX_SNAPSHOT_GAP_MINUTES,
-    summary: FilterSummary | None = None,
+    records: Iterable[PostRecord], summary: FilterSummary | None = None
 ) -> Iterator[PostRecord]:
     """Keep tracked-long-enough, gap-free, media-bearing, non-removed posts.
 
-    A record passes when its last snapshot is at or past ``min_tracking_minutes``,
-    no inter-snapshot gap exceeds ``max_gap_minutes``, it carries a media URL,
+    A record passes when its last snapshot is at or past ``MIN_TRACKING_MINUTES``,
+    no inter-snapshot gap exceeds ``MAX_SNAPSHOT_GAP_MINUTES``, it carries a media URL,
     and it is not flagged removed. Filtering is total (never raises) and
     idempotent. Pass a :class:`FilterSummary` to receive drop counts.
     """
     for record in records:
         if summary is not None:
             summary.total += 1
-        reason = _drop_reason(record, min_tracking_minutes, max_gap_minutes)
+        reason = _drop_reason(record)
         if reason is None:
             if summary is not None:
                 summary.kept += 1
@@ -276,18 +291,16 @@ def apply_quality_filters(
             setattr(summary, reason, getattr(summary, reason) + 1)
 
 
-def _drop_reason(
-    record: PostRecord, min_tracking_minutes: float, max_gap_minutes: float
-) -> str | None:
+def _drop_reason(record: PostRecord) -> str | None:
     if record.removed:
         return "dropped_removed"
     if not record.media_url:
         return "dropped_no_media"
-    if not record.snapshots or record.snapshots[-1].t_minutes < min_tracking_minutes:
+    if not record.snapshots or record.snapshots[-1].t_minutes < MIN_TRACKING_MINUTES:
         return "dropped_short_tracking"
     times = [s.t_minutes for s in record.snapshots]
     gaps = [b - a for a, b in zip(times, times[1:])]
-    if times[0] > max_gap_minutes or any(g > max_gap_minutes for g in gaps):
+    if times[0] > MAX_SNAPSHOT_GAP_MINUTES or any(g > MAX_SNAPSHOT_GAP_MINUTES for g in gaps):
         return "dropped_gap"
     return None
 
@@ -373,6 +386,36 @@ def dataset_schema() -> dict[str, Any]:
     return json.loads(text)
 
 
+class _Document(dict):
+    """An object of a saved JSON document; a key it lacks is a SchemaError."""
+
+    def __init__(self, pairs, source: str):
+        super().__init__(pairs)
+        self.source = source
+
+    def __missing__(self, key):
+        raise SchemaError(f"{self.source} lacks the key {key!r}")
+
+
+def load_document(path: str | Path, what: str, version: int | None) -> dict[str, Any]:
+    """The JSON object saved at ``path`` as a ``what`` (e.g. "model file").
+
+    It must be an object whose ``format_version`` is ``version`` (None: the
+    format has none), and indexing any object in it by a key it lacks raises
+    :class:`SchemaError` naming the key and the file.
+    """
+    source = f"{what} {path}"
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=lambda pairs: _Document(pairs, source))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{source} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{source} does not hold a JSON object")
+    if version is not None and doc.get("format_version") != version:
+        raise SchemaError(f"unsupported {what} version {doc.get('format_version')!r}")
+    return doc
+
+
 #: The known static-feature keys in schema order, each with its JSON type and ``x-modality``.
 STATIC_FEATURE_SCHEMA: dict[str, dict] = dataset_schema()["properties"]["static_features"]["properties"]
 # Static features read as numbers: those the schema types as number, integer or boolean.
@@ -381,7 +424,12 @@ NUMERIC_STATIC_FIELDS = tuple(
 )
 
 
+def observed_by(record: PostRecord, minutes: float) -> tuple[EngagementSnapshot, ...]:
+    """The snapshots with t <= ``minutes``, in order: all that a window of
+    that many minutes may see, so later data is excluded by construction."""
+    return tuple(s for s in record.snapshots if s.t_minutes <= minutes)
+
+
 def truncate_record(record: PostRecord, minutes: float) -> PostRecord:
     """Copy of ``record`` with snapshots after ``minutes`` physically removed."""
-    kept = tuple(s for s in record.snapshots if s.t_minutes <= minutes)
-    return replace(record, snapshots=kept)
+    return replace(record, snapshots=observed_by(record, minutes))

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import models, trajectory
 from .errors import DegenerateDistributionError, FitError, SchemaError
-from .ingest import EngagementSnapshot, PostRecord
+from .ingest import EngagementSnapshot, PostRecord, load_document, observed_by
 
 METRICS = ("score", "comments", "crossposts")
 PER_SUBSCRIBER_SCALE = 100_000.0
@@ -77,8 +77,8 @@ class NormalizationCaps:
         return {m: self.caps[m] for m in METRICS}
 
 
-def fit_p99_caps(train: Sequence[PostRecord], percentile: float = 99.0) -> NormalizationCaps:
-    """Cap per metric: the  given percentile of final per-100k values on train.
+def fit_p99_caps(train: Sequence[PostRecord]) -> NormalizationCaps:
+    """Cap per metric: the 99th percentile of final per-100k values on train.
 
     Uses linear interpolation between order statistics, so the result is a
     deterministic function of the value multiset (input order irrelevant).
@@ -94,7 +94,7 @@ def fit_p99_caps(train: Sequence[PostRecord], percentile: float = 99.0) -> Norma
             ],
             dtype=np.float64,
         )
-        cap = float(np.percentile(vals, percentile))
+        cap = float(np.percentile(vals, 99.0))
         if not np.isfinite(cap):
             raise FitError(f"non-finite {metric} values in training data")
         caps[metric] = max(cap, _MIN_CAP)
@@ -148,9 +148,7 @@ class EngagementCurve:
 
 def engagement_curve(record: PostRecord, caps: NormalizationCaps, window_minutes: float | None = None) -> EngagementCurve | None:
     """The curve over snapshots with t <= W (all when W is None); None if nothing was observed by W."""
-    snaps = record.snapshots
-    if window_minutes is not None:
-        snaps = tuple(s for s in snaps if s.t_minutes <= window_minutes)
+    snaps = record.snapshots if window_minutes is None else observed_by(record, window_minutes)
     if not snaps:
         return None
     subs = record.subreddit.subscribers
@@ -188,7 +186,7 @@ def labeling_feature_matrix(records: Sequence[PostRecord], caps: NormalizationCa
 
 @dataclass(frozen=True)
 class HybridWeights:
-    """Learned mixing weights; under max normalization the top feature is 1.0."""
+    """Learned mixing weights, scaled so the top feature's is 1.0."""
 
     weights: dict[str, float]
     source_windows: tuple[float, ...]
@@ -206,15 +204,13 @@ def learn_hybrid_weights(
     caps: NormalizationCaps,
     windows: Sequence[float] = DEFAULT_WEIGHT_WINDOWS,
     forest_config: models.ModelConfig | None = None,
-    normalize: str = "max",
 ) -> HybridWeights:
     """Average auxiliary-forest importances over early windows.
 
     One random forest per window is fit on the windowed labeling features
     against the preliminary target; the per-window importance vectors (each
     summing to one) are averaged and then scaled so the strongest feature
-    gets weight 1.0 (``normalize="max"``) or so they sum to one
-    (``normalize="sum"``).
+    gets weight 1.0.
     """
     if not windows:
         raise FitError("need at least one window to learn weights")
@@ -232,18 +228,10 @@ def learn_hybrid_weights(
         acc += forest.importances
     acc /= len(windows)
 
-    if normalize == "max":
-        top = acc.max()
-        if top <= 0.0:
-            raise FitError("all importances are zero; cannot normalize weights")
-        acc = acc / top
-    elif normalize == "sum":
-        total = acc.sum()
-        if total <= 0.0:
-            raise FitError("all importances are zero; cannot normalize weights")
-        acc = acc / total
-    else:
-        raise FitError(f"unknown normalization {normalize!r}")
+    top = acc.max()
+    if top <= 0.0:
+        raise FitError("all importances are zero; cannot normalize weights")
+    acc = acc / top
     return HybridWeights(
         weights={name: float(v) for name, v in zip(LABELING_FEATURES, acc)},
         source_windows=tuple(float(w) for w in windows),
@@ -287,12 +275,12 @@ class ViralityThreshold:
         return {"tau": self.tau, "centroids": list(self.centroids), "fitted_on": self.fitted_on}
 
 
-def fit_threshold(scores: Iterable[float], fingerprint: str = "unspecified", max_iter: int = 200) -> ViralityThreshold:
+def fit_threshold(scores: Iterable[float], fingerprint: str = "unspecified") -> ViralityThreshold:
     """1-D K-Means (k=2) with deterministic quantile init; tau = centroid midpoint.
 
     Centroids start at the 10th and 90th percentiles (falling back to min/max
     when those coincide) and Lloyd iterations run until assignments stop
-    changing or ``max_iter`` is reached.
+    changing, for at most 200 iterations.
     """
     x = np.asarray(list(scores), dtype=np.float64)
     if len(np.unique(x)) < 2:
@@ -303,7 +291,7 @@ def fit_threshold(scores: Iterable[float], fingerprint: str = "unspecified", max
     centroids = np.array([lo, hi], dtype=np.float64)
 
     assign = None
-    for _ in range(max_iter):
+    for _ in range(200):
         # nearest centroid; ties go to the lower one
         new_assign = np.abs(x - centroids[1]) < np.abs(x - centroids[0])
         for side in (False, True):
@@ -380,27 +368,22 @@ class LabelingArtifacts:
 
     @classmethod
     def load(cls, path: str | Path) -> "LabelingArtifacts":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if doc.get("format_version") != ARTIFACTS_FORMAT_VERSION:
-            raise SchemaError(f"unsupported artifacts version {doc.get('format_version')!r}")
-        try:
-            hw = doc["hybrid_weights"]
-            th = doc["threshold"]
-            unknown = set(hw["weights"]) - set(LABELING_FEATURES)
-            if unknown:
-                raise SchemaError(f"unknown labeling features {sorted(unknown)} in artifacts")
-            return cls(
-                caps=NormalizationCaps({k: float(v) for k, v in doc["caps"].items()}),
-                weights=HybridWeights(
-                    # LABELING_FEATURES order, as a fit has it: the scores sum in key order
-                    weights={k: float(hw["weights"][k]) for k in LABELING_FEATURES if k in hw["weights"]},
-                    source_windows=tuple(float(w) for w in hw["source_windows"]),
-                ),
-                threshold=ViralityThreshold(
-                    tau=float(th["tau"]),
-                    centroids=(float(th["centroids"][0]), float(th["centroids"][1])),
-                    fitted_on=str(th["fitted_on"]),
-                ),
-            )
-        except KeyError as exc:
-            raise SchemaError(f"labeling artifacts lack the key {exc.args[0]!r}") from None
+        doc = load_document(path, "labeling file", ARTIFACTS_FORMAT_VERSION)
+        hw = doc["hybrid_weights"]
+        th = doc["threshold"]
+        unknown = set(hw["weights"]) - set(LABELING_FEATURES)
+        if unknown:
+            raise SchemaError(f"unknown labeling features {sorted(unknown)} in artifacts")
+        return cls(
+            caps=NormalizationCaps({k: float(v) for k, v in doc["caps"].items()}),
+            weights=HybridWeights(
+                # LABELING_FEATURES order, as a fit has it: the scores sum in key order
+                weights={k: float(hw["weights"][k]) for k in LABELING_FEATURES if k in hw["weights"]},
+                source_windows=tuple(float(w) for w in hw["source_windows"]),
+            ),
+            threshold=ViralityThreshold(
+                tau=float(th["tau"]),
+                centroids=(float(th["centroids"][0]), float(th["centroids"][1])),
+                fitted_on=str(th["fitted_on"]),
+            ),
+        )

@@ -16,6 +16,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import ConfigError, FitError, SchemaError
+from ..ingest import load_document
 from .forest import RandomForestModel, fit_random_forest
 from .gbt import GBTModel, fit_gbt
 from .logreg import LogisticModel, fit_logreg
@@ -158,18 +159,13 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format_version") != _FORMAT_VERSION:
-        raise SchemaError(f"unsupported model file version {doc.get('format_version')!r}")
-    try:
-        kind = doc["kind"]
-        if kind not in _INNER_CLASSES:
-            raise SchemaError(f"unknown model kind {kind!r} in file")
-        inner = _INNER_CLASSES[kind].from_payload(doc["payload"])
-        config = ModelConfig(kind=kind, params=doc["params"], seed=doc["seed"])
-        return TrainedModel(config=config, feature_names=doc["feature_names"], inner=inner)
-    except KeyError as exc:
-        raise SchemaError(f"model file lacks the key {exc.args[0]!r}") from None
+    doc = load_document(path, "model file", _FORMAT_VERSION)
+    kind = doc["kind"]
+    if kind not in _INNER_CLASSES:
+        raise SchemaError(f"unknown model kind {kind!r} in file")
+    inner = _INNER_CLASSES[kind].from_payload(doc["payload"])
+    config = ModelConfig(kind=kind, params=doc["params"], seed=doc["seed"])
+    return TrainedModel(config=config, feature_names=doc["feature_names"], inner=inner)
 
 
 def _jsonable(params: dict[str, Any]) -> dict[str, Any]:

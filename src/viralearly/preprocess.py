@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import FitError, SchemaError
 from .features import ColumnSpec, FeatureMatrix
+from .ingest import load_document
 
 MISSING_TOKEN = "missing"
 _FORMAT_VERSION = 1
@@ -61,9 +62,7 @@ class PreprocessModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "PreprocessModel":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if doc.get("format_version") != _FORMAT_VERSION:
-            raise SchemaError(f"unsupported preprocess file version {doc.get('format_version')!r}")
+        doc = load_document(path, "preprocess file", _FORMAT_VERSION)
         return cls(
             numeric={
                 name: NumericStats(s["median"], s["mean"], s["std"])

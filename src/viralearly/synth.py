@@ -26,7 +26,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .collector import PollSchedule, schedule_next_poll
+from .collector import DEFAULT_POLL_SCHEDULE, schedule_next_poll
 from .errors import ConfigError
 from .ingest import AuthorInfo, EngagementSnapshot, PostRecord, SubredditInfo
 
@@ -48,10 +48,6 @@ class SynthConfig:
     n_posts: int
     viral_frac: float = 0.05
     signal: str = "temporal"
-    subscriber_range: tuple[int, int] = (50_000, 5_000_000)
-    growth_rate_scale: float = 1.0
-    burst_intensity: float = 0.0
-    noise_scale: float = 1.0
     takeoff_median_minutes: float = 25.0
     takeoff_log_sd: float = 0.7
     false_start_frac: float = 0.25
@@ -109,7 +105,7 @@ def generate(config: SynthConfig) -> tuple[list[PostRecord], np.ndarray]:
     labels = np.zeros(n, dtype=np.int8)
     labels[corpus_rng.permutation(n)[:n_viral]] = 1
 
-    subreddits = _subreddit_pool(corpus_rng, config.subscriber_range)
+    subreddits = _subreddit_pool(corpus_rng)
     base_time = datetime(2024, 1, 1, tzinfo=timezone.utc)
     days = np.sort(corpus_rng.uniform(0.0, 70 * 1440.0, size=n)) // 1440.0
     # posting-hour preference: viral posts cluster in the evening hours
@@ -135,20 +131,20 @@ def generate(config: SynthConfig) -> tuple[list[PostRecord], np.ndarray]:
     return records, labels
 
 
-def poll_grid(horizon_minutes: float, schedule: PollSchedule | None = None) -> np.ndarray:
+def poll_grid(horizon_minutes: float) -> np.ndarray:
     """Snapshot times following the collector's default poll schedule."""
-    schedule = schedule or PollSchedule()
     times = [0.0]
     while times[-1] < horizon_minutes:
-        step = schedule_next_poll(times[-1], schedule)
+        step = schedule_next_poll(times[-1], DEFAULT_POLL_SCHEDULE)
         if times[-1] + step > horizon_minutes:
             break
         times.append(times[-1] + step)
     return np.array(times)
 
 
-def _subreddit_pool(rng: np.random.Generator, subscriber_range) -> list[SubredditInfo]:
-    lo, hi = subscriber_range
+def _subreddit_pool(rng: np.random.Generator) -> list[SubredditInfo]:
+    """Subreddits with log-uniform subscriber counts in [50k, 5M]."""
+    lo, hi = 50_000, 5_000_000
     pool = []
     counter = 0
     for language, n_subs in _LANGUAGE_POOL:
@@ -171,11 +167,9 @@ def _make_post(index, rng, is_viral, config, subreddit, created, grid) -> PostRe
     static_signal = config.signal in ("static", "mixed")
 
     score_raw = _score_curve(rng, is_viral, config, subreddit.subscribers, grid)
-    comments_raw = _poisson_cumulative(rng, 0.12 * score_raw * config.noise_scale)
+    comments_raw = _poisson_cumulative(rng, 0.12 * score_raw)
     crossposts_raw = _poisson_cumulative(rng, 0.012 * score_raw)
-    scores = _poisson_cumulative(rng, score_raw * config.noise_scale)
-    if config.burst_intensity > 0:
-        scores = _add_bursts(rng, scores, config.burst_intensity)
+    scores = _poisson_cumulative(rng, score_raw)
 
     categories = _category_path(rng, grid, is_viral, network_signal)
     ratio = float(np.clip(rng.normal(0.92 if is_viral else 0.78, 0.03 if is_viral else 0.06), 0.05, 0.99))
@@ -236,7 +230,7 @@ def _score_curve(rng, is_viral, config, subscribers, grid) -> np.ndarray:
             )
         )
         t_peak_vel = float(np.clip(rng.normal(456.0, 120.0), takeoff + 60.0, 1300.0))
-        rate = config.growth_rate_scale * _TAKEOFF_LOGIT / (t_peak_vel - takeoff)
+        rate = _TAKEOFF_LOGIT / (t_peak_vel - takeoff)
         norm_curve = target / (1.0 + np.exp(-rate * (grid - t_peak_vel)))
     elif rng.random() < config.false_start_frac:
         target = float(rng.uniform(5.0, 70.0))
@@ -253,15 +247,6 @@ def _score_curve(rng, is_viral, config, subscribers, grid) -> np.ndarray:
 def _poisson_cumulative(rng, expected: np.ndarray) -> np.ndarray:
     increments = np.clip(np.diff(expected, prepend=0.0), 0.0, None)
     return np.cumsum(rng.poisson(increments))
-
-
-def _add_bursts(rng, scores: np.ndarray, intensity: float) -> np.ndarray:
-    k = int(rng.integers(1, 4))
-    out = scores.astype(np.int64).copy()
-    for _ in range(k):
-        at = int(rng.integers(1, len(scores)))
-        out[at:] += rng.poisson(intensity * max(out[-1], 1) * 0.05)
-    return out
 
 
 def _category_path(rng, grid, is_viral, network_signal) -> list[str]:

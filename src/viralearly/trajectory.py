@@ -137,8 +137,9 @@ def burst_count(v: np.ndarray) -> int:
     return int(np.sum(starts))
 
 
-def timing_entropy(t: np.ndarray, y: np.ndarray, window: float, bins: int = ENTROPY_BINS) -> float:
-    """Shannon entropy (bits) of increment mass across equal-width time bins.
+def timing_entropy(t: np.ndarray, y: np.ndarray, window: float) -> float:
+    """Shannon entropy (bits) of increment mass across ``ENTROPY_BINS``
+    equal-width time bins.
 
     Each consecutive increment (clipped at zero) is attributed to the bin
     containing its interval end. Zero total mass gives zero entropy.
@@ -147,8 +148,8 @@ def timing_entropy(t: np.ndarray, y: np.ndarray, window: float, bins: int = ENTR
         return 0.0
     inc = np.clip(np.diff(y), 0.0, None)
     ends = t[1:]
-    idx = np.clip((ends / window * bins).astype(int), 0, bins - 1)
-    mass = np.bincount(idx, weights=inc, minlength=bins)
+    idx = np.clip((ends / window * ENTROPY_BINS).astype(int), 0, ENTROPY_BINS - 1)
+    mass = np.bincount(idx, weights=inc, minlength=ENTROPY_BINS)
     total = mass.sum()
     if total <= 0.0:
         return 0.0

@@ -60,6 +60,29 @@ class TestExitCodes:
         assert "p000005: static feature 'controversy_score' is not finite (inf)" in out
         assert "invalid_records=1 " in out
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [("nan", "bad post record: t_minutes is not finite ('nan')"), (float("nan"), "NaN is not a JSON number")],
+        ids=["string", "token"],
+    )
+    def test_non_finite_time_is_data_error(self, synth_dir, tmp_path, capsys, value, message):
+        lines = (synth_dir / "posts.jsonl").read_text(encoding="utf-8").splitlines()
+        doc = json.loads(lines[5])
+        assert doc["post_id"] == "p000005"
+        doc["snapshots"][10]["t_minutes"] = value
+        lines[5] = json.dumps(doc)
+        path = tmp_path / "posts.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", "--data", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert f"parse line 6: {message}" in out
+        assert "malformed_lines=1 invalid_records=0" in out
+        assert main(["label", "--data", str(path), "--out", str(tmp_path / "lab")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: line 6: {message}" in err
+        assert not (tmp_path / "lab" / "labels.csv").exists()
+
 
 class TestSynthCommand:
     def test_outputs_written(self, synth_dir):
@@ -190,11 +213,11 @@ class FakeResponse:
         return False
 
 
-def evaluate_argv(feats, trained, labels, out, model=None):
+def evaluate_argv(feats, trained, labels, out, model=None, preprocess=None, matrix=None):
     return [
         "evaluate", "--model", str(model or trained / "model.json"),
-        "--preprocess", str(trained / "preprocess.json"),
-        "--matrix", str(feats / "features_120.csv"),
+        "--preprocess", str(preprocess or trained / "preprocess.json"),
+        "--matrix", str(matrix or feats / "features_120.csv"),
         "--labels", str(labels), "--out", str(out),
     ]
 
@@ -249,27 +272,53 @@ class TestFeatureTrainEvaluate:
         assert main(evaluate_argv(feats, trained, lab / "labels.csv", tmp_path / "e", model=old)) == 2
         assert "unsupported model file version 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("drop", [("model", "payload"), ("model", "payload", "trees"), ("labeling", "threshold")])
+    @pytest.mark.parametrize(
+        "drop",
+        [
+            ("model", "payload"),
+            ("model", "payload", "trees"),
+            ("labeling", "threshold"),
+            ("preprocess", "numeric"),
+            ("manifest", "columns"),
+            # None: the whole document is the list [1, 2]
+            ("model", None),
+            ("labeling", None),
+            ("manifest", None),
+        ],
+    )
     def test_file_without_a_key_is_data_error(self, synth_dir, trained_flow, tmp_path, capsys, drop):
         lab, feats, trained = trained_flow
         kind, *keys = drop
-        source = trained / "model.json" if kind == "model" else lab / "labeling.json"
-        doc = json.loads(source.read_text(encoding="utf-8"))
-        parent = doc
-        for key in keys[:-1]:
-            parent = parent[key]
-        del parent[keys[-1]]
+        source = {
+            "model": trained / "model.json",
+            "labeling": lab / "labeling.json",
+            "preprocess": trained / "preprocess.json",
+            "manifest": feats / "features_120.manifest.json",
+        }[kind]
+        if keys == [None]:
+            doc = [1, 2]
+        else:
+            doc = json.loads(source.read_text(encoding="utf-8"))
+            parent = doc
+            for key in keys[:-1]:
+                parent = parent[key]
+            del parent[keys[-1]]
         broken = tmp_path / source.name
         broken.write_text(json.dumps(doc), encoding="utf-8")
-        if kind == "model":
-            argv = evaluate_argv(feats, trained, lab / "labels.csv", tmp_path / "e", model=broken)
-        else:
+        if kind == "labeling":
             argv = ["sweep", "--data", str(synth_dir / "posts.jsonl"), "--artifacts", str(broken),
                     "--windows", "120", "--models", "gbt", "--no-cv", "--out", str(tmp_path / "s")]
+        elif kind == "manifest":
+            matrix = tmp_path / "features_120.csv"
+            matrix.write_bytes((feats / "features_120.csv").read_bytes())
+            argv = evaluate_argv(feats, trained, lab / "labels.csv", tmp_path / "e", matrix=matrix)
+        else:
+            argv = evaluate_argv(feats, trained, lab / "labels.csv", tmp_path / "e", **{kind: broken})
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"lack the key {keys[-1]!r}" in err or f"lacks the key {keys[-1]!r}" in err
+        expected = "does not hold a JSON object" if keys == [None] else f"lacks the key {keys[-1]!r}"
+        assert f"{broken} {expected}" in err
         assert "Traceback" not in err
 
 

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from viralearly import collector
 from viralearly.collector import (
     FileReplaySource,
     HttpPollingSource,
@@ -297,10 +296,13 @@ def test_track_result_counts_polls_retries_and_waits():
     assert source.calls == 12
 
 
-def test_track_posts_independent_clocks():
+def test_replay_keys_elapsed_time_per_post():
     records = [make_record(post_id=f"p{i}", times=[0, 5, 10], scores=[1, 2, 3]) for i in range(2)]
     shared = SimulatedClock()
     source = FileReplaySource(records, shared)
-    # each post gets a fresh clock; the replay source keys elapsed per post
-    results = collector.track_posts(source, ["p0", "p1"], until_minutes=10.0, clock_factory=lambda: shared)
+    # p1 is first fetched when p0 is done, at minute 10 of the shared clock;
+    # the replay source measures each post's elapsed time from its own first fetch
+    results = [track_post(source, pid, until_minutes=10.0, clock=shared) for pid in ("p0", "p1")]
+    assert shared.now_minutes() == 20.0
     assert all(r.reason == "completed" for r in results)
+    assert [[(s.t_minutes, s.score) for s in r.snapshots] for r in results] == [[(0.0, 1), (5.0, 2), (10.0, 3)]] * 2

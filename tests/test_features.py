@@ -10,9 +10,8 @@ from viralearly.features import (
     extract_network,
     extract_static,
     extract_temporal,
-    window_view,
 )
-from viralearly.ingest import truncate_record
+from viralearly.ingest import observed_by, truncate_record
 from viralearly.labeling import NormalizationCaps
 
 from conftest import make_record
@@ -24,15 +23,15 @@ WIDE = NormalizationCaps({"score": 1e12, "comments": 1e12, "crossposts": 1e12})
 class TestWindowView:
     def test_boundary_excludes_future(self):
         r = make_record(times=[0, 5, 35], scores=[0, 1, 2])
-        assert [s.t_minutes for s in window_view(r, WindowSpec(30.0))] == [0.0, 5.0]
+        assert [s.t_minutes for s in observed_by(r, 30.0)] == [0.0, 5.0]
 
     def test_window_larger_than_series(self):
         r = make_record(times=[0, 5, 10], scores=[0, 1, 2])
-        assert window_view(r, WindowSpec(1e6)) == r.snapshots
+        assert observed_by(r, 1e6) == r.snapshots
 
     def test_boundary_inclusive(self):
         r = make_record(times=[0, 30], scores=[0, 1])
-        assert len(window_view(r, WindowSpec(30.0))) == 2
+        assert len(observed_by(r, 30.0)) == 2
 
     def test_nonpositive_window_rejected(self):
         with pytest.raises(ConfigError):

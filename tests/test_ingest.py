@@ -1,8 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from viralearly import ingest
+from viralearly import ingest, synth
 from viralearly.errors import DatasetError
 
 from conftest import make_record
@@ -164,3 +168,61 @@ def test_truncate_record():
     record = make_record(times=[0, 5, 35], scores=[0, 1, 2])
     cut = ingest.truncate_record(record, 30.0)
     assert [s.t_minutes for s in cut.snapshots] == [0.0, 5.0]
+
+
+# One valid synthetic record; each example below breaks one numeric leaf of it.
+SYNTH_DOC = synth.generate(synth.SynthConfig(n_posts=20, seed=0))[0][0].to_json_dict()
+SNAPSHOT_LEAVES = ("t_minutes", "score", "comments", "crossposts", "upvote_ratio")
+OTHER_LEAVES = (("author", "total_karma"), ("author", "account_age_days"), ("subreddit", "subscribers"))
+# NaN and +-infinity as bare tokens, as strings in JSON's and Python's
+# spelling, and as numbers too large for a float
+NON_FINITE_JSON = (
+    "NaN", "Infinity", "-Infinity",
+    '"NaN"', '"Infinity"', '"-Infinity"', '"nan"', '"inf"', '"-inf"',
+    "1e400", "-1e400",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    leaf=st.one_of(
+        st.tuples(st.just("snapshots"), st.integers(0, len(SYNTH_DOC["snapshots"]) - 1), st.sampled_from(SNAPSHOT_LEAVES)),
+        st.sampled_from(OTHER_LEAVES),
+    ),
+    text=st.sampled_from(NON_FINITE_JSON),
+)
+def test_a_non_finite_leaf_never_yields_a_clean_record(leaf, text):
+    doc = json.loads(json.dumps(SYNTH_DOC))
+    parent = doc
+    for key in leaf[:-1]:
+        parent = parent[key]
+    parent[leaf[-1]] = "<leaf>"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        path.write_text(json.dumps(doc).replace('"<leaf>"', text) + "\n", encoding="utf-8")
+        try:
+            records = list(ingest.parse_dataset(path))
+        except DatasetError:
+            return
+    (record,) = records
+    assert not ingest.validate_record(record).ok
+
+
+@pytest.mark.parametrize("field", ["t_minutes", "upvote_ratio", "account_age_days"])
+def test_non_finite_value_is_rejected_naming_the_field(tmp_path, field):
+    doc = make_record().to_json_dict()
+    (doc["author"] if field == "account_age_days" else doc["snapshots"][1])[field] = "inf"
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [json.dumps(make_record().to_json_dict()), json.dumps(doc)])
+    diags = []
+    assert len(list(ingest.parse_dataset(path, on_error=diags.append))) == 1
+    assert [str(d) for d in diags] == [f"line 2: bad post record: {field} is not finite ('inf')"]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_token_is_malformed(tmp_path, token):
+    line = json.dumps(make_record().to_json_dict()).replace('"t_minutes": 5.0', f'"t_minutes": {token}')
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [line])
+    with pytest.raises(DatasetError, match=f"line 1: {token} is not a JSON number"):
+        list(ingest.parse_dataset(path))
