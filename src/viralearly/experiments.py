@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__, evaluation, models, preprocess
+from . import __version__, evaluation, models, preprocess, trajectory
 from .features import DEFAULT_WINDOW_SWEEP, MODALITIES, STATIC_MODALITIES, WINDOWED_MODALITIES, FeatureMatrix, WindowSpec, assemble_matrix
 from .ingest import PostRecord
 from .labeling import DEFAULT_WEIGHT_WINDOWS, LabelingArtifacts
@@ -90,13 +90,17 @@ class WindowMatrices:
 
 def build_window_matrices(data: PreparedData, windows: Sequence[float]) -> list[WindowMatrices]:
     """Per window, that window's temporal and network columns joined to the
-    static columns, which do not depend on the window and are built once per split."""
+    static columns. The static columns and the padded snapshot arrays do not
+    depend on the window and are built once per split."""
     caps, splits = data.artifacts.caps, (data.train_records, data.test_records)
-    out, static = [], None
+    out, static, batches = [], None, None
     for minutes in windows:
         w = WindowSpec(float(minutes))
         static = static or [assemble_matrix(records, w, caps, STATIC_MODALITIES) for records in splits]
-        train, test = (assemble_matrix(r, w, caps, WINDOWED_MODALITIES).join(s) for r, s in zip(splits, static))
+        batches = batches or [trajectory.pad_snapshots(records, caps) for records in splits]
+        train, test = (
+            assemble_matrix(r, w, caps, WINDOWED_MODALITIES, batch=b).join(s) for r, b, s in zip(splits, batches, static)
+        )
         out.append(WindowMatrices(window=w.minutes, train=train, test=test))
     return out
 

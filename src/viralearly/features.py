@@ -1,9 +1,12 @@
 """Windowed feature extraction: temporal, network, and static modalities.
 
-Every extractor sees only the snapshots observed by the window W, and one
-function decides which those are: :func:`ingest.observed_by` (t <= W), which
-:func:`extract_network` and :func:`labeling.engagement_curve` call. Matrices
-are therefore causally safe by construction. Matrix column names are
+The temporal and network columns come from the batched kernel in
+:mod:`trajectory`: a split's snapshots are padded into arrays once, and each
+window reduces every post's observed prefix at once. Which snapshots a
+window W observes is decided in one place, :func:`ingest.observed_count`
+(t <= W), so matrices are causally safe by construction;
+:func:`extract_temporal` and :func:`extract_network` are one-row calls of the
+same kernel. Matrix column names are
 prefixed with their modality (``temporal__peak_velocity``) to keep names
 unique across catalogs; the unprefixed names below follow the published
 feature tables.
@@ -32,8 +35,8 @@ import numpy as np
 
 from . import trajectory
 from .errors import ConfigError, DatasetError, SchemaError
-from .ingest import STATIC_FEATURE_SCHEMA, EngagementSnapshot, PostRecord, coerce_static, load_document, observed_by
-from .labeling import NormalizationCaps, engagement_curve
+from .ingest import STATIC_FEATURE_SCHEMA, PostRecord, coerce_static, load_document
+from .labeling import METRICS, NormalizationCaps
 
 WINDOWED_MODALITIES = ("temporal", "network")
 STATIC_MODALITIES = ("visual", "textual", "contextual")
@@ -41,9 +44,8 @@ MODALITIES = WINDOWED_MODALITIES + STATIC_MODALITIES
 
 DEFAULT_WINDOW_SWEEP = (30.0, 60.0, 120.0, 180.0, 240.0, 300.0, 360.0, 420.0)
 
-SLOPE_SHORT_MINUTES = 5.0
-SLOPE_LONG_MINUTES = 10.0
-RANKED_CATEGORIES = ("new", "rising", "hot", "top")
+# Network columns do not read the normalized volumes, so no caps bound them.
+_UNCAPPED = NormalizationCaps({m: math.inf for m in METRICS})
 
 
 @dataclass(frozen=True)
@@ -151,104 +153,49 @@ MODALITY_CATALOG: dict[str, tuple[tuple[str, str], ...]] = {
 }
 
 
+def _post_columns(records: Sequence[PostRecord], w: WindowSpec) -> dict[str, np.ndarray]:
+    """The windowed modalities' columns read from each post, not its snapshots."""
+    created = [r.created_utc for r in records]
+    authors = [r.author for r in records]
+    return {
+        "hour_of_day": np.array([float(c.hour) for c in created]),
+        "day_of_week": np.array([float(c.weekday()) for c in created]),
+        "is_weekend": np.array([float(c.weekday() >= 5) for c in created]),
+        "window_minutes": np.full(len(records), float(w.minutes)),
+        "author_account_age_days": np.array([float(a.account_age_days) for a in authors]),
+        "author_is_premium": np.array([float(a.is_premium) for a in authors]),
+        "author_karma_per_day": np.array([float(a.total_karma) / max(a.account_age_days, 1.0) for a in authors]),
+        "author_total_karma": np.array([float(a.total_karma) for a in authors]),
+    }
+
+
+def _windowed_columns(records: Sequence[PostRecord], w: WindowSpec, batch: trajectory.SnapshotBatch) -> dict[str, np.ndarray]:
+    return {**_post_columns(records, w), **trajectory.window_columns(batch, w.minutes)}
+
+
+def _scalar(value):
+    """A kernel cell as the feature dataclasses hold it: a float, a name or None."""
+    if value is None or isinstance(value, str):
+        return value
+    return None if math.isnan(value) else float(value)
+
+
+def _one_row(cls, record: PostRecord, w: WindowSpec, caps: NormalizationCaps):
+    columns = _windowed_columns([record], w, trajectory.pad_snapshots([record], caps))
+    return cls(**{f.name: _scalar(columns[f.name][0]) for f in fields(cls)})
+
+
 def extract_temporal(record: PostRecord, w: WindowSpec, caps: NormalizationCaps) -> TemporalFeatures:
-    """Temporal features over the window; empty windows keep only the
-    submission-time fields and mark every dynamic field missing."""
-    created = record.created_utc
-    out = TemporalFeatures(
-        hour_of_day=float(created.hour),
-        day_of_week=float(created.weekday()),
-        is_weekend=float(created.weekday() >= 5),
-        window_minutes=float(w.minutes),
-    )
-    curve = engagement_curve(record, caps, w.minutes)
-    if curve is None:
-        return out
-    snaps, t, norm, v, a = curve.snapshots, curve.t, curve.norm, curve.velocity, curve.acceleration
-
-    out.norm_score = float(norm[-1])
-    out.norm_comments = curve.norm_comments
-    out.norm_crossposts = curve.norm_crossposts
-    out.upvote_ratio = snaps[-1].upvote_ratio
-    out.category_snapshot = snaps[-1].category
-
-    if len(v):
-        out.peak_velocity = float(np.max(v))
-        out.burst_count = float(trajectory.burst_count(v))
-    if len(a):
-        out.peak_acceleration = float(np.max(a))
-        out.min_acceleration = float(np.min(a))
-
-    out.engagement_auc = trajectory.curve_auc(t, norm, 0.0, w.minutes)
-    out.momentum_ratio = trajectory.momentum_ratio(t, norm, w.minutes)
-    out.half_life_minutes = trajectory.half_life(t, norm, w.minutes)
-    out.timing_entropy = trajectory.timing_entropy(t, norm, w.minutes)
-
-    t_end = float(min(t[-1], w.minutes))
-    for attr, span in (("slope_5min", SLOPE_SHORT_MINUTES), ("slope_10min", SLOPE_LONG_MINUTES)):
-        tail = t >= t_end - span
-        setattr(out, attr, trajectory.least_squares_slope(t[tail], norm[tail]))
-
-    out.time_to_peak = float(t[int(np.argmax(norm))])
-    if curve.takeoff is not None:
-        out.time_to_takeoff, out.takeoff_velocity = curve.takeoff
-
-    for attr, metric in (("first_vote_min", "score"), ("first_comment_min", "comments"), ("first_crosspost_min", "crossposts")):
-        setattr(out, attr, next((float(s.t_minutes) for s in snaps if getattr(s, metric) > 0), None))
-
-    out.transitions_within, time_in = _category_path(snaps, w.minutes)
-    for cat in RANKED_CATEGORIES:
-        setattr(out, f"time_in_{cat}", time_in[cat])
-        setattr(out, f"pct_time_in_{cat}", time_in[cat] / w.minutes)
-    return out
-
-
-def _category_path(snaps: Sequence[EngagementSnapshot], window: float) -> tuple[float, dict[str, float]]:
-    """Category changes between consecutive snapshots, and the left-attributed
-    dwell time per ranked category: the state observed at t_i persists over
-    [t_i, t_{i+1}) and the last one through W; time before the first snapshot
-    stays unattributed ("unknown" absorbs it)."""
-    time_in = {c: 0.0 for c in RANKED_CATEGORIES}
-    ends = [s.t_minutes for s in snaps[1:]] + [window]
-    for snap, end in zip(snaps, ends):
-        if snap.category in time_in:
-            time_in[snap.category] += max(0.0, end - snap.t_minutes)
-    transitions = sum(a.category != b.category for a, b in zip(snaps, snaps[1:]))
-    return float(transitions), time_in
+    """Temporal features over the window, one row of the batched kernel; empty
+    windows keep only the submission-time fields and mark every dynamic field
+    missing."""
+    return _one_row(TemporalFeatures, record, w, caps)
 
 
 def extract_network(record: PostRecord, w: WindowSpec) -> NetworkFeatures:
-    """Author standing plus the category path observed within the window."""
-    author = record.author
-    out = NetworkFeatures(
-        author_account_age_days=float(author.account_age_days),
-        author_is_premium=float(author.is_premium),
-        author_karma_per_day=float(author.total_karma) / max(author.account_age_days, 1.0),
-        author_total_karma=float(author.total_karma),
-    )
-    snaps = observed_by(record, w.minutes)
-    if not snaps:
-        return out
-
-    cats = [s.category for s in snaps]
-    transitions, time_in = _category_path(snaps, w.minutes)
-    out.category_transitions = transitions
-    out.category_stability = 1.0 - transitions / (len(cats) - 1) if len(cats) > 1 else 1.0
-    out.unique_categories = float(len(set(cats)))
-
-    rank = {c: i for i, c in enumerate(RANKED_CATEGORIES)}
-    moves = [rank[b] > rank[a] for a, b in zip(cats, cats[1:]) if a in rank and b in rank and a != b]
-    promotions, demotions = sum(moves), len(moves) - sum(moves)
-    out.promotion_demotion_ratio = promotions / demotions if demotions else float(promotions)
-
-    path = [c for i, c in enumerate(cats) if i == 0 or cats[i - 1] != c]
-    out.progression_pattern = ">".join(path[:4]) + (">+" if len(path) > 4 else "")
-    out.pct_time_in_new = time_in["new"] / w.minutes
-
-    for cat, attr in (("hot", "time_to_hot"), ("rising", "time_to_rising"), ("top", "time_to_top")):
-        hit = next((s.t_minutes for s in snaps if s.category == cat), None)
-        setattr(out, attr, float(hit) if hit is not None else None)
-    return out
+    """Author standing plus the category path observed within the window, one
+    row of the batched kernel (the network columns do not use the caps)."""
+    return _one_row(NetworkFeatures, record, w, _UNCAPPED)
 
 
 def extract_static(record: PostRecord) -> dict[str, dict[str, float | str | None]]:
@@ -405,11 +352,14 @@ def assemble_matrix(
     w: WindowSpec,
     caps: NormalizationCaps,
     include_modalities: Iterable[str] | None = None,
+    batch: trajectory.SnapshotBatch | None = None,
 ) -> FeatureMatrix:
     """One row per record, columns restricted to the requested modalities.
 
     Column order is deterministic: modality in canonical order, then name.
-    Records without a static blob get missing-valued static columns.
+    Records without a static blob get missing-valued static columns. The
+    windowed columns come from the batched kernel over ``batch``, the
+    records' padded snapshots, built here unless the caller already has them.
     """
     include = set(MODALITIES if include_modalities is None else include_modalities)
     unknown = include - set(MODALITIES)
@@ -419,22 +369,18 @@ def assemble_matrix(
         ColumnSpec(f"{m}__{name}", m, kind) for m in MODALITIES if m in include for name, kind in sorted(MODALITY_CATALOG[m])
     ]
 
-    cells: dict[str, list] = {c.name: [] for c in columns}
-    for record in records:
-        values: dict[str, dict[str, float | str | None]] = {}
-        if "temporal" in include:
-            values["temporal"] = extract_temporal(record, w, caps).as_mapping()
-        if "network" in include:
-            values["network"] = extract_network(record, w).as_mapping()
-        if include & set(STATIC_MODALITIES):
-            values.update(extract_static(record))
+    data: dict[str, np.ndarray] = {}
+    if include & set(WINDOWED_MODALITIES):
+        windowed = _windowed_columns(records, w, batch or trajectory.pad_snapshots(records, caps))
+        data.update({c.name: windowed[c.base_name] for c in columns if c.modality in WINDOWED_MODALITIES})
+    if include & set(STATIC_MODALITIES):
+        blobs = [extract_static(record) for record in records]
         for c in columns:
-            cells[c.name].append(values[c.modality][c.base_name])
-
-    data = {
-        c.name: np.array([np.nan if v is None else float(v) for v in cells[c.name]], dtype=np.float64)
-        if c.kind == "numeric"
-        else np.array([None if v is None else str(v) for v in cells[c.name]], dtype=object)
-        for c in columns
-    }
-    return FeatureMatrix([r.post_id for r in records], columns, data)
+            if c.modality in STATIC_MODALITIES:
+                cells = [blob[c.modality][c.base_name] for blob in blobs]
+                data[c.name] = (
+                    np.array([np.nan if v is None else float(v) for v in cells], dtype=np.float64)
+                    if c.kind == "numeric"
+                    else np.array([None if v is None else str(v) for v in cells], dtype=object)
+                )
+    return FeatureMatrix([r.post_id for r in records], columns, {c.name: data[c.name] for c in columns})

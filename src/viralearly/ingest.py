@@ -19,6 +19,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
+import numpy as np
+
 from .errors import DatasetError, SchemaError
 
 CATEGORIES = ("new", "rising", "hot", "top", "unknown")
@@ -122,13 +124,13 @@ class PostRecord:
                 created_utc=_parse_utc(d["created_utc"]),
                 title=str(d["title"]),
                 author=AuthorInfo(
-                    total_karma=int(author["total_karma"]),
+                    total_karma=_count(author["total_karma"], "total_karma"),
                     account_age_days=_finite(author["account_age_days"], "account_age_days"),
                     is_premium=bool(author.get("is_premium", False)),
                 ),
                 subreddit=SubredditInfo(
                     name=str(sub["name"]),
-                    subscribers=int(sub["subscribers"]),
+                    subscribers=_count(sub["subscribers"], "subscribers"),
                     language_group=str(sub.get("language_group", "english")),
                 ),
                 media_type=str(d["media_type"]),
@@ -158,9 +160,9 @@ def _snapshot_from_dict(d: dict[str, Any]) -> EngagementSnapshot:
     ratio = d.get("upvote_ratio")
     return EngagementSnapshot(
         t_minutes=_finite(d["t_minutes"], "t_minutes"),
-        score=int(d["score"]),
-        comments=int(d["comments"]),
-        crossposts=int(d["crossposts"]),
+        score=_count(d["score"], "score"),
+        comments=_count(d["comments"], "comments"),
+        crossposts=_count(d["crossposts"], "crossposts"),
         upvote_ratio=None if ratio is None else _finite(ratio, "upvote_ratio"),
         category=str(d.get("category", "unknown")),
     )
@@ -172,6 +174,17 @@ def _finite(value: Any, name: str) -> float:
     if not math.isfinite(x):
         raise DatasetError(f"{name} is not finite ({value!r})")
     return x
+
+
+def _count(value: Any, name: str) -> int:
+    """``value`` as an int within the float range, which the numeric arrays
+    downstream need; a larger one is a DatasetError naming the field."""
+    n = int(value)
+    try:
+        float(n)
+    except OverflowError:
+        raise DatasetError(f"{name} is too large for a float") from None
+    return n
 
 
 def _format_utc(ts: datetime) -> str:
@@ -396,6 +409,13 @@ class _Document(dict):
     def __missing__(self, key):
         raise SchemaError(f"{self.source} lacks the key {key!r}")
 
+    def object(self, key) -> "_Document":
+        """The object under ``key``; any other value is a SchemaError naming the key and the file."""
+        value = self[key]
+        if not isinstance(value, dict):
+            raise SchemaError(f"{self.source}: {key!r} is not an object")
+        return value
+
 
 def load_document(path: str | Path, what: str, version: int | None) -> dict[str, Any]:
     """The JSON object saved at ``path`` as a ``what`` (e.g. "model file").
@@ -424,10 +444,16 @@ NUMERIC_STATIC_FIELDS = tuple(
 )
 
 
+def observed_count(t: np.ndarray, minutes: float) -> np.ndarray:
+    """How many of each row's time-ordered snapshot times (last axis) a window
+    of ``minutes`` observes: those with t <= ``minutes``, a prefix of the row,
+    so later data is excluded by construction."""
+    return np.count_nonzero(t <= minutes, axis=-1)
+
+
 def observed_by(record: PostRecord, minutes: float) -> tuple[EngagementSnapshot, ...]:
-    """The snapshots with t <= ``minutes``, in order: all that a window of
-    that many minutes may see, so later data is excluded by construction."""
-    return tuple(s for s in record.snapshots if s.t_minutes <= minutes)
+    """The snapshots of a time-ordered record that a window of ``minutes`` observes."""
+    return record.snapshots[: observed_count(np.array([s.t_minutes for s in record.snapshots]), minutes)]
 
 
 def truncate_record(record: PostRecord, minutes: float) -> PostRecord:

@@ -15,6 +15,11 @@ Five steps, fitted on training records only and then applied everywhere:
 
 :class:`LabelingArtifacts` bundles the three fitted artifacts and serializes
 them to a versioned file so labeling runs are auditable and reusable.
+
+The labeling features of step 2 (windowed) and step 3 (over each post's
+full horizon) are read from the batched trajectory kernel
+(:func:`trajectory.labeling_columns`), the same one that yields the temporal
+features, with the window rule of :func:`ingest.observed_count`.
 """
 
 from __future__ import annotations
@@ -30,10 +35,10 @@ import numpy as np
 
 from . import models, trajectory
 from .errors import DegenerateDistributionError, FitError, SchemaError
-from .ingest import EngagementSnapshot, PostRecord, load_document, observed_by
+from .ingest import PostRecord, load_document
+from .trajectory import PER_SUBSCRIBER_SCALE
 
-METRICS = ("score", "comments", "crossposts")
-PER_SUBSCRIBER_SCALE = 100_000.0
+METRICS = trajectory.VOLUME_METRICS
 
 #: Feature set for the auxiliary forest and the hybrid score: normalized
 #: final volumes plus the dynamic shape of the engagement curve.
@@ -52,6 +57,10 @@ ARTIFACTS_FORMAT_VERSION = 1
 # Floor for a percentile cap of zero (e.g. crossposts absent corpus-wide):
 # keeps caps positive while pinning that metric's contribution to ~nothing.
 _MIN_CAP = 1e-9
+
+# Posts padded at a time for the labeling matrices: bounds the padded arrays'
+# memory whatever the corpus size (a row does not depend on its batch).
+_PAD_CHUNK = 128
 
 
 def normalize_metric(raw: float, subscribers: int, cap: float) -> float:
@@ -131,57 +140,22 @@ def make_preliminary_target(
     return labels
 
 
-@dataclass(frozen=True)
-class EngagementCurve:
-    """A post's curve up to a window, the one source of the hybrid score's
-    inputs and of the temporal features; ``norm`` is the capped per-100k score."""
-
-    snapshots: tuple[EngagementSnapshot, ...]
-    t: np.ndarray
-    norm: np.ndarray
-    velocity: np.ndarray
-    acceleration: np.ndarray
-    takeoff: tuple[float, float] | None  # (time, velocity there), None if never
-    norm_comments: float
-    norm_crossposts: float
-
-
-def engagement_curve(record: PostRecord, caps: NormalizationCaps, window_minutes: float | None = None) -> EngagementCurve | None:
-    """The curve over snapshots with t <= W (all when W is None); None if nothing was observed by W."""
-    snaps = record.snapshots if window_minutes is None else observed_by(record, window_minutes)
-    if not snaps:
-        return None
-    subs = record.subreddit.subscribers
-    t = np.array([s.t_minutes for s in snaps])
-    norm = np.array([normalize_metric(s.score, subs, caps.cap_for("score")) for s in snaps])
-    return EngagementCurve(
-        snapshots=snaps,
-        t=t,
-        norm=norm,
-        velocity=trajectory.velocity_series(t, norm)[1],
-        acceleration=trajectory.acceleration_series(t, norm)[1],
-        takeoff=trajectory.takeoff_point(t, norm),
-        norm_comments=normalize_metric(snaps[-1].comments, subs, caps.cap_for("comments")),
-        norm_crossposts=normalize_metric(snaps[-1].crossposts, subs, caps.cap_for("crossposts")),
-    )
-
-
 def labeling_feature_matrix(records: Sequence[PostRecord], caps: NormalizationCaps, window_minutes: float | None = None) -> np.ndarray:
     """Design matrix of :data:`LABELING_FEATURES`, windowed or over the full
-    horizon. Takeoff never reached counts as the horizon; nothing observed in
-    scope counts as zero engagement."""
-    rows = []
-    for record in records:
-        c = engagement_curve(record, caps, window_minutes)
-        if c is None:
-            rows.append([0.0] * 5 + [window_minutes if window_minutes is not None else 0.0])
-            continue
-        horizon = window_minutes if window_minutes is not None else float(c.t[-1])
-        peak_v = float(np.max(c.velocity)) if len(c.velocity) else 0.0
-        peak_a = float(np.max(c.acceleration)) if len(c.acceleration) else 0.0
-        takeoff = c.takeoff[0] if c.takeoff is not None else horizon
-        rows.append([float(c.norm[-1]), c.norm_comments, c.norm_crossposts, peak_v, peak_a, takeoff])
-    return np.array(rows)
+    horizon, from the batched kernel (:func:`trajectory.labeling_columns`).
+    Takeoff never reached counts as the horizon; nothing observed in scope
+    counts as zero engagement."""
+    return _labeling_matrices(records, caps, [window_minutes])[0]
+
+
+def _labeling_matrices(records: Sequence[PostRecord], caps: NormalizationCaps, windows: Sequence[float | None]) -> list[np.ndarray]:
+    """The labeling design matrix at each of ``windows``, padding
+    ``_PAD_CHUNK`` records at a time."""
+    parts = []
+    for i in range(0, max(len(records), 1), _PAD_CHUNK):
+        batch = trajectory.pad_snapshots(records[i : i + _PAD_CHUNK], caps)
+        parts.append([trajectory.labeling_columns(batch, w) for w in windows])
+    return [np.concatenate(matrices) for matrices in zip(*parts)]
 
 
 @dataclass(frozen=True)
@@ -222,8 +196,7 @@ def learn_hybrid_weights(
     config = forest_config or models.default_config("random_forest")
 
     acc = np.zeros(len(LABELING_FEATURES))
-    for w in windows:
-        X = labeling_feature_matrix(train, caps, window_minutes=float(w))
+    for X in _labeling_matrices(train, caps, [float(w) for w in windows]):
         forest = models.train(config, X, prelim, feature_names=list(LABELING_FEATURES))
         acc += forest.importances
     acc /= len(windows)
@@ -369,21 +342,24 @@ class LabelingArtifacts:
     @classmethod
     def load(cls, path: str | Path) -> "LabelingArtifacts":
         doc = load_document(path, "labeling file", ARTIFACTS_FORMAT_VERSION)
-        hw = doc["hybrid_weights"]
-        th = doc["threshold"]
-        unknown = set(hw["weights"]) - set(LABELING_FEATURES)
+        hw, th = doc.object("hybrid_weights"), doc.object("threshold")
+        weights = hw.object("weights")
+        unknown = set(weights) - set(LABELING_FEATURES)
         if unknown:
             raise SchemaError(f"unknown labeling features {sorted(unknown)} in artifacts")
+        centroids = th["centroids"]
+        if not (isinstance(centroids, list) and len(centroids) == 2):
+            raise SchemaError(f"{th.source}: 'centroids' is not a two-element list")
         return cls(
-            caps=NormalizationCaps({k: float(v) for k, v in doc["caps"].items()}),
+            caps=NormalizationCaps({k: float(v) for k, v in doc.object("caps").items()}),
             weights=HybridWeights(
                 # LABELING_FEATURES order, as a fit has it: the scores sum in key order
-                weights={k: float(hw["weights"][k]) for k in LABELING_FEATURES if k in hw["weights"]},
+                weights={k: float(weights[k]) for k in LABELING_FEATURES if k in weights},
                 source_windows=tuple(float(w) for w in hw["source_windows"]),
             ),
             threshold=ViralityThreshold(
                 tau=float(th["tau"]),
-                centroids=(float(th["centroids"][0]), float(th["centroids"][1])),
+                centroids=(float(centroids[0]), float(centroids[1])),
                 fitted_on=str(th["fitted_on"]),
             ),
         )

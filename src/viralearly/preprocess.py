@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -153,10 +154,9 @@ def transform(model: PreprocessModel, matrix: FeatureMatrix) -> TransformedMatri
         else:
             vocab = model.vocab[col.name]
             index = {tok: i for i, tok in enumerate(vocab)}
-            missing_idx = index[MISSING_TOKEN]
-            idx = np.array(
-                [index.get(v, missing_idx) if v is not None else missing_idx for v in values]
-            )
+            # None and unseen values take the missing token's column; the
+            # lookups run inside fromiter, with no Python step per row
+            idx = np.fromiter(map(index.get, values, repeat(index[MISSING_TOKEN])), np.intp, len(values))
             onehot = np.zeros((len(values), len(vocab)))
             onehot[np.arange(len(values)), idx] = 1.0
             blocks.append(onehot)

@@ -83,6 +83,25 @@ class TestExitCodes:
         assert f"error: line 6: {message}" in err
         assert not (tmp_path / "lab" / "labels.csv").exists()
 
+    @pytest.mark.parametrize("field", ["score", "comments", "crossposts", "subscribers", "total_karma"])
+    def test_count_too_large_for_a_float_is_data_error(self, synth_dir, tmp_path, capsys, field):
+        lines = (synth_dir / "posts.jsonl").read_text(encoding="utf-8").splitlines()
+        doc = json.loads(lines[5])
+        assert doc["post_id"] == "p000005"
+        owner = {"subscribers": doc["subreddit"], "total_karma": doc["author"]}.get(field, doc["snapshots"][-1])
+        owner[field] = 10**400
+        lines[5] = json.dumps(doc)
+        path = tmp_path / "posts.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        message = f"line 6: bad post record: {field} is too large for a float"
+        assert main(["validate", "--data", str(path)]) == 2
+        assert f"parse {message}" in capsys.readouterr().out
+        assert main(["label", "--data", str(path), "--out", str(tmp_path / "lab")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
 
 class TestSynthCommand:
     def test_outputs_written(self, synth_dir):
@@ -284,11 +303,21 @@ class TestFeatureTrainEvaluate:
             ("model", None),
             ("labeling", None),
             ("manifest", None),
+            # a last item that is not a key: the value the key gets instead
+            ("labeling", "caps", []),
+            ("labeling", "hybrid_weights", 1),
+            ("labeling", "hybrid_weights", "weights", []),
+            ("labeling", "threshold", 0.5),
+            ("labeling", "threshold", "centroids", [0.5]),
+            ("labeling", "threshold", "centroids", {"low": 0.1, "high": 0.9}),
         ],
     )
     def test_file_without_a_key_is_data_error(self, synth_dir, trained_flow, tmp_path, capsys, drop):
         lab, feats, trained = trained_flow
         kind, *keys = drop
+        replaced = len(keys) > 1 and not isinstance(keys[-1], str)
+        if replaced:
+            *keys, value = keys
         source = {
             "model": trained / "model.json",
             "labeling": lab / "labeling.json",
@@ -302,7 +331,10 @@ class TestFeatureTrainEvaluate:
             parent = doc
             for key in keys[:-1]:
                 parent = parent[key]
-            del parent[keys[-1]]
+            if replaced:
+                parent[keys[-1]] = value
+            else:
+                del parent[keys[-1]]
         broken = tmp_path / source.name
         broken.write_text(json.dumps(doc), encoding="utf-8")
         if kind == "labeling":
@@ -317,8 +349,12 @@ class TestFeatureTrainEvaluate:
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
-        expected = "does not hold a JSON object" if keys == [None] else f"lacks the key {keys[-1]!r}"
-        assert f"{broken} {expected}" in err
+        if replaced:
+            kind_of = "a two-element list" if keys[-1] == "centroids" else "an object"
+            assert f"{broken}: {keys[-1]!r} is not {kind_of}" in err
+        else:
+            expected = "does not hold a JSON object" if keys == [None] else f"lacks the key {keys[-1]!r}"
+            assert f"{broken} {expected}" in err
         assert "Traceback" not in err
 
 

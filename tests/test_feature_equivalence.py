@@ -1,8 +1,13 @@
-"""The shared engagement curve and the once-per-split static columns against
+"""The batched trajectory kernel and the once-per-split static columns against
 the per-record derivations they replaced (``oracles``): exact equality,
-missing-value pattern and column order included."""
+missing-value pattern and column order included. The ragged corpus gives the
+posts different snapshot times and counts, so every window groups its rows by
+several observed lengths."""
 
 import math
+from dataclasses import replace
+
+import numpy as np
 
 import pytest
 
@@ -46,10 +51,23 @@ def hand_made_records():
     ]
 
 
-@pytest.fixture(scope="module", params=["temporal", "mixed"])
+def ragged(records, seed=11):
+    """The records with a seeded share of each post's snapshots dropped, the
+    first one included, so no two posts need share a poll grid."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for r in records:
+        keep = rng.random(len(r.snapshots)) < rng.uniform(0.2, 1.0)
+        keep[-1] = True
+        out.append(replace(r, snapshots=tuple(s for s, k in zip(r.snapshots, keep) if k)))
+    return out
+
+
+@pytest.fixture(scope="module", params=["temporal", "mixed", "ragged"])
 def corpus(request):
-    records, _ = synth.generate(synth.SynthConfig(n_posts=300, viral_frac=0.06, signal=request.param, seed=3))
-    return records
+    signal = "temporal" if request.param == "ragged" else request.param
+    records, _ = synth.generate(synth.SynthConfig(n_posts=300, viral_frac=0.06, signal=signal, seed=3))
+    return ragged(records) if request.param == "ragged" else records
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from viralearly import ingest, trajectory
+from viralearly import ingest
 from viralearly.errors import ConfigError
 from viralearly.labeling import NormalizationCaps, normalize_metric
 from viralearly.synth import SynthConfig, generate, mock_static_extractor, poll_grid
+
+import oracles
 
 
 class TestConfig:
@@ -84,8 +86,8 @@ class TestTrajectoryShape:
             norm = np.array(
                 [normalize_metric(s.score, record.subreddit.subscribers, 1e12) for s in record.snapshots]
             )
-            point = trajectory.takeoff_point(t, norm)
-            tv, v = trajectory.velocity_series(t, norm)
+            point = oracles.takeoff_point(t, norm)
+            tv, v = oracles.velocity_series(t, norm)
             if point is None or len(v) == 0:
                 continue
             takeoffs.append(point[0])
