@@ -201,15 +201,11 @@ def _write_run_manifest(
     """``run_manifest.json``, or for a study the command and params added to
     its own manifest; ``outcome`` holds what the run counted, if anything."""
     path = out / (f"{study}_manifest.json" if study else "run_manifest.json")
-    doc = json.loads(path.read_text(encoding="utf-8")) if study else {"package_version": __version__}
+    doc = ingest.load_document(path, "study manifest", None) if study else {"package_version": __version__}
     doc.update(command=command, params=params)
     if outcome is not None:
         doc["outcome"] = outcome
     path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=str), encoding="utf-8")
-
-
-def _load_records(path: Path) -> list[ingest.PostRecord]:
-    return list(ingest.parse_dataset(path))
 
 
 def _labels_for(path: Path, row_ids: list[str]) -> np.ndarray:
@@ -321,7 +317,7 @@ def cmd_collect(args, cfg) -> int:
 def cmd_label(args, cfg) -> int:
     out = _out_dir(args, cfg, "label")
     seed = _seed(args, cfg, "label")
-    records = _load_records(args.data)
+    records = list(ingest.parse_dataset(args.data))
     windows = _floats(_get(args.weight_windows, cfg, "label", "weight_windows", "30,60,120"))
     data = experiments.prepare(
         records,
@@ -362,7 +358,7 @@ def cmd_label(args, cfg) -> int:
 
 def cmd_features(args, cfg) -> int:
     out = _out_dir(args, cfg, "features")
-    records = _load_records(args.data)
+    records = list(ingest.parse_dataset(args.data))
     artifacts = LabelingArtifacts.load(args.artifacts)
     window = _get(args.window, cfg, "features", "window", 120.0, float)
     modalities = _strings(_get(args.modalities, cfg, "features", "modalities", ",".join(MODALITIES)))
@@ -419,7 +415,7 @@ def cmd_evaluate(args, cfg) -> int:
 def cmd_sweep(args, cfg) -> int:
     out = _out_dir(args, cfg, "sweep")
     seed = _seed(args, cfg, "sweep")
-    records = _load_records(args.data)
+    records = list(ingest.parse_dataset(args.data))
     windows = _floats(_get(args.windows, cfg, "sweep", "windows", DEFAULT_WINDOW_SWEEP, _floats))
     kinds = _strings(_get(args.models, cfg, "sweep", "models", ",".join(experiments.SWEEP_MODELS)))
     data = _prepare_from_args(args, cfg, "sweep", records, seed)
@@ -442,7 +438,7 @@ def cmd_sweep(args, cfg) -> int:
 def cmd_ablate(args, cfg) -> int:
     out = _out_dir(args, cfg, "ablate")
     seed = _seed(args, cfg, "ablate")
-    records = _load_records(args.data)
+    records = list(ingest.parse_dataset(args.data))
     window = _get(args.window, cfg, "ablate", "window", experiments.ABLATION_WINDOW_MINUTES, float)
     data = _prepare_from_args(args, cfg, "ablate", records, seed)
     rows = experiments.run_ablation(records, window=window, seed=seed, out_dir=out, data=data)
@@ -454,7 +450,7 @@ def cmd_ablate(args, cfg) -> int:
 def cmd_importance(args, cfg) -> int:
     out = _out_dir(args, cfg, "importance")
     seed = _seed(args, cfg, "importance")
-    records = _load_records(args.data)
+    records = list(ingest.parse_dataset(args.data))
     windows = _floats(_get(args.windows, cfg, "importance", "windows", DEFAULT_WINDOW_SWEEP, _floats))
     top_k = _get(args.top_k, cfg, "importance", "top_k", experiments.DEFAULT_TOP_K, int)
     data = _prepare_from_args(args, cfg, "importance", records, seed)

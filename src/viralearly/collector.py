@@ -10,8 +10,6 @@ time in tests and wall-clock time in production.
 from __future__ import annotations
 
 import email.utils
-import json
-import math
 import time as _time
 import urllib.error
 import urllib.request
@@ -20,7 +18,7 @@ from datetime import datetime, timezone
 from typing import Protocol, Sequence
 
 from .errors import ConfigError
-from .ingest import EngagementSnapshot, PostRecord
+from .ingest import EngagementSnapshot, PostRecord, decode_json, parse_dataset, read_engagement, read_flag, read_object
 
 #: (max_age_minutes, interval_minutes) tiers: 5-minute polls for the first
 #: two hours, 15 minutes up to eight hours, hourly through the first day and
@@ -236,8 +234,6 @@ class FileReplaySource:
 
     @classmethod
     def from_dataset(cls, path, clock: Clock) -> "FileReplaySource":
-        from .ingest import parse_dataset
-
         return cls(list(parse_dataset(path)), clock)
 
     def fetch(self, post_id: str) -> PollResult:
@@ -269,13 +265,14 @@ class FileReplaySource:
 class HttpPollingSource:
     """Polls ``GET {base_url}/{post_id}`` for a JSON post state.
 
-    Expected body: score, comments, crossposts, category, optional
-    upvote_ratio, removed. 429/503 responses honor Retry-After (seconds or
-    an HTTP-date) via :class:`RateLimitedError`; 404/410 are permanent; other
-    failures are transient, and so is a body that is not a JSON object,
-    lacks a numeric score, comments or crossposts, or has an upvote_ratio
-    that is not a number in [0, 1]. ``auth_header`` is passed through
-    verbatim as Authorization.
+    Expected body: a snapshot's engagement state, read as a dataset's is
+    (:func:`ingest.read_engagement`: integer counts score, comments and
+    crossposts, optional category and upvote_ratio in [0, 1]), and an optional
+    true/false removed. 429/503 responses honor Retry-After (seconds or an
+    HTTP-date) via :class:`RateLimitedError`; 404/410 are permanent; other
+    failures are transient, and so is a body that is not valid JSON (a ``NaN``
+    token included) or holds a bad value, such as a count of ``12.9``, ``"12"``
+    or ``true``. ``auth_header`` is passed through verbatim as Authorization.
     """
 
     def __init__(self, base_url: str, auth_header: str | None = None, timeout_seconds: float = 10.0):
@@ -300,31 +297,11 @@ class HttpPollingSource:
         except (urllib.error.URLError, TimeoutError) as exc:
             raise TransientSourceError(str(exc)) from exc
         try:
-            payload = json.loads(body.decode("utf-8"))
-        except ValueError as exc:  # undecodable bytes or invalid JSON
+            payload = read_object(decode_json(body.decode("utf-8")), "body")
+            score, comments, crossposts, ratio, category = read_engagement(payload)
+            return PollResult(score, comments, crossposts, category, ratio, read_flag(payload.get("removed", False), "removed"))
+        except ValueError as exc:  # undecodable bytes, invalid JSON or a bad value
             raise TransientSourceError(f"unreadable body for {post_id}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise TransientSourceError(f"body for {post_id} is not a JSON object")
-        counts = [payload.get(key) for key in ("score", "comments", "crossposts")]
-        if not all(_finite_number(v) for v in counts):
-            raise TransientSourceError(f"missing or non-numeric counts for {post_id}: {counts}")
-        ratio = payload.get("upvote_ratio")
-        if ratio is not None and not (_finite_number(ratio) and 0.0 <= ratio <= 1.0):
-            raise TransientSourceError(f"upvote_ratio for {post_id} is not a number in [0, 1]: {ratio!r}")
-        score, comments, crossposts = (int(v) for v in counts)
-        return PollResult(
-            score=score,
-            comments=comments,
-            crossposts=crossposts,
-            category=str(payload.get("category", "unknown")),
-            upvote_ratio=ratio,
-            removed=bool(payload.get("removed", False)),
-        )
-
-
-def _finite_number(value) -> bool:
-    """A JSON number that is finite; JSON booleans do not count."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _retry_after_minutes(value: str | None) -> float | None:

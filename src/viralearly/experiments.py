@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, evaluation, models, preprocess, trajectory
 from .features import DEFAULT_WINDOW_SWEEP, MODALITIES, STATIC_MODALITIES, WINDOWED_MODALITIES, FeatureMatrix, WindowSpec, assemble_matrix
 from .ingest import PostRecord
-from .labeling import DEFAULT_WEIGHT_WINDOWS, LabelingArtifacts
+from .labeling import DEFAULT_WEIGHT_WINDOWS, LabelingArtifacts, assign_labels, score_records
 
 SWEEP_MODELS = ("logreg", "gbt", "mlp")
 ABLATION_WINDOW_MINUTES = 120.0
@@ -63,11 +63,11 @@ def prepare(
     by_id = {r.post_id: r for r in records}
     train = [by_id[i] for i in split.train_ids]
     test = [by_id[i] for i in split.test_ids]
-    if artifacts is None:
-        artifacts = LabelingArtifacts.fit(
-            train, windows=weight_windows, top_frac=top_frac, forest_config=forest_config
-        )
-    scores_train, y_train = artifacts.label_records(train)
+    fitted = artifacts is None
+    if fitted:
+        artifacts = LabelingArtifacts.fit(train, windows=weight_windows, top_frac=top_frac, forest_config=forest_config)
+    scores_train = artifacts.train_scores if fitted else score_records(train, artifacts.caps, artifacts.weights)
+    y_train = assign_labels(scores_train, artifacts.threshold.tau)
     scores_test, y_test = artifacts.label_records(test)
     return PreparedData(
         train_records=train,
@@ -305,10 +305,7 @@ def read_csv(path: str | Path) -> list[dict]:
 
 
 def _config_hash(config: models.ModelConfig) -> str:
-    payload = json.dumps(
-        {"kind": config.kind, "seed": config.seed, "params": models._jsonable(config.resolved_params())},
-        sort_keys=True,
-    )
+    payload = json.dumps({"kind": config.kind, "seed": config.seed, "params": config.resolved_params()}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

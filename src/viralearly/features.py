@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import trajectory
 from .errors import ConfigError, DatasetError, SchemaError
-from .ingest import STATIC_FEATURE_SCHEMA, PostRecord, coerce_static, load_document
+from .ingest import STATIC_FEATURE_SCHEMA, PostRecord, coerce_static, load_document, read_text
 from .labeling import METRICS, NormalizationCaps
 
 WINDOWED_MODALITIES = ("temporal", "network")
@@ -201,15 +201,10 @@ def extract_network(record: PostRecord, w: WindowSpec) -> NetworkFeatures:
 def extract_static(record: PostRecord) -> dict[str, dict[str, float | str | None]]:
     """Static blob pass-through per modality catalog, plus local title fallbacks."""
     blob = record.static_features or {}
-    out: dict[str, dict[str, float | str | None]] = {}
-    for modality in STATIC_MODALITIES:
-        values: dict[str, float | str | None] = {}
-        for name, kind in MODALITY_CATALOG[modality]:
-            value = coerce_static(blob.get(name), kind)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DatasetError(f"post {record.post_id}: static feature {name!r} is not finite ({value})")
-            values[name] = value
-        out[modality] = values
+    try:
+        out = {m: {name: coerce_static(blob.get(name), kind, name) for name, kind in MODALITY_CATALOG[m]} for m in STATIC_MODALITIES}
+    except DatasetError as exc:
+        raise DatasetError(f"post {record.post_id}: {exc}") from None
     textual = out["textual"]
     if textual["title_word_count"] is None:
         textual["title_word_count"] = float(len(record.title.split()))
@@ -229,6 +224,11 @@ class ColumnSpec:
     @property
     def base_name(self) -> str:
         return self.name.split("__", 1)[1]
+
+    @classmethod
+    def read(cls, doc) -> "ColumnSpec":
+        """The column saved as an object of a file read by :func:`ingest.load_document`."""
+        return cls(*(doc.read(key, read_text) for key in ("name", "modality", "kind")))
 
 
 class FeatureMatrix:
@@ -307,16 +307,7 @@ class FeatureMatrix:
                 writer.writerow(row)
         manifest = path.with_suffix(".manifest.json")
         manifest.write_text(
-            json.dumps(
-                {
-                    "n_rows": self.n_rows,
-                    "columns": [
-                        {"name": c.name, "modality": c.modality, "kind": c.kind} for c in self.columns
-                    ],
-                },
-                indent=2,
-            ),
-            encoding="utf-8",
+            json.dumps({"n_rows": self.n_rows, "columns": [asdict(c) for c in self.columns]}, indent=2), encoding="utf-8"
         )
         return manifest
 
@@ -324,7 +315,7 @@ class FeatureMatrix:
     def from_csv(cls, path: str | Path) -> "FeatureMatrix":
         path = Path(path)
         manifest = load_document(path.with_suffix(".manifest.json"), "feature-matrix manifest", None)
-        columns = [ColumnSpec(c["name"], c["modality"], c["kind"]) for c in manifest["columns"]]
+        columns = [ColumnSpec.read(c) for c in manifest.objects("columns")]
         by_name = {c.name: c for c in columns}
         row_ids: list[str] = []
         raw: dict[str, list] = {c.name: [] for c in columns}

@@ -1,9 +1,13 @@
 """Dataset schema, line-delimited parsing, validation, and quality filters,
-plus the one reader of the JSON documents the pipeline saves.
+plus the one reader of every JSON value from outside the program.
 
 One post per line, UTF-8 JSON, snapshots embedded. The full field contract
 (including the static-feature blob names) is documented in
 ``data/post_record.schema.json``; :func:`dataset_schema` returns it parsed.
+
+Dataset lines, HTTP post states and saved files are all decoded by
+:func:`decode_json` and their values read by the ``read_*`` functions, each
+checking one JSON type and raising the boundary's error naming the field.
 
 Nothing in this module looks at labels or the train/test split: ingestion is
 split-agnostic by construction.
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -93,16 +97,8 @@ class PostRecord:
             "post_id": self.post_id,
             "created_utc": _format_utc(self.created_utc),
             "title": self.title,
-            "author": {
-                "total_karma": self.author.total_karma,
-                "account_age_days": self.author.account_age_days,
-                "is_premium": self.author.is_premium,
-            },
-            "subreddit": {
-                "name": self.subreddit.name,
-                "subscribers": self.subreddit.subscribers,
-                "language_group": self.subreddit.language_group,
-            },
+            "author": asdict(self.author),
+            "subreddit": asdict(self.subreddit),
             "media_type": self.media_type,
             "media_url": self.media_url,
             "removed": self.removed,
@@ -115,31 +111,30 @@ class PostRecord:
     @classmethod
     def from_json_dict(cls, d: dict[str, Any]) -> "PostRecord":
         try:
-            author = d["author"]
-            sub = d["subreddit"]
-            if not isinstance(d.get("static_features"), (dict, type(None))):
-                raise TypeError("static_features is not an object")
+            author = read_object(d["author"], "author")
+            sub = read_object(d["subreddit"], "subreddit")
+            media_url, static = d.get("media_url"), d.get("static_features")
             return cls(
-                post_id=str(d["post_id"]),
-                created_utc=_parse_utc(d["created_utc"]),
-                title=str(d["title"]),
+                post_id=read_text(d["post_id"], "post_id"),
+                created_utc=_parse_utc(read_text(d["created_utc"], "created_utc")),
+                title=read_text(d["title"], "title"),
                 author=AuthorInfo(
-                    total_karma=_count(author["total_karma"], "total_karma"),
-                    account_age_days=_finite(author["account_age_days"], "account_age_days"),
-                    is_premium=bool(author.get("is_premium", False)),
+                    total_karma=read_int(author["total_karma"], "total_karma"),
+                    account_age_days=read_number(author["account_age_days"], "account_age_days"),
+                    is_premium=read_flag(author.get("is_premium", False), "is_premium"),
                 ),
                 subreddit=SubredditInfo(
-                    name=str(sub["name"]),
-                    subscribers=_count(sub["subscribers"], "subscribers"),
-                    language_group=str(sub.get("language_group", "english")),
+                    name=read_text(sub["name"], "name"),
+                    subscribers=read_int(sub["subscribers"], "subscribers"),
+                    language_group=read_text(sub.get("language_group", "english"), "language_group"),
                 ),
-                media_type=str(d["media_type"]),
-                media_url=d.get("media_url"),
-                removed=bool(d.get("removed", False)),
-                snapshots=tuple(_snapshot_from_dict(s) for s in d["snapshots"]),
-                static_features=d.get("static_features"),
+                media_type=read_text(d["media_type"], "media_type"),
+                media_url=None if media_url is None else read_text(media_url, "media_url"),
+                removed=read_flag(d.get("removed", False), "removed"),
+                snapshots=tuple(_snapshot_from_dict(s) for s in read_list(d["snapshots"], "snapshots")),
+                static_features=None if static is None else read_object(static, "static_features"),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, ValueError) as exc:  # a missing key, a bad value or timestamp
             raise DatasetError(f"bad post record: {exc}") from exc
 
 
@@ -156,60 +151,95 @@ def _snapshot_to_dict(s: EngagementSnapshot) -> dict[str, Any]:
     return d
 
 
-def _snapshot_from_dict(d: dict[str, Any]) -> EngagementSnapshot:
+def _snapshot_from_dict(d: Any) -> EngagementSnapshot:
+    d = read_object(d, "snapshot")
+    return EngagementSnapshot(read_number(d.get("t_minutes"), "t_minutes"), *read_engagement(d))
+
+
+def read_engagement(d: dict) -> tuple[int, int, int, float | None, str]:
+    """The score, comments, crossposts, upvote_ratio (optional, in [0, 1])
+    and category of a snapshot or an HTTP post state, read from its JSON
+    object ``d``; in :class:`EngagementSnapshot` field order."""
     ratio = d.get("upvote_ratio")
-    return EngagementSnapshot(
-        t_minutes=_finite(d["t_minutes"], "t_minutes"),
-        score=_count(d["score"], "score"),
-        comments=_count(d["comments"], "comments"),
-        crossposts=_count(d["crossposts"], "crossposts"),
-        upvote_ratio=None if ratio is None else _finite(ratio, "upvote_ratio"),
-        category=str(d.get("category", "unknown")),
+    if ratio is not None:
+        ratio = read_number(ratio, "upvote_ratio")
+        if not 0.0 <= ratio <= 1.0:
+            raise DatasetError(f"upvote_ratio is not in [0, 1] ({ratio!r})")
+    return (
+        read_int(d.get("score"), "score"),
+        read_int(d.get("comments"), "comments"),
+        read_int(d.get("crossposts"), "crossposts"),
+        ratio,
+        read_text(d.get("category", "unknown"), "category"),
     )
 
 
-def _finite(value: Any, name: str) -> float:
-    """``value`` as a float; NaN or infinity is a DatasetError naming the field."""
-    x = float(value)
-    if not math.isfinite(x):
-        raise DatasetError(f"{name} is not finite ({value!r})")
-    return x
-
-
-def _count(value: Any, name: str) -> int:
-    """``value`` as an int within the float range, which the numeric arrays
-    downstream need; a larger one is a DatasetError naming the field."""
-    n = int(value)
+def read_int(value: Any, name: str, error: type[ValueError] = DatasetError) -> int:
+    """A count: a JSON integer, or a float with no fractional part, within
+    the float range the numeric arrays downstream need."""
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise error(f"{name} is not an integer ({value!r})")
     try:
-        float(n)
+        float(value)
     except OverflowError:
-        raise DatasetError(f"{name} is too large for a float") from None
-    return n
+        raise error(f"{name} is too large for a float") from None
+    return value
+
+
+def read_number(value: Any, name: str, error: type[ValueError] = DatasetError) -> float:
+    """A finite JSON number as a float."""
+    if type(value) is int:
+        return float(read_int(value, name, error))
+    if type(value) is not float or not math.isfinite(value):
+        raise error(f"{name} is not a finite number ({value!r})")
+    return value
+
+
+def _reader(json_type: type, what: str) -> Callable:
+    def read(value: Any, name: str, error: type[ValueError] = DatasetError):
+        if type(value) is not json_type:
+            raise error(f"{name} is not {what}")
+        return value
+
+    read.__doc__ = f"``value`` when it is {what}, else an ``error`` naming the field."
+    return read
+
+
+read_flag = _reader(bool, "true or false")
+read_text = _reader(str, "a string")
+read_object = _reader(dict, "an object")
+
+
+def read_list(value: Any, name: str, error: type[ValueError] = DatasetError, item=None, length: int | None = None) -> list:
+    """A JSON list, of ``length`` items when given, each read by the reader ``item`` when given."""
+    if type(value) is not list or length not in (None, len(value)):
+        raise error(f"{name} is not a list" + ("" if length is None else f" of length {length}"))
+    return value if item is None else [item(v, f"{name}[{i}]", error) for i, v in enumerate(value)]
+
+
+def _utc(ts: datetime) -> datetime:
+    """``ts`` in UTC; a time without a zone is taken as UTC."""
+    return (ts.replace(tzinfo=timezone.utc) if ts.tzinfo is None else ts).astimezone(timezone.utc)
 
 
 def _format_utc(ts: datetime) -> str:
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    ts = ts.astimezone(timezone.utc)
-    out = ts.strftime("%Y-%m-%dT%H:%M:%S")
-    if ts.microsecond:
-        out += f".{ts.microsecond:06d}"
-    return out + "Z"
+    return _utc(ts).isoformat().replace("+00:00", "Z")
 
 
 def _parse_utc(raw: str) -> datetime:
-    ts = datetime.fromisoformat(str(raw).replace("Z", "+00:00"))
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    return _utc(datetime.fromisoformat(raw.replace("Z", "+00:00")))
 
 
 def _reject_constant(token: str):
     raise DatasetError(f"{token} is not a JSON number")
 
 
-# RFC 8259 has no NaN or Infinity, which json reads unless told otherwise
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+#: The one JSON decoder for input from outside: ``decode_json(text)``. RFC 8259
+#: has no NaN or Infinity, which json reads unless told otherwise; such a
+#: token is a DatasetError, any other invalid JSON a ``json.JSONDecodeError``.
+decode_json = json.JSONDecoder(parse_constant=_reject_constant).decode
 
 
 @dataclass(frozen=True)
@@ -229,9 +259,9 @@ def parse_dataset(
 ) -> Iterator[PostRecord]:
     """Stream post records from a line-delimited dataset file.
 
-    Malformed lines (a ``NaN`` or ``Infinity`` token or a non-finite value
-    included) are routed to ``on_error`` with their line number and parsing
-    continues; without an error channel the first malformed line
+    Malformed lines (a ``NaN`` or ``Infinity`` token or a value of the wrong
+    JSON type included) are routed to ``on_error`` with their line number and
+    parsing continues; without an error channel the first malformed line
     raises :class:`DatasetError` so nothing is dropped silently. An unreadable
     file raises ``OSError``.
     """
@@ -240,11 +270,8 @@ def parse_dataset(
             if not line.strip():
                 continue
             try:
-                payload = _DECODER.decode(line)
-                if not isinstance(payload, dict):
-                    raise DatasetError("record is not an object")
-                yield PostRecord.from_json_dict(payload)
-            except (json.JSONDecodeError, DatasetError) as exc:
+                yield PostRecord.from_json_dict(read_object(decode_json(line), "record"))
+            except ValueError as exc:  # invalid JSON (an integer of over 4300 digits included) or a bad value
                 diag = ParseDiagnostic(line_no=line_no, message=str(exc))
                 if on_error is None:
                     raise DatasetError(str(diag)) from exc
@@ -366,74 +393,79 @@ def validate_record(record: PostRecord) -> ValidationReport:
         if snap.category not in CATEGORIES:
             v.append(f"unknown category {snap.category!r} at index {i}")
             break
-    for i, snap in enumerate(record.snapshots):
-        if snap.upvote_ratio is not None and not 0.0 <= snap.upvote_ratio <= 1.0:
-            v.append(f"upvote_ratio outside [0, 1] at index {i}")
-            break
     blob = record.static_features or {}
     for name in NUMERIC_STATIC_FIELDS:
-        value = coerce_static(blob.get(name), "numeric")
-        if isinstance(value, float) and not math.isfinite(value):
-            v.append(f"static feature {name!r} is not finite ({value})")
+        try:
+            coerce_static(blob.get(name), "numeric", name)
+        except DatasetError as exc:
+            v.append(str(exc))
     return report
 
 
-def coerce_static(value: Any, kind: str) -> float | str | None:
+def coerce_static(value: Any, kind: str, name: str) -> float | str | None:
     """A static-feature value as read downstream: a number (unreadable ones
-    are missing) or a category string; None stays missing."""
+    are missing) or a category string; None stays missing. A number that is
+    not finite (NaN, infinity, an integer beyond the float range) is a
+    DatasetError naming the field."""
     if value is None:
         return None
-    if kind == "numeric":
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            return None
-        except OverflowError:  # an integer beyond the float range
-            return math.inf if value > 0 else -math.inf
-    return str(value)
+    if kind != "numeric":
+        return str(value)
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        return None
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf if value > 0 else -math.inf
+    if not math.isfinite(x):
+        raise DatasetError(f"static feature {name!r} is not finite ({x})")
+    return x
 
 
 def dataset_schema() -> dict[str, Any]:
     """Return the shipped JSON schema for the dataset line format."""
-    text = resources.files("viralearly").joinpath("data/post_record.schema.json").read_text("utf-8")
-    return json.loads(text)
+    return decode_json(resources.files("viralearly").joinpath("data/post_record.schema.json").read_text("utf-8"))
 
 
 class _Document(dict):
-    """An object of a saved JSON document; a key it lacks is a SchemaError."""
+    """An object of a saved JSON document; a key it lacks is a SchemaError naming the key and the file."""
 
-    def __init__(self, pairs, source: str):
-        super().__init__(pairs)
+    def __init__(self, mapping: dict, source: str):
+        super().__init__(mapping)
         self.source = source
 
     def __missing__(self, key):
         raise SchemaError(f"{self.source} lacks the key {key!r}")
 
-    def object(self, key) -> "_Document":
-        """The object under ``key``; any other value is a SchemaError naming the key and the file."""
-        value = self[key]
-        if not isinstance(value, dict):
-            raise SchemaError(f"{self.source}: {key!r} is not an object")
-        return value
+    def read(self, key: str, reader: Callable, **options):
+        """The value under ``key`` read by ``reader``, a ``read_*`` function taking ``options``."""
+        return reader(self[key], f"{self.source}: {key!r}", SchemaError, **options)
+
+    def object(self, key: str) -> "_Document":
+        """The object under ``key``."""
+        return _Document(self.read(key, read_object), self.source)
+
+    def objects(self, key: str) -> list["_Document"]:
+        """The list of objects under ``key``."""
+        return [_Document(v, self.source) for v in self.read(key, read_list, item=read_object)]
 
 
-def load_document(path: str | Path, what: str, version: int | None) -> dict[str, Any]:
-    """The JSON object saved at ``path`` as a ``what`` (e.g. "model file").
-
-    It must be an object whose ``format_version`` is ``version`` (None: the
-    format has none), and indexing any object in it by a key it lacks raises
-    :class:`SchemaError` naming the key and the file.
-    """
+def load_document(path: str | Path, what: str, version: int | None) -> _Document:
+    """The JSON object saved at ``path`` as a ``what`` (e.g. "model file"),
+    whose ``format_version`` must be ``version`` (None: the format has none).
+    A key it lacks or a value :meth:`_Document.read` rejects is a
+    :class:`SchemaError` naming the key and the file."""
     source = f"{what} {path}"
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=lambda pairs: _Document(pairs, source))
-    except json.JSONDecodeError as exc:
+        doc = decode_json(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes, invalid JSON or a NaN/Infinity token
         raise SchemaError(f"{source} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{source} does not hold a JSON object")
-    if version is not None and doc.get("format_version") != version:
-        raise SchemaError(f"unsupported {what} version {doc.get('format_version')!r}")
-    return doc
+    found = doc.get("format_version")
+    if version is not None and (found != version or type(found) is bool):  # true == 1 in Python
+        raise SchemaError(f"unsupported {what} version {found!r} in {path}")
+    return _Document(doc, source)
 
 
 #: The known static-feature keys in schema order, each with its JSON type and ``x-modality``.

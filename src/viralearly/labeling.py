@@ -27,15 +27,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import models, trajectory
-from .errors import DegenerateDistributionError, FitError, SchemaError
-from .ingest import PostRecord, load_document
+from .errors import DatasetError, DegenerateDistributionError, FitError, SchemaError
+from .ingest import PostRecord, load_document, read_list, read_number, read_text
 from .trajectory import PER_SUBSCRIBER_SCALE
 
 METRICS = trajectory.VOLUME_METRICS
@@ -94,13 +94,13 @@ def fit_p99_caps(train: Sequence[PostRecord]) -> NormalizationCaps:
     """
     if not train:
         raise FitError("cannot fit caps on an empty training set")
+    for r in train:
+        if r.subreddit.subscribers < 1:
+            raise DatasetError(f"post {r.post_id}: subscribers must be >= 1")
     caps: dict[str, float] = {}
     for metric in METRICS:
         vals = np.array(
-            [
-                getattr(r.last_snapshot(), metric) / r.subreddit.subscribers * PER_SUBSCRIBER_SCALE
-                for r in train
-            ],
+            [normalize_metric(getattr(r.last_snapshot(), metric), r.subreddit.subscribers, math.inf) for r in train],
             dtype=np.float64,
         )
         cap = float(np.percentile(vals, 99.0))
@@ -306,6 +306,8 @@ class LabelingArtifacts:
     caps: NormalizationCaps
     weights: HybridWeights
     threshold: ViralityThreshold
+    #: The training split's hybrid scores that :meth:`fit` set the threshold with; None when loaded.
+    train_scores: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def fit(
@@ -320,7 +322,7 @@ class LabelingArtifacts:
         weights = learn_hybrid_weights(train, prelim, caps, windows=windows, forest_config=forest_config)
         scores = score_records(train, caps, weights)
         threshold = fit_threshold(scores, fingerprint=training_fingerprint(train))
-        return cls(caps=caps, weights=weights, threshold=threshold)
+        return cls(caps=caps, weights=weights, threshold=threshold, train_scores=scores)
 
     def label_records(self, records: Sequence[PostRecord]) -> tuple[np.ndarray, np.ndarray]:
         """(hybrid scores, binary labels) using the fitted artifacts only."""
@@ -342,24 +344,21 @@ class LabelingArtifacts:
     @classmethod
     def load(cls, path: str | Path) -> "LabelingArtifacts":
         doc = load_document(path, "labeling file", ARTIFACTS_FORMAT_VERSION)
-        hw, th = doc.object("hybrid_weights"), doc.object("threshold")
+        caps, hw, th = doc.object("caps"), doc.object("hybrid_weights"), doc.object("threshold")
         weights = hw.object("weights")
         unknown = set(weights) - set(LABELING_FEATURES)
         if unknown:
             raise SchemaError(f"unknown labeling features {sorted(unknown)} in artifacts")
-        centroids = th["centroids"]
-        if not (isinstance(centroids, list) and len(centroids) == 2):
-            raise SchemaError(f"{th.source}: 'centroids' is not a two-element list")
         return cls(
-            caps=NormalizationCaps({k: float(v) for k, v in doc.object("caps").items()}),
+            caps=NormalizationCaps({k: caps.read(k, read_number) for k in caps}),
             weights=HybridWeights(
                 # LABELING_FEATURES order, as a fit has it: the scores sum in key order
-                weights={k: float(weights[k]) for k in LABELING_FEATURES if k in weights},
-                source_windows=tuple(float(w) for w in hw["source_windows"]),
+                weights={k: weights.read(k, read_number) for k in LABELING_FEATURES if k in weights},
+                source_windows=tuple(hw.read("source_windows", read_list, item=read_number)),
             ),
             threshold=ViralityThreshold(
-                tau=float(th["tau"]),
-                centroids=(float(centroids[0]), float(centroids[1])),
-                fitted_on=str(th["fitted_on"]),
+                tau=th.read("tau", read_number),
+                centroids=tuple(th.read("centroids", read_list, item=read_number, length=2)),
+                fitted_on=th.read("fitted_on", read_text),
             ),
         )

@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import ConfigError, FitError, SchemaError
-from ..ingest import load_document
+from ..ingest import load_document, read_int, read_list, read_text
 from .forest import RandomForestModel, fit_random_forest
 from .gbt import GBTModel, fit_gbt
 from .logreg import LogisticModel, fit_logreg
@@ -151,7 +151,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         "format_version": _FORMAT_VERSION,
         "kind": model.kind,
         "seed": model.config.seed,
-        "params": _jsonable(model.config.params),
+        "params": model.config.params,
         "feature_names": model.feature_names,
         "payload": model.inner.to_payload(),
     }
@@ -160,19 +160,15 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> TrainedModel:
     doc = load_document(path, "model file", _FORMAT_VERSION)
-    kind = doc["kind"]
+    kind = doc.read("kind", read_text)
     if kind not in _INNER_CLASSES:
         raise SchemaError(f"unknown model kind {kind!r} in file")
-    inner = _INNER_CLASSES[kind].from_payload(doc["payload"])
-    config = ModelConfig(kind=kind, params=doc["params"], seed=doc["seed"])
-    return TrainedModel(config=config, feature_names=doc["feature_names"], inner=inner)
-
-
-def _jsonable(params: dict[str, Any]) -> dict[str, Any]:
-    out = {}
-    for k, val in params.items():
-        out[k] = list(val) if isinstance(val, tuple) else val
-    return out
+    feature_names = doc.read("feature_names", read_list, item=read_text)
+    inner = _INNER_CLASSES[kind].from_payload(doc.object("payload"))
+    if inner.n_features != len(feature_names):
+        raise SchemaError(f"{doc.source}: the payload has {inner.n_features} features, 'feature_names' {len(feature_names)}")
+    config = ModelConfig(kind=kind, params=dict(doc.object("params")), seed=doc.read("seed", read_int))
+    return TrainedModel(config=config, feature_names=feature_names, inner=inner)
 
 
 __all__ = [

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import FitError
+from ..errors import FitError, SchemaError
+from ..ingest import read_int, read_list, read_number
 
 
 def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -84,5 +85,15 @@ class _Tree:
         return {name: getattr(self, name).tolist() for name in self.__slots__}
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "_Tree":
-        return cls(*(payload[name] for name in cls.__slots__))
+    def from_payload(cls, payload, n_features: int) -> "_Tree":
+        """The tree saved as ``payload`` (a saved file's object): one item per node in each list,
+        splits on one of ``n_features`` columns and children after their node, so prediction ends."""
+        lists = [payload.read(k, read_list, item=r) for k, r in zip(cls.__slots__, (read_int, read_number, read_int, read_int, read_number))]
+        feature, _, left, right, _ = lists
+        n = len(feature)
+        if not n or any(len(v) != n for v in lists):
+            raise SchemaError(f"{payload.source}: a tree's lists are empty or of unequal length")
+        for i, (f, l, r) in enumerate(zip(feature, left, right)):
+            if not (-1 <= f < n_features and -1 <= l < n and -1 <= r < n) or (f >= 0 and min(l, r) <= i):
+                raise SchemaError(f"{payload.source}: tree node {i} splits on {f} with children {l} and {r}")
+        return cls(*lists)

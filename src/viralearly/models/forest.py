@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..ingest import read_int, read_list, read_number
 from ._common import _Tree, check_training_data
 
 
@@ -44,9 +45,10 @@ class RandomForestModel:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "RandomForestModel":
-        trees = [_Tree.from_payload(t) for t in payload["trees"]]
-        return cls(trees, payload["n_features"], np.asarray(payload["importance"]))
+    def from_payload(cls, payload) -> "RandomForestModel":
+        n_features = payload.read("n_features", read_int)
+        trees = [_Tree.from_payload(t, n_features) for t in payload.objects("trees")]
+        return cls(trees, n_features, np.array(payload.read("importance", read_list, item=read_number, length=n_features)))
 
 
 def _gini(n_pos: float, n: float) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..ingest import read_int, read_list, read_number
 from ._common import _Tree, check_training_data, sigmoid
 
 IMPORTANCE_TYPES = ("gain", "cover", "frequency")
@@ -64,15 +65,13 @@ class GBTModel:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "GBTModel":
-        imp = payload["importance"]
+    def from_payload(cls, payload) -> "GBTModel":
+        n_features, imp = payload.read("n_features", read_int), payload.object("importance")
         return cls(
-            payload["base_logit"],
-            [_Tree.from_payload(t) for t in payload["trees"]],
-            payload["n_features"],
-            np.asarray(imp["gain"]),
-            np.asarray(imp["cover"]),
-            np.asarray(imp["frequency"]),
+            payload.read("base_logit", read_number),
+            [_Tree.from_payload(t, n_features) for t in payload.objects("trees")],
+            n_features,
+            *(np.array(imp.read(k, read_list, item=read_number, length=n_features)) for k in IMPORTANCE_TYPES),
         )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..ingest import read_int, read_list, read_number
 from ._common import balanced_sample_weights, check_training_data, logloss_terms, sigmoid
 
 
@@ -49,12 +50,12 @@ class LogisticModel:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "LogisticModel":
+    def from_payload(cls, payload) -> "LogisticModel":
         return cls(
-            np.asarray(payload["coef"], dtype=np.float64),
-            payload["intercept"],
-            payload["n_iter"],
-            payload["grad_norm"],
+            np.array(payload.read("coef", read_list, item=read_number), dtype=np.float64),
+            payload.read("intercept", read_number),
+            payload.read("n_iter", read_int),
+            payload.read("grad_norm", read_number),
         )
 
 

@@ -13,9 +13,12 @@ procedure (init, shuffles, validation split) is bit-reproducible.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..errors import FitError
+from ..ingest import read_int, read_list, read_number
 from ._common import balanced_sample_weights, check_training_data, logloss_terms, sigmoid
 
 
@@ -116,12 +119,13 @@ class MLPModel:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "MLPModel":
+    def from_payload(cls, payload) -> "MLPModel":
+        vector = partial(read_list, item=read_number)
         params = MLPParams(
-            [np.asarray(w, dtype=np.float64) for w in payload["weights"]],
-            [np.asarray(b, dtype=np.float64) for b in payload["biases"]],
+            [np.array(w, dtype=np.float64) for w in payload.read("weights", read_list, item=partial(read_list, item=vector))],
+            [np.array(b, dtype=np.float64) for b in payload.read("biases", read_list, item=vector)],
         )
-        return cls(params, payload["n_features"], payload["n_epochs"])
+        return cls(params, payload.read("n_features", read_int), payload.read("n_epochs", read_int))
 
 
 def _stratified_holdout(y: np.ndarray, fraction: float, rng: np.random.Generator):

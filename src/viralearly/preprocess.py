@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FitError, SchemaError
 from .features import ColumnSpec, FeatureMatrix
-from .ingest import load_document
+from .ingest import load_document, read_list, read_number, read_text
 
 MISSING_TOKEN = "missing"
 _FORMAT_VERSION = 1
@@ -46,15 +46,9 @@ class PreprocessModel:
         doc = {
             "format_version": _FORMAT_VERSION,
             "fingerprint": self.fingerprint,
-            "columns": [
-                {"name": c.name, "modality": c.modality, "kind": c.kind}
-                for c in self.fitted_columns
-            ],
-            "numeric": {
-                name: {"median": s.median, "mean": s.mean, "std": s.std}
-                for name, s in sorted(self.numeric.items())
-            },
-            "vocab": {name: vocab for name, vocab in sorted(self.vocab.items())},
+            "columns": [asdict(c) for c in self.fitted_columns],
+            "numeric": {name: asdict(s) for name, s in self.numeric.items()},
+            "vocab": self.vocab,
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -64,14 +58,13 @@ class PreprocessModel:
     @classmethod
     def load(cls, path: str | Path) -> "PreprocessModel":
         doc = load_document(path, "preprocess file", _FORMAT_VERSION)
+        numeric, vocab = doc.object("numeric"), doc.object("vocab")
+        stats = {name: numeric.object(name) for name in numeric}
         return cls(
-            numeric={
-                name: NumericStats(s["median"], s["mean"], s["std"])
-                for name, s in doc["numeric"].items()
-            },
-            vocab={name: list(v) for name, v in doc["vocab"].items()},
-            fitted_columns=[ColumnSpec(c["name"], c["modality"], c["kind"]) for c in doc["columns"]],
-            fingerprint=doc["fingerprint"],
+            numeric={name: NumericStats(*(s.read(k, read_number) for k in ("median", "mean", "std"))) for name, s in stats.items()},
+            vocab={name: vocab.read(name, read_list, item=read_text) for name in vocab},
+            fitted_columns=[ColumnSpec.read(c) for c in doc.objects("columns")],
+            fingerprint=doc.read("fingerprint", read_text),
         )
 
 

@@ -62,7 +62,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "value, message",
-        [("nan", "bad post record: t_minutes is not finite ('nan')"), (float("nan"), "NaN is not a JSON number")],
+        [("nan", "bad post record: t_minutes is not a finite number ('nan')"), (float("nan"), "NaN is not a JSON number")],
         ids=["string", "token"],
     )
     def test_non_finite_time_is_data_error(self, synth_dir, tmp_path, capsys, value, message):
@@ -101,6 +101,91 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("snapshots", -1, "score"), 12.9, "score is not an integer (12.9)"),
+            (("snapshots", -1, "score"), "12", "score is not an integer ('12')"),
+            (("snapshots", -1, "score"), True, "score is not an integer (True)"),
+            (("removed",), "false", "removed is not true or false"),
+            (("snapshots",), {"0": {"t_minutes": 0.0}}, "snapshots is not a list"),
+            (("snapshots", 3), None, "snapshot is not an object"),
+            (("snapshots", 3, "upvote_ratio"), 1.5, "upvote_ratio is not in [0, 1] (1.5)"),
+        ],
+        ids=["fraction", "string", "bool", "string_flag", "object_snapshots", "null_snapshot", "ratio_above_1"],
+    )
+    def test_value_of_the_wrong_type_is_a_malformed_line(self, synth_dir, tmp_path, capsys, keys, value, message):
+        # each was read as another value (12, 12, 1, a removed post), crashed
+        # validate with an AttributeError, or (the ratio) passed the parse
+        path = tmp_path / "posts.jsonl"
+        write_edited(synth_dir / "posts.jsonl", path, keys, value, line=5)
+        capsys.readouterr()
+        assert main(["validate", "--data", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert f"parse line 6: bad post record: {message}" in out
+        assert "records=239 malformed_lines=1 invalid_records=0" in out
+        assert main(["label", "--data", str(path), "--out", str(tmp_path / "lab")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: line 6: bad post record: {message}" in err
+        assert "Traceback" not in err
+
+    def test_zero_subscribers_is_data_error(self, synth_dir, tmp_path, capsys):
+        # was a ZeroDivisionError in the caps fit
+        path = tmp_path / "posts.jsonl"
+        write_edited(synth_dir / "posts.jsonl", path, ("subreddit", "subscribers"), 0, line=5)
+        capsys.readouterr()
+        assert main(["label", "--data", str(path), "--out", str(tmp_path / "lab")]) == 2
+        err = capsys.readouterr().err
+        assert "error: post p000005: subscribers must be >= 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, keys, text, message",
+        [
+            # a NaN cap blanked every normalized score column and exited 0
+            ("features", ("caps", "score"), "NaN", " is not valid JSON: NaN is not a JSON number"),
+            ("sweep", ("hybrid_weights", "source_windows"), "5", ": 'source_windows' is not a list"),
+            ("sweep", ("threshold", "tau"), "null", ": 'tau' is not a finite number (None)"),
+            ("sweep", ("caps", "comments"), '"0.5"', ": 'comments' is not a finite number ('0.5')"),
+        ],
+        ids=["nan_cap", "int_source_windows", "null_tau", "string_cap"],
+    )
+    def test_bad_labeling_value_is_data_error(self, synth_dir, trained_flow, tmp_path, capsys, command, keys, text, message):
+        broken = tmp_path / "labeling.json"
+        write_edited(trained_flow[0] / "labeling.json", broken, keys, text, raw=True)
+        argv = [command, "--data", str(synth_dir / "posts.jsonl"), "--artifacts", str(broken), "--out", str(tmp_path / "o")]
+        argv += ["--window", "120"] if command == "features" else ["--windows", "120", "--models", "gbt", "--no-cv"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: labeling file {broken}{message}" in err
+        assert "Traceback" not in err
+
+    def test_looping_tree_is_data_error(self, trained_flow, tmp_path, capsys):
+        # a child index pointing back at its own node made evaluate hang
+        lab, feats, trained = trained_flow
+        broken = tmp_path / "model.json"
+        tree = {"feature": [0], "value": [0.5], "left": [0], "right": [0], "leaf_value": [0.1]}
+        write_edited(trained / "model.json", broken, ("payload", "trees", 0), tree)
+        capsys.readouterr()
+        assert main(evaluate_argv(feats, trained, lab / "labels.csv", tmp_path / "e", model=broken)) == 2
+        err = capsys.readouterr().err
+        assert f"error: model file {broken}: tree node 0 splits on 0 with children 0 and 0" in err
+
+
+def write_edited(source, path, keys, value, raw=False, line=0):
+    """``source`` written to ``path`` with the value at ``keys`` of its JSON
+    document on ``line`` (0-based) replaced by ``value``, JSON text itself
+    when ``raw``. Line 5 of the synth dataset is post p000005."""
+    lines = source.read_text(encoding="utf-8").splitlines()
+    doc = json.loads(lines[line])
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = "<value>" if raw else value
+    lines[line] = json.dumps(doc).replace('"<value>"', value) if raw else json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 class TestSynthCommand:
@@ -350,7 +435,7 @@ class TestFeatureTrainEvaluate:
         assert main(argv) == 2
         err = capsys.readouterr().err
         if replaced:
-            kind_of = "a two-element list" if keys[-1] == "centroids" else "an object"
+            kind_of = "a list of length 2" if keys[-1] == "centroids" else "an object"
             assert f"{broken}: {keys[-1]!r} is not {kind_of}" in err
         else:
             expected = "does not hold a JSON object" if keys == [None] else f"lacks the key {keys[-1]!r}"

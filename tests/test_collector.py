@@ -246,10 +246,16 @@ class TestHttpPollingSource:
             {"score": 12, "comments": 3, "crossposts": 1, "upvote_ratio": float("nan")},
             {"score": 12, "comments": 3, "crossposts": 1, "upvote_ratio": 1.5},
             {"score": 12, "comments": 3, "crossposts": 1, "upvote_ratio": True},
+            {"score": 12.9, "comments": 3, "crossposts": 1},
+            {"score": "12", "comments": 3, "crossposts": 1},
+            b'{"score": NaN, "comments": 3, "crossposts": 1}',
+            {"score": 12, "comments": 3, "crossposts": 1, "removed": "false"},
+            {"score": 12, "comments": 3, "crossposts": 1, "category": 4},
         ],
         ids=[
             "list", "string", "null", "missing_score", "text_score", "null_comments", "bool_crossposts", "bad_json",
-            "bad_utf8", "text_ratio", "nan_ratio", "ratio_above_1", "bool_ratio",
+            "bad_utf8", "text_ratio", "nan_ratio", "ratio_above_1", "bool_ratio", "fraction_score", "numeric_string_score",
+            "nan_token_score", "string_removed", "number_category",
         ],
     )
     def test_malformed_body_is_transient(self, monkeypatch, body):

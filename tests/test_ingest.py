@@ -1,9 +1,10 @@
+import ast
 import json
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from viralearly import ingest, synth
@@ -170,28 +171,47 @@ def test_truncate_record():
     assert [s.t_minutes for s in cut.snapshots] == [0.0, 5.0]
 
 
-# One valid synthetic record; each example below breaks one numeric leaf of it.
+# One valid synthetic record; each example below breaks one leaf of it.
 SYNTH_DOC = synth.generate(synth.SynthConfig(n_posts=20, seed=0))[0][0].to_json_dict()
 SNAPSHOT_LEAVES = ("t_minutes", "score", "comments", "crossposts", "upvote_ratio")
 OTHER_LEAVES = (("author", "total_karma"), ("author", "account_age_days"), ("subreddit", "subscribers"))
+INTEGER_LEAVES = {"score", "comments", "crossposts", "total_karma", "subscribers"}
 # NaN and +-infinity as bare tokens, as strings in JSON's and Python's
-# spelling, and as numbers too large for a float
-NON_FINITE_JSON = (
+# spelling, and as numbers too large for a float; then the other JSON types,
+# a numeric string and an integer too large for a float
+NOT_A_NUMBER_JSON = (
     "NaN", "Infinity", "-Infinity",
     '"NaN"', '"Infinity"', '"-Infinity"', '"nan"', '"inf"', '"-inf"',
     "1e400", "-1e400",
+    "true", "false", '"12"', '"0.5"', "null", "[]", "[3]", "{}", '{"value": 3}', str(10**400), "9" * 5000,
 )
+# a count must be whole
+FRACTION_JSON = ("12.9", "0.5", "-3.25")
+FLAG_LEAVES = (("removed",), ("author", "is_premium"))
+NOT_A_FLAG_JSON = ('"false"', '"true"', "0", "1", "null", "[]")
+CONTAINER_LEAVES = (("author",), ("subreddit",), ("snapshots",), ("snapshots", 0))
+NOT_A_CONTAINER_JSON = ("null", "1", '"x"', "true", "[]", "{}", "[null]", '{"0": {}}')
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    leaf=st.one_of(
-        st.tuples(st.just("snapshots"), st.integers(0, len(SYNTH_DOC["snapshots"]) - 1), st.sampled_from(SNAPSHOT_LEAVES)),
-        st.sampled_from(OTHER_LEAVES),
+    case=st.one_of(
+        st.tuples(
+            st.one_of(
+                st.tuples(st.just("snapshots"), st.integers(0, len(SYNTH_DOC["snapshots"]) - 1), st.sampled_from(SNAPSHOT_LEAVES)),
+                st.sampled_from(OTHER_LEAVES),
+            ),
+            st.sampled_from(NOT_A_NUMBER_JSON + FRACTION_JSON),
+        ),
+        st.tuples(st.sampled_from(FLAG_LEAVES), st.sampled_from(NOT_A_FLAG_JSON)),
+        st.tuples(st.sampled_from(CONTAINER_LEAVES), st.sampled_from(NOT_A_CONTAINER_JSON)),
     ),
-    text=st.sampled_from(NON_FINITE_JSON),
 )
-def test_a_non_finite_leaf_never_yields_a_clean_record(leaf, text):
+def test_a_non_finite_leaf_never_yields_a_clean_record(case):
+    leaf, text = case
+    # a fraction is a valid time or ratio, and a missing ratio is valid
+    assume(text not in FRACTION_JSON or leaf[-1] in INTEGER_LEAVES)
+    assume(not (leaf[-1] == "upvote_ratio" and text == "null"))
     doc = json.loads(json.dumps(SYNTH_DOC))
     parent = doc
     for key in leaf[:-1]:
@@ -208,6 +228,41 @@ def test_a_non_finite_leaf_never_yields_a_clean_record(leaf, text):
     assert not ingest.validate_record(record).ok
 
 
+@pytest.mark.parametrize(
+    "reader, value, expected",
+    [
+        (ingest.read_int, 12, 12),
+        (ingest.read_int, 12.0, 12),
+        (ingest.read_int, -3, -3),
+        (ingest.read_number, 12, 12.0),
+        (ingest.read_number, 0.25, 0.25),
+        (ingest.read_flag, False, False),
+        (ingest.read_text, "", ""),
+        (ingest.read_object, {}, {}),
+        (ingest.read_list, [None], [None]),
+    ],
+)
+def test_readers_accept_their_json_type(reader, value, expected):
+    got = reader(value, "field")
+    assert got == expected and type(got) is type(expected)
+
+
+def test_only_ingest_decodes_json():
+    # every value from outside goes through ingest.decode_json and its readers
+    package = Path(ingest.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "ingest.py" and path.parent == package:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("loads", "load", "JSONDecoder"):
+                if isinstance(node.value, ast.Name) and node.value.id == "json":
+                    found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.extend(f"{path.name}:{node.lineno}" for a in node.names if a.name in ("loads", "load", "JSONDecoder"))
+    assert found == []
+
+
 @pytest.mark.parametrize("field", ["t_minutes", "upvote_ratio", "account_age_days"])
 def test_non_finite_value_is_rejected_naming_the_field(tmp_path, field):
     doc = make_record().to_json_dict()
@@ -216,7 +271,7 @@ def test_non_finite_value_is_rejected_naming_the_field(tmp_path, field):
     write_lines(path, [json.dumps(make_record().to_json_dict()), json.dumps(doc)])
     diags = []
     assert len(list(ingest.parse_dataset(path, on_error=diags.append))) == 1
-    assert [str(d) for d in diags] == [f"line 2: bad post record: {field} is not finite ('inf')"]
+    assert [str(d) for d in diags] == [f"line 2: bad post record: {field} is not a finite number ('inf')"]
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])

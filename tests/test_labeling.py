@@ -1,3 +1,8 @@
+import json
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +15,7 @@ from viralearly.labeling import (
     HybridWeights,
     LabelingArtifacts,
     NormalizationCaps,
+    ViralityThreshold,
     assign_label,
     fit_p99_caps,
     fit_threshold,
@@ -225,8 +231,6 @@ class TestArtifacts:
         assert loaded.to_json() == arts.to_json()
 
     def test_load_keeps_feature_order_and_rejects_unknown_keys(self, tmp_path, prepared):
-        import json
-
         path = tmp_path / "labeling.json"
         prepared.artifacts.save(path)
         loaded = LabelingArtifacts.load(path)
@@ -296,3 +300,42 @@ class TestLeakageGuard:
         ]
         again = experiments.prepare(mutated)
         assert again.artifacts.to_json() == baseline_json
+
+
+# A saved labeling file; each example below breaks one of its numeric leaves.
+SAVED_ARTIFACTS = LabelingArtifacts(
+    NormalizationCaps({"score": 120.0, "comments": 8.5, "crossposts": 1.25}),
+    HybridWeights(dict(zip(LABELING_FEATURES, (1.0, 0.5, 0.25, 0.75, 0.125, 0.0625))), (30.0, 60.0, 120.0)),
+    ViralityThreshold(2.5, (1.0, 4.0), "800:0123456789ab"),
+).to_json()
+
+
+def numeric_leaves(value, path=()):
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from numeric_leaves(v, path + (key,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from numeric_leaves(v, path + (i,))
+    elif type(value) in (int, float):
+        yield path
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    leaf=st.sampled_from(list(numeric_leaves(json.loads(SAVED_ARTIFACTS)))),
+    text=st.sampled_from(("NaN", "Infinity", "-Infinity", '"0.5"', '"nan"', "true", "false", "null", "[]", "[1.0]", "{}")),
+)
+def test_a_bad_numeric_leaf_of_a_saved_labeling_file_is_schema_error(leaf, text):
+    doc = json.loads(SAVED_ARTIFACTS)
+    parent = doc
+    for key in leaf[:-1]:
+        parent = parent[key]
+    parent[leaf[-1]] = "<leaf>"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labeling.json"
+        path.write_text(SAVED_ARTIFACTS, encoding="utf-8")
+        assert LabelingArtifacts.load(path).to_json() == SAVED_ARTIFACTS
+        path.write_text(json.dumps(doc).replace('"<leaf>"', text), encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(str(path))):
+            LabelingArtifacts.load(path)

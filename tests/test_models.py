@@ -317,3 +317,44 @@ class TestSerialization:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(SchemaError, match="version 1"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "tree, message",
+        [
+            # the probe that made prediction loop forever: the root is its own child
+            ({"feature": [0], "value": [0.5], "left": [0], "right": [0], "leaf_value": [0.1]}, "tree node 0"),
+            # a child before its parent, and one past the end
+            ({"feature": [-1, 0], "value": [0.0, 0.5], "left": [-1, 0], "right": [-1, 0], "leaf_value": [0.1, 0.0]}, "tree node 1"),
+            ({"feature": [0, -1], "value": [0.5, 0.0], "left": [1, -1], "right": [2, -1], "leaf_value": [0.0, 0.1]}, "tree node 0"),
+            # a split on a column the model does not have
+            ({"feature": [3, -1, -1], "value": [0.5, 0, 0], "left": [1, -1, -1], "right": [2, -1, -1], "leaf_value": [0, 0.1, 0.9]}, "tree node 0"),
+            ({"feature": [0, -1], "value": [0.5, 0.0], "left": [1, -1], "right": [1, -1], "leaf_value": [0.0]}, "unequal length"),
+            ({"feature": [], "value": [], "left": [], "right": [], "leaf_value": []}, "empty"),
+            ({"feature": [-1], "value": [0.0], "left": [-1], "right": [-1], "leaf_value": [None]}, "'leaf_value'\\[0\\] is not a finite number"),
+            ({"feature": [-1.5], "value": [0.0], "left": [-1], "right": [-1], "leaf_value": [0.1]}, "'feature'\\[0\\] is not an integer"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["gbt", "random_forest"])
+    def test_malformed_tree_is_schema_error(self, kind, tree, message, tmp_path):
+        X = np.random.default_rng(4).normal(size=(40, 3))
+        model = train(ModelConfig(kind, {"n_rounds": 2} if kind == "gbt" else {"n_trees": 2}), X, (X[:, 0] > 0).astype(int))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["payload"]["trees"][1] = tree
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaError, match=message):
+            load_model(path)
+
+    def test_feature_names_must_match_the_payload(self, tmp_path):
+        # a split on column 2 of a model saved with two feature names would
+        # be an IndexError at predict time
+        X = np.random.default_rng(4).normal(size=(40, 3))
+        model = train(ModelConfig("gbt", {"n_rounds": 2}), X, (X[:, 2] > 0).astype(int), feature_names=["a", "b", "c"])
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["feature_names"] = ["a", "b"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaError, match="the payload has 3 features, 'feature_names' 2"):
+            load_model(path)

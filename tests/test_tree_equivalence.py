@@ -5,10 +5,12 @@ forest on linked nodes and the GBT on five parallel lists. Every comparison
 is bit for bit.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from viralearly import experiments, models, preprocess, synth
+from viralearly import experiments, ingest, models, preprocess, synth
 from viralearly.models import fit_gbt, fit_random_forest
 from viralearly.models._common import _Tree
 
@@ -74,15 +76,20 @@ def test_forest_matches_linked_node_reference(params, seed):
     assert model.predict_proba(probe).tobytes() == reference_forest_predict_proba(ref_trees, probe).tobytes()
 
 
+def saved(payload: dict) -> ingest._Document:
+    """``payload`` as a model file's object reads it back: through JSON text."""
+    return ingest._Document(ingest.decode_json(json.dumps(payload)), "payload")
+
+
 def test_forest_payload_round_trip_is_exact():
     X, y = tricky_data(5)
     model = fit_random_forest(X, y, n_trees=20, seed=3)
     for tree in model.trees:
-        back = _Tree.from_payload(tree.to_payload())
+        back = _Tree.from_payload(saved(tree.to_payload()), model.n_features)
         for name in _Tree.__slots__:
             assert getattr(back, name).tobytes() == getattr(tree, name).tobytes()
     probe = tricky_data(6)[0]
-    restored = type(model).from_payload(model.to_payload())
+    restored = type(model).from_payload(saved(model.to_payload()))
     assert restored.predict_proba(probe).tobytes() == model.predict_proba(probe).tobytes()
 
 
