@@ -301,8 +301,7 @@ def cmd_collect(args, cfg) -> int:
     with open(out / "tracked.jsonl", "w", encoding="utf-8") as fh:
         for pid in ids:
             res = collector.track_post(source, pid, until_minutes=until, clock=clock)
-            snapshots = [ingest._snapshot_to_dict(s) for s in res.snapshots]
-            fh.write(json.dumps({"post_id": res.post_id, "reason": res.reason, "snapshots": snapshots}) + "\n")
+            fh.write(json.dumps({"post_id": res.post_id, "reason": res.reason, "snapshots": res.snapshots.to_json_list()}) + "\n")
             fh.flush()
             for key in ("polls", "retries", "skipped_polls", "rate_limit_wait_minutes"):
                 outcome[key] += getattr(res, key)

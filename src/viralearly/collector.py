@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from typing import Protocol, Sequence
 
 from .errors import ConfigError
-from .ingest import EngagementSnapshot, PostRecord, decode_json, parse_dataset, read_engagement, read_flag, read_object
+from .ingest import PostRecord, Snapshots, decode_json, parse_dataset, read_engagement, read_flag, read_object
 
 #: (max_age_minutes, interval_minutes) tiers: 5-minute polls for the first
 #: two hours, 15 minutes up to eight hours, hourly through the first day and
@@ -133,7 +133,7 @@ class TrackResult:
     """Collected series, why tracking ended and what the polling took."""
 
     post_id: str
-    snapshots: tuple[EngagementSnapshot, ...]
+    snapshots: Snapshots
     reason: str  # completed | removed | unreachable | unavailable
     polls: int = 0  # scheduled polls made
     retries: int = 0  # fetches repeated after a transient failure
@@ -158,7 +158,7 @@ def track_post(
     """
     clock = clock or SimulatedClock()
     start = clock.now_minutes()
-    snapshots: list[EngagementSnapshot] = []
+    times, scores, comments, crossposts, ratios, categories = [], [], [], [], [], []  # the series, by field
     next_t = 0.0
     polls = retries = skipped = 0
     rate_wait = 0.0
@@ -180,22 +180,19 @@ def track_post(
                 reason = "removed"
                 break
             t = clock.now_minutes() - start
-            if not snapshots or t > snapshots[-1].t_minutes:
-                snapshots.append(
-                    EngagementSnapshot(
-                        t_minutes=t,
-                        score=outcome.score,
-                        comments=outcome.comments,
-                        crossposts=outcome.crossposts,
-                        upvote_ratio=outcome.upvote_ratio,
-                        category=outcome.category,
-                    )
-                )
+            if not times or t > times[-1]:
+                times.append(t)
+                scores.append(outcome.score)
+                comments.append(outcome.comments)
+                crossposts.append(outcome.crossposts)
+                ratios.append(outcome.upvote_ratio)
+                categories.append(outcome.category)
         next_t += schedule_next_poll(next_t, DEFAULT_POLL_SCHEDULE)
 
     if reason is None:
-        reason = "completed" if snapshots else "unreachable"
-    return TrackResult(post_id, tuple(snapshots), reason, polls, retries, skipped, rate_wait)
+        reason = "completed" if times else "unreachable"
+    snapshots = Snapshots(*map(tuple, (times, scores, comments, crossposts, ratios, categories)))
+    return TrackResult(post_id, snapshots, reason, polls, retries, skipped, rate_wait)
 
 
 def _fetch_with_backoff(transport, post_id, clock) -> tuple["PollResult | str | None", int, float]:
@@ -222,8 +219,8 @@ class FileReplaySource:
     """Replays recorded snapshot series as the current post state.
 
     The elapsed time for a post starts at its first fetch; the answer is the
-    latest recorded snapshot at or before that elapsed time (zeros before the
-    first snapshot). A post flagged removed reports removal once the replay
+    recorded snapshot before the first one past that elapsed time (zeros
+    before the first snapshot). A post flagged removed reports removal once the replay
     runs past its recorded series.
     """
 
@@ -243,23 +240,13 @@ class FileReplaySource:
         if post_id not in self._started:
             self._started[post_id] = self._clock.now_minutes()
         elapsed = self._clock.now_minutes() - self._started[post_id]
-        current = None
-        for snap in record.snapshots:
-            if snap.t_minutes <= elapsed:
-                current = snap
-            else:
-                break
-        if current is None:
+        snaps = record.snapshots
+        i = next((i for i, t in enumerate(snaps.t_minutes) if t > elapsed), len(snaps)) - 1
+        if i < 0:
             return PollResult(score=0, comments=0, crossposts=0, category="new")
-        if record.removed and elapsed > record.snapshots[-1].t_minutes:
+        if record.removed and elapsed > snaps.t_minutes[-1]:
             return PollResult(0, 0, 0, removed=True)
-        return PollResult(
-            score=current.score,
-            comments=current.comments,
-            crossposts=current.crossposts,
-            category=current.category,
-            upvote_ratio=current.upvote_ratio,
-        )
+        return PollResult(snaps.score[i], snaps.comments[i], snaps.crossposts[i], snaps.category[i], snaps.upvote_ratio[i])
 
 
 class HttpPollingSource:

@@ -321,10 +321,12 @@ class FeatureMatrix:
         raw: dict[str, list] = {c.name: [] for c in columns}
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            if header[0] != "post_id" or set(header[1:]) != set(by_name):
-                raise SchemaError("values file does not match its manifest")
-            for row in reader:
+            header = next(reader, [])  # an empty file has no header to match
+            if header[:1] != ["post_id"] or set(header[1:]) != set(by_name):
+                raise SchemaError(f"values file {path} does not match its manifest")
+            for i, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise SchemaError(f"values file {path} row {i} has {len(row)} cells, the header {len(header)}")
                 row_ids.append(row[0])
                 for name, cell in zip(header[1:], row[1:]):
                     raw[name].append(cell)
@@ -332,10 +334,21 @@ class FeatureMatrix:
         for c in columns:
             cells = raw[c.name]
             if c.kind == "numeric":
-                data[c.name] = np.array([np.nan if v == "" else float(v) for v in cells])
+                data[c.name] = np.array([_read_cell(v, path, i, c.name) for i, v in enumerate(cells, start=1)])
             else:
                 data[c.name] = np.array([None if v == "" else v for v in cells], dtype=object)
         return cls(row_ids, columns, data)
+
+
+def _read_cell(cell: str, path: Path, row: int, column: str) -> float:
+    """A numeric cell of a values file: a finite number, or NaN when empty."""
+    try:
+        value = float(cell or "nan")
+    except ValueError:
+        value = math.inf
+    if cell and not math.isfinite(value):
+        raise SchemaError(f"values file {path} row {row}, column {column!r}: {cell!r} is not a finite number")
+    return value
 
 
 def assemble_matrix(

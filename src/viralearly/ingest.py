@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -47,15 +47,33 @@ MAX_SNAPSHOT_GAP_MINUTES = 360.0
 
 
 @dataclass(frozen=True)
-class EngagementSnapshot:
-    """One timestamped observation of a post's engagement state."""
+class Snapshots:
+    """A post's engagement series in time order, one tuple per field: entry
+    i of each is the i-th timestamped observation's value."""
 
-    t_minutes: float
-    score: int
-    comments: int
-    crossposts: int
-    upvote_ratio: float | None = None
-    category: str = "unknown"
+    t_minutes: tuple[float, ...] = ()
+    score: tuple[int, ...] = ()
+    comments: tuple[int, ...] = ()
+    crossposts: tuple[int, ...] = ()
+    upvote_ratio: tuple[float | None, ...] = ()  # None where not observed
+    category: tuple[str, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.t_minutes)
+
+    def to_json_list(self) -> list[dict[str, Any]]:
+        """One JSON object per snapshot, as a dataset line holds them: without
+        ``upvote_ratio`` where it is None."""
+        keys = ("t_minutes", "score", "comments", "crossposts", "category", "upvote_ratio")
+        rows = zip(self.t_minutes, self.score, self.comments, self.crossposts, self.category, self.upvote_ratio)
+        return [dict(zip(keys, row if row[-1] is not None else row[:-1])) for row in rows]
+
+    @classmethod
+    def from_json_list(cls, value: Any) -> "Snapshots":
+        """The series held by a dataset line's ``snapshots`` list of objects,
+        each with a ``t_minutes`` and what :func:`read_engagement` reads."""
+        objects = (read_object(d, "snapshot") for d in read_list(value, "snapshots"))
+        return cls(*zip(*((read_number(d.get("t_minutes"), "t_minutes"), *read_engagement(d)) for d in objects)))
 
 
 @dataclass(frozen=True)
@@ -82,15 +100,10 @@ class PostRecord:
     author: AuthorInfo
     subreddit: SubredditInfo
     media_type: str
-    snapshots: tuple[EngagementSnapshot, ...]
+    snapshots: Snapshots
     media_url: str | None = None
     removed: bool = False
     static_features: dict[str, Any] | None = None
-
-    def last_snapshot(self) -> EngagementSnapshot:
-        if not self.snapshots:
-            raise DatasetError(f"post {self.post_id} has no snapshots")
-        return self.snapshots[-1]
 
     def to_json_dict(self) -> dict[str, Any]:
         d: dict[str, Any] = {
@@ -102,7 +115,7 @@ class PostRecord:
             "media_type": self.media_type,
             "media_url": self.media_url,
             "removed": self.removed,
-            "snapshots": [_snapshot_to_dict(s) for s in self.snapshots],
+            "snapshots": self.snapshots.to_json_list(),
         }
         if self.static_features is not None:
             d["static_features"] = self.static_features
@@ -131,35 +144,17 @@ class PostRecord:
                 media_type=read_text(d["media_type"], "media_type"),
                 media_url=None if media_url is None else read_text(media_url, "media_url"),
                 removed=read_flag(d.get("removed", False), "removed"),
-                snapshots=tuple(_snapshot_from_dict(s) for s in read_list(d["snapshots"], "snapshots")),
+                snapshots=Snapshots.from_json_list(d["snapshots"]),
                 static_features=None if static is None else read_object(static, "static_features"),
             )
         except (KeyError, ValueError) as exc:  # a missing key, a bad value or timestamp
             raise DatasetError(f"bad post record: {exc}") from exc
 
 
-def _snapshot_to_dict(s: EngagementSnapshot) -> dict[str, Any]:
-    d: dict[str, Any] = {
-        "t_minutes": s.t_minutes,
-        "score": s.score,
-        "comments": s.comments,
-        "crossposts": s.crossposts,
-        "category": s.category,
-    }
-    if s.upvote_ratio is not None:
-        d["upvote_ratio"] = s.upvote_ratio
-    return d
-
-
-def _snapshot_from_dict(d: Any) -> EngagementSnapshot:
-    d = read_object(d, "snapshot")
-    return EngagementSnapshot(read_number(d.get("t_minutes"), "t_minutes"), *read_engagement(d))
-
-
 def read_engagement(d: dict) -> tuple[int, int, int, float | None, str]:
     """The score, comments, crossposts, upvote_ratio (optional, in [0, 1])
     and category of a snapshot or an HTTP post state, read from its JSON
-    object ``d``; in :class:`EngagementSnapshot` field order."""
+    object ``d``; in :class:`Snapshots` field order."""
     ratio = d.get("upvote_ratio")
     if ratio is not None:
         ratio = read_number(ratio, "upvote_ratio")
@@ -336,11 +331,10 @@ def _drop_reason(record: PostRecord) -> str | None:
         return "dropped_removed"
     if not record.media_url:
         return "dropped_no_media"
-    if not record.snapshots or record.snapshots[-1].t_minutes < MIN_TRACKING_MINUTES:
+    times = record.snapshots.t_minutes
+    if not times or times[-1] < MIN_TRACKING_MINUTES:
         return "dropped_short_tracking"
-    times = [s.t_minutes for s in record.snapshots]
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    if times[0] > MAX_SNAPSHOT_GAP_MINUTES or any(g > MAX_SNAPSHOT_GAP_MINUTES for g in gaps):
+    if any(b - a > MAX_SNAPSHOT_GAP_MINUTES for a, b in zip((0.0, *times), times)):  # from creation on
         return "dropped_gap"
     return None
 
@@ -371,28 +365,23 @@ def validate_record(record: PostRecord) -> ValidationReport:
         v.append(f"unknown language_group {record.subreddit.language_group!r}")
     if record.author.account_age_days < 0:
         v.append("negative account_age_days")
-    if not record.snapshots:
+    snaps = record.snapshots
+    if not snaps:
         v.append("no snapshots")
-    prev_t = None
-    for i, snap in enumerate(record.snapshots):
-        if snap.t_minutes < 0:
+    times = snaps.t_minutes
+    for i, t in enumerate(times):
+        if t < 0:
             v.append(f"negative time at index {i}")
-        if prev_t is not None and snap.t_minutes <= prev_t:
+        if i and t <= times[i - 1]:
             v.append(f"non-increasing time at index {i}")
             break
-        prev_t = snap.t_minutes
-    for i, snap in enumerate(record.snapshots):
-        if snap.comments < 0:
-            v.append(f"negative comments at index {i}")
-            break
-    for i, snap in enumerate(record.snapshots):
-        if snap.crossposts < 0:
-            v.append(f"negative crossposts at index {i}")
-            break
-    for i, snap in enumerate(record.snapshots):
-        if snap.category not in CATEGORIES:
-            v.append(f"unknown category {snap.category!r} at index {i}")
-            break
+    for name, values in (("comments", snaps.comments), ("crossposts", snaps.crossposts)):
+        i = next((i for i, x in enumerate(values) if x < 0), None)
+        if i is not None:
+            v.append(f"negative {name} at index {i}")
+    i = next((i for i, c in enumerate(snaps.category) if c not in CATEGORIES), None)
+    if i is not None:
+        v.append(f"unknown category {snaps.category[i]!r} at index {i}")
     blob = record.static_features or {}
     for name in NUMERIC_STATIC_FIELDS:
         try:
@@ -483,9 +472,10 @@ def observed_count(t: np.ndarray, minutes: float) -> np.ndarray:
     return np.count_nonzero(t <= minutes, axis=-1)
 
 
-def observed_by(record: PostRecord, minutes: float) -> tuple[EngagementSnapshot, ...]:
+def observed_by(record: PostRecord, minutes: float) -> Snapshots:
     """The snapshots of a time-ordered record that a window of ``minutes`` observes."""
-    return record.snapshots[: observed_count(np.array([s.t_minutes for s in record.snapshots]), minutes)]
+    n = observed_count(np.array(record.snapshots.t_minutes), minutes)
+    return Snapshots(*(getattr(record.snapshots, f.name)[:n] for f in fields(Snapshots)))
 
 
 def truncate_record(record: PostRecord, minutes: float) -> PostRecord:

@@ -94,20 +94,23 @@ def fit_p99_caps(train: Sequence[PostRecord]) -> NormalizationCaps:
     """
     if not train:
         raise FitError("cannot fit caps on an empty training set")
-    for r in train:
-        if r.subreddit.subscribers < 1:
-            raise DatasetError(f"post {r.post_id}: subscribers must be >= 1")
     caps: dict[str, float] = {}
     for metric in METRICS:
-        vals = np.array(
-            [normalize_metric(getattr(r.last_snapshot(), metric), r.subreddit.subscribers, math.inf) for r in train],
-            dtype=np.float64,
-        )
+        vals = np.array([_final_volume(r, metric, math.inf) for r in train], dtype=np.float64)
         cap = float(np.percentile(vals, 99.0))
         if not np.isfinite(cap):
             raise FitError(f"non-finite {metric} values in training data")
         caps[metric] = max(cap, _MIN_CAP)
     return NormalizationCaps(caps)
+
+
+def _final_volume(record: PostRecord, metric: str, cap: float) -> float:
+    """The record's last ``metric`` count per 100k subscribers, capped at ``cap``."""
+    if record.subreddit.subscribers < 1:
+        raise DatasetError(f"post {record.post_id}: subscribers must be >= 1")
+    if not record.snapshots:
+        raise DatasetError(f"post {record.post_id} has no snapshots")
+    return normalize_metric(getattr(record.snapshots, metric)[-1], record.subreddit.subscribers, cap)
 
 
 def make_preliminary_target(
@@ -121,17 +124,7 @@ def make_preliminary_target(
     if not 0.0 < top_frac < 1.0:
         raise FitError("top_frac must be in (0, 1)")
     n = len(train)
-    sums = np.array(
-        [
-            sum(
-                normalize_metric(
-                    getattr(r.last_snapshot(), m), r.subreddit.subscribers, caps.cap_for(m)
-                )
-                for m in METRICS
-            )
-            for r in train
-        ]
-    )
+    sums = np.array([sum(_final_volume(r, m, caps.cap_for(m)) for m in METRICS) for r in train])
     ids = np.array([r.post_id for r in train])
     order = np.lexsort((ids, -sums))
     n_pos = math.ceil(top_frac * n)

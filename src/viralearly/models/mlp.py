@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from ..errors import FitError
+from ..errors import FitError, SchemaError
 from ..ingest import read_int, read_list, read_number
 from ._common import balanced_sample_weights, check_training_data, logloss_terms, sigmoid
 
@@ -120,12 +120,21 @@ class MLPModel:
 
     @classmethod
     def from_payload(cls, payload) -> "MLPModel":
+        """The network saved as ``payload``: rectangular layers, each with a bias
+        per column, chaining ``n_features`` inputs to one output; else a
+        SchemaError naming the file and the key."""
         vector = partial(read_list, item=read_number)
-        params = MLPParams(
-            [np.array(w, dtype=np.float64) for w in payload.read("weights", read_list, item=partial(read_list, item=vector))],
-            [np.array(b, dtype=np.float64) for b in payload.read("biases", read_list, item=vector)],
-        )
-        return cls(params, payload.read("n_features", read_int), payload.read("n_epochs", read_int))
+        weights = payload.read("weights", read_list, item=partial(read_list, item=vector))
+        biases = payload.read("biases", read_list, item=vector, length=len(weights))
+        width = n_features = payload.read("n_features", read_int)
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if len(w) != width or {len(row) for row in w} != {len(b)}:
+                raise SchemaError(f"{payload.source}: 'weights'[{i}] is not {width} rows of {len(b)} numbers, one per 'biases'[{i}] item")
+            width = len(b)
+        if not weights or width != 1:
+            raise SchemaError(f"{payload.source}: the last layer of 'weights' has {width} columns, not 1")
+        params = MLPParams([np.array(w, dtype=np.float64) for w in weights], [np.array(b, dtype=np.float64) for b in biases])
+        return cls(params, n_features, payload.read("n_epochs", read_int))
 
 
 def _stratified_holdout(y: np.ndarray, fraction: float, rng: np.random.Generator):

@@ -57,15 +57,23 @@ class PreprocessModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "PreprocessModel":
+        """The model saved at ``path``: every fitted numeric column with its
+        stats, std > 0, and every categorical one with a vocabulary holding
+        the missing token; else a SchemaError naming the file and the key."""
         doc = load_document(path, "preprocess file", _FORMAT_VERSION)
         numeric, vocab = doc.object("numeric"), doc.object("vocab")
-        stats = {name: numeric.object(name) for name in numeric}
-        return cls(
-            numeric={name: NumericStats(*(s.read(k, read_number) for k in ("median", "mean", "std"))) for name, s in stats.items()},
-            vocab={name: vocab.read(name, read_list, item=read_text) for name in vocab},
-            fitted_columns=[ColumnSpec.read(c) for c in doc.objects("columns")],
-            fingerprint=doc.read("fingerprint", read_text),
-        )
+        columns = [ColumnSpec.read(c) for c in doc.objects("columns")]
+        stats, vocabs = {}, {}
+        for c in columns:
+            if c.kind == "numeric":
+                s = stats[c.name] = NumericStats(*(numeric.object(c.name).read(k, read_number) for k in ("median", "mean", "std")))
+                if s.std <= 0.0:
+                    raise SchemaError(f"{doc.source}: the 'std' of {c.name!r} is not positive ({s.std})")
+            else:
+                tokens = vocabs[c.name] = vocab.read(c.name, read_list, item=read_text)
+                if MISSING_TOKEN not in tokens:
+                    raise SchemaError(f"{doc.source}: the vocab of {c.name!r} lacks {MISSING_TOKEN!r}")
+        return cls(numeric=stats, vocab=vocabs, fitted_columns=columns, fingerprint=doc.read("fingerprint", read_text))
 
 
 def fit(train_matrix: FeatureMatrix) -> PreprocessModel:

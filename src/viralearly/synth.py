@@ -28,7 +28,7 @@ import numpy as np
 
 from .collector import DEFAULT_POLL_SCHEDULE, schedule_next_poll
 from .errors import ConfigError
-from .ingest import AuthorInfo, EngagementSnapshot, PostRecord, SubredditInfo
+from .ingest import AuthorInfo, PostRecord, Snapshots, SubredditInfo
 
 SIGNAL_PLACEMENTS = ("temporal", "network", "static", "mixed")
 
@@ -173,16 +173,13 @@ def _make_post(index, rng, is_viral, config, subreddit, created, grid) -> PostRe
 
     categories = _category_path(rng, grid, is_viral, network_signal)
     ratio = float(np.clip(rng.normal(0.92 if is_viral else 0.78, 0.03 if is_viral else 0.06), 0.05, 0.99))
-    snapshots = tuple(
-        EngagementSnapshot(
-            t_minutes=float(t),
-            score=int(scores[k]),
-            comments=int(comments_raw[k]),
-            crossposts=int(crossposts_raw[k]),
-            upvote_ratio=round(float(np.clip(ratio + 0.005 * rng.normal(), 0.0, 1.0)), 4),
-            category=categories[k],
-        )
-        for k, t in enumerate(grid)
+    snapshots = Snapshots(
+        t_minutes=tuple(map(float, grid)),
+        score=tuple(map(int, scores)),
+        comments=tuple(map(int, comments_raw)),
+        crossposts=tuple(map(int, crossposts_raw)),
+        upvote_ratio=tuple(round(float(np.clip(ratio + 0.005 * rng.normal(), 0.0, 1.0)), 4) for _ in grid),
+        category=tuple(categories),
     )
 
     if network_signal:

@@ -17,7 +17,7 @@ by reduced length, so each row sums in the order a 1-D array of its length has.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -71,16 +71,18 @@ def pad_snapshots(records: Sequence[PostRecord], caps) -> SnapshotBatch:
     n_posts, n_snaps = len(records), int(length.sum())
     # at least three columns, so every derived array has one; pads are never observed
     width = max(int(length.max(initial=0)), 3)
-    filled = np.arange(width) < length[:, None]  # row-major, in the order of ``snaps``
-    snaps = [s for r in records for s in r.snapshots]
+    filled = np.arange(width) < length[:, None]  # row-major: the records' series one after another
 
     def padded(values, fill, dtype=np.float64):
         out = np.full((n_posts, width), fill, dtype=dtype)
         out[filled] = values
         return out
 
+    def joined(name):
+        return chain.from_iterable(getattr(r.snapshots, name) for r in records)
+
     def field(name):
-        return padded(np.fromiter(map(attrgetter(name), snaps), np.float64, n_snaps), 0.0)
+        return padded(np.fromiter(joined(name), np.float64, n_snaps), 0.0)
 
     subscribers = np.array([r.subreddit.subscribers for r in records], dtype=np.float64)[:, None]
     unread = (length > 0) & (subscribers[:, 0] < 1)
@@ -102,11 +104,10 @@ def pad_snapshots(records: Sequence[PostRecord], caps) -> SnapshotBatch:
             with np.errstate(invalid="ignore"):  # 0 / 0 in the pads of a post without snapshots
                 quotient = np.divide(counts, subscribers, out=counts)  # exact operands: rounded as Python's int / int
         else:
-            whole = [r.subreddit.subscribers for r in records for _ in r.snapshots]
-            quotient = padded([getattr(s, m) / n for s, n in zip(snaps, whole)], 0.0)
+            quotient = padded([x / r.subreddit.subscribers for r in records for x in getattr(r.snapshots, m)], 0.0)
         norm[m] = np.minimum(np.multiply(quotient, PER_SUBSCRIBER_SCALE, out=quotient), caps.cap_for(m), out=quotient)
 
-    names = list(map(attrgetter("category"), snaps))
+    names = list(joined("category"))
     codes = {c: i for i, c in enumerate(dict.fromkeys(RANKED_CATEGORIES + tuple(names)))}
     category = padded(np.fromiter(map(codes.__getitem__, names), np.int32, n_snaps), -1, np.int32)
     opens = np.zeros((n_posts, width), dtype=bool)
@@ -129,7 +130,7 @@ def pad_snapshots(records: Sequence[PostRecord], caps) -> SnapshotBatch:
         length=length,
         t=t,
         norm=norm,
-        ratio=padded(np.array(list(map(attrgetter("upvote_ratio"), snaps)), dtype=np.float64), np.nan),  # None reads as NaN
+        ratio=padded(np.array(list(joined("upvote_ratio")), dtype=np.float64), np.nan),  # None reads as NaN
         category=category,
         category_names=tuple(codes),
         velocity=velocity,

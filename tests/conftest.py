@@ -3,7 +3,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from viralearly import experiments, synth
-from viralearly.ingest import AuthorInfo, EngagementSnapshot, PostRecord, SubredditInfo
+from viralearly.ingest import AuthorInfo, PostRecord, Snapshots, SubredditInfo
 
 BASE_TIME = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
@@ -14,16 +14,13 @@ def make_snapshots(times, scores, comments=None, crossposts=None, categories=Non
     crossposts = crossposts or [0] * n
     categories = categories or ["new"] * n
     ratios = ratios or [None] * n
-    return tuple(
-        EngagementSnapshot(
-            t_minutes=float(t),
-            score=int(s),
-            comments=int(c),
-            crossposts=int(x),
-            upvote_ratio=ratios[i],
-            category=categories[i],
-        )
-        for i, (t, s, c, x) in enumerate(zip(times, scores, comments, crossposts))
+    return Snapshots(
+        t_minutes=tuple(map(float, times)),
+        score=tuple(map(int, scores)),
+        comments=tuple(map(int, comments)),
+        crossposts=tuple(map(int, crossposts)),
+        upvote_ratio=tuple(ratios),
+        category=tuple(categories),
     )
 
 

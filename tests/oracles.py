@@ -32,6 +32,8 @@ written out by hand before it was derived from the shipped schema.
 
 import math
 import time
+from collections import namedtuple
+from dataclasses import fields
 
 import numpy as np
 
@@ -49,6 +51,7 @@ from viralearly.features import (
     WindowSpec,
     extract_static,
 )
+from viralearly.ingest import Snapshots
 from viralearly.labeling import LABELING_FEATURES, normalize_metric
 from viralearly.models._common import _Tree, check_training_data, sigmoid
 from viralearly.models.gbt import _GAIN_EPS, GBTModel, _bin_columns
@@ -325,9 +328,22 @@ def least_squares_slope(t: np.ndarray, y: np.ndarray) -> float | None:
 
 # -- per-record feature derivations -------------------------------------------
 
+#: One snapshot of a series, as the per-record references read it.
+SnapshotRow = namedtuple("SnapshotRow", [f.name for f in fields(Snapshots)])
+
+
+def snapshot_rows(snapshots):
+    """The series as a tuple of one :data:`SnapshotRow` per snapshot."""
+    return tuple(map(SnapshotRow._make, zip(*(getattr(snapshots, f.name) for f in fields(Snapshots)))))
+
+
+def snapshots_from_rows(rows):
+    """The :class:`Snapshots` value holding ``rows``, in their order."""
+    return Snapshots(*zip(*rows))
+
 
 def reference_labeling_row(record, caps, window_minutes, keys):
-    snaps = record.snapshots
+    snaps = snapshot_rows(record.snapshots)
     if window_minutes is not None:
         snaps = tuple(s for s in snaps if s.t_minutes <= window_minutes)
     subs = record.subreddit.subscribers
@@ -374,7 +390,7 @@ def reference_score_records(records, caps, weights):
 
 
 def _window_view(record, w):
-    return tuple(s for s in record.snapshots if s.t_minutes <= w.minutes)
+    return tuple(s for s in snapshot_rows(record.snapshots) if s.t_minutes <= w.minutes)
 
 
 def _first_time(snaps, attr):

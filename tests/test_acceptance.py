@@ -313,11 +313,15 @@ def _mutate_record(record, rng, trial):
     kind = int(rng.integers(0, 3))
     if kind == 0:
         factor = float(rng.uniform(0.1, 50.0))
-        snaps = tuple(
-            replace(s, score=int(s.score * factor) + 1, comments=s.comments + int(rng.integers(0, 50)))
-            for s in record.snapshots
+        snaps = record.snapshots
+        return replace(
+            record,
+            snapshots=replace(
+                snaps,
+                score=tuple(int(s * factor) + 1 for s in snaps.score),
+                comments=tuple(c + int(rng.integers(0, 50)) for c in snaps.comments),
+            ),
         )
-        return replace(record, snapshots=snaps)
     if kind == 1:
         author = replace(record.author, total_karma=int(rng.integers(0, 10**7)))
         return replace(record, author=author, title=f"mutated {trial}")

@@ -173,6 +173,71 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: model file {broken}: tree node 0 splits on 0 with children 0 and 0" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # was a StopIteration traceback (exit 1)
+            (lambda lines: [], "does not match its manifest"),
+            # inf in every cell passed evaluate with exit 0 and a pr_auc of 0.067
+            (lambda lines: [lines[0]] + [_set_cell(line, lines[0], "temporal__peak_velocity", "inf") for line in lines[1:]],
+             "row 1, column 'temporal__peak_velocity': 'inf' is not a finite number"),
+            (lambda lines: lines[:3] + [_set_cell(lines[3], lines[0], "temporal__peak_velocity", "fast")] + lines[4:],
+             "row 3, column 'temporal__peak_velocity': 'fast' is not a finite number"),
+            # an extra cell was dropped without a word
+            (lambda lines: lines[:2] + [lines[2] + ",0.5"] + lines[3:], "row 2 has"),
+        ],
+        ids=["empty", "inf", "text", "extra_cell"],
+    )
+    def test_bad_values_file_is_data_error(self, trained_flow, tmp_path, capsys, edit, message):
+        lab, feats, trained = trained_flow
+        matrix = tmp_path / "features_120.csv"
+        (tmp_path / "features_120.manifest.json").write_bytes((feats / "features_120.manifest.json").read_bytes())
+        lines = edit((feats / "features_120.csv").read_text(encoding="utf-8").splitlines())
+        matrix.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(evaluate_argv(feats, trained, lab / "labels.csv", tmp_path / "e", matrix=matrix)) == 2
+        err = capsys.readouterr().err
+        assert f"error: values file {matrix}" in err and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            # a std of 0 was divided by: exit 0 and a pr_auc of 0.068
+            (("numeric", "contextual__controversy_score", "std"), 0.0, "the 'std' of 'contextual__controversy_score' is not positive (0.0)"),
+            (("numeric", "contextual__controversy_score", "std"), -1.0, "the 'std' of 'contextual__controversy_score' is not positive (-1.0)"),
+            # the other three were KeyError tracebacks (exit 1)
+            (("numeric", "contextual__controversy_score"), None, "lacks the key 'contextual__controversy_score'"),
+            (("vocab", "contextual__controversy_type"), None, "lacks the key 'contextual__controversy_type'"),
+            (("vocab", "contextual__controversy_type"), ["a", "b"], "the vocab of 'contextual__controversy_type' lacks 'missing'"),
+        ],
+        ids=["zero_std", "negative_std", "no_stats", "no_vocab", "no_missing_token"],
+    )
+    def test_bad_preprocess_value_is_data_error(self, trained_flow, tmp_path, capsys, keys, value, message):
+        lab, feats, trained = trained_flow
+        doc = json.loads((trained / "preprocess.json").read_text(encoding="utf-8"))
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        if value is None:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+        broken = tmp_path / "preprocess.json"
+        broken.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(evaluate_argv(feats, trained, lab / "labels.csv", tmp_path / "e", preprocess=broken)) == 2
+        err = capsys.readouterr().err
+        assert f"error: preprocess file {broken}" in err and message in err
+        assert "Traceback" not in err
+
+
+def _set_cell(line, header, column, value):
+    """The CSV ``line`` with its cell under ``column`` of ``header`` set to ``value``."""
+    cells = line.split(",")
+    cells[header.split(",").index(column)] = value
+    return ",".join(cells)
+
 
 def write_edited(source, path, keys, value, raw=False, line=0):
     """``source`` written to ``path`` with the value at ``keys`` of its JSON

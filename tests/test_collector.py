@@ -73,18 +73,18 @@ class TestTrackPost:
         clock = SimulatedClock()
         result = track_post(ScriptedSource(clock), "p1", until_minutes=30.0, clock=clock)
         assert result.reason == "completed"
-        assert [s.t_minutes for s in result.snapshots] == [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
+        assert list(result.snapshots.t_minutes) == [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
 
     def test_always_failing_transport(self):
         clock = SimulatedClock()
         result = track_post(ScriptedSource(clock, fail_always=True), "p1", until_minutes=30.0, clock=clock)
-        assert result.snapshots == ()
+        assert len(result.snapshots) == 0
         assert result.reason == "unreachable"
 
     def test_removed_mid_tracking(self):
         clock = SimulatedClock()
         result = track_post(ScriptedSource(clock, removed_at=12.0), "p1", until_minutes=30.0, clock=clock)
-        assert [s.t_minutes for s in result.snapshots] == [0.0, 5.0, 10.0]
+        assert list(result.snapshots.t_minutes) == [0.0, 5.0, 10.0]
         assert result.reason == "removed"
 
     def test_failed_poll_skipped_not_fabricated(self):
@@ -93,7 +93,7 @@ class TestTrackPost:
         source = ScriptedSource(clock, fail_on_calls={2, 3, 4, 5})
         result = track_post(source, "p1", until_minutes=30.0, clock=clock)
         assert result.reason == "completed"
-        times = [s.t_minutes for s in result.snapshots]
+        times = list(result.snapshots.t_minutes)
         assert times[0] == 0.0
         assert 5.0 not in times
         assert times == sorted(times)
@@ -101,7 +101,7 @@ class TestTrackPost:
     def test_snapshots_strictly_increasing(self):
         clock = SimulatedClock()
         result = track_post(ScriptedSource(clock, fail_on_calls={3}), "p1", until_minutes=60.0, clock=clock)
-        times = [s.t_minutes for s in result.snapshots]
+        times = list(result.snapshots.t_minutes)
         assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_permanently_unavailable(self):
@@ -113,7 +113,7 @@ class TestTrackPost:
 
         clock = SimulatedClock()
         result = track_post(GoneAfter(clock), "p1", until_minutes=30.0, clock=clock)
-        assert [s.t_minutes for s in result.snapshots] == [0.0, 5.0]
+        assert list(result.snapshots.t_minutes) == [0.0, 5.0]
         assert result.reason == "unavailable"
 
     def test_rate_limit_retry_after_honored(self):
@@ -131,7 +131,7 @@ class TestTrackPost:
 
         result = track_post(Limited(), "p1", until_minutes=0.0, clock=clock)
         # first poll retried after the requested 7 minutes
-        assert result.snapshots[0].t_minutes == 7.0
+        assert result.snapshots.t_minutes[0] == 7.0
 
 
 class TestFileReplaySource:
@@ -140,7 +140,18 @@ class TestFileReplaySource:
         record = make_record(times=[0, 5, 10, 15], scores=[1, 3, 6, 9])
         source = FileReplaySource([record], clock)
         result = track_post(source, "p1", until_minutes=15.0, clock=clock)
-        assert [s.score for s in result.snapshots] == [1, 3, 6, 9]
+        assert list(result.snapshots.score) == [1, 3, 6, 9]
+
+    def test_out_of_order_times_end_the_scan_at_the_first_later_one(self):
+        # the answer is the snapshot before the first one past the elapsed
+        # time, not the latest one at or before it
+        clock = SimulatedClock()
+        source = FileReplaySource([make_record(times=[0, 10, 5, 20], scores=[1, 2, 3, 4])], clock)
+        scores = []
+        for elapsed in (0.0, 7.0, 12.0, 25.0):
+            clock.sleep_minutes(elapsed - clock.now_minutes())
+            scores.append(source.fetch("p1").score)
+        assert scores == [1, 1, 3, 4]
 
     def test_unknown_post_is_permanent_error(self):
         source = FileReplaySource([], SimulatedClock())
@@ -265,7 +276,7 @@ class TestHttpPollingSource:
             source.fetch("p1")
         # so tracking retries and skips the poll instead of crashing
         result = track_post(source, "p1", until_minutes=10.0, clock=SimulatedClock())
-        assert (result.reason, result.snapshots) == ("unreachable", ())
+        assert (result.reason, len(result.snapshots)) == ("unreachable", 0)
 
     def test_gone_is_permanent(self, monkeypatch):
         import urllib.error
@@ -296,7 +307,7 @@ def test_track_result_counts_polls_retries_and_waits():
     source = ScriptedSource(clock, fail_on_calls={2, 5, 6, 7, 8}, rate_limited_on_calls={10})
     result = track_post(source, "p1", until_minutes=30.0, clock=clock)
     assert result.reason == "completed"
-    assert [s.t_minutes for s in result.snapshots] == [0.0, 6.0, 10.0, 22.0, 28.0, 30.0]
+    assert list(result.snapshots.t_minutes) == [0.0, 6.0, 10.0, 22.0, 28.0, 30.0]
     assert (result.polls, result.retries, result.skipped_polls) == (7, 5, 1)
     assert result.rate_limit_wait_minutes == 3.0
     assert source.calls == 12
@@ -311,4 +322,4 @@ def test_replay_keys_elapsed_time_per_post():
     results = [track_post(source, pid, until_minutes=10.0, clock=shared) for pid in ("p0", "p1")]
     assert shared.now_minutes() == 20.0
     assert all(r.reason == "completed" for r in results)
-    assert [[(s.t_minutes, s.score) for s in r.snapshots] for r in results] == [[(0.0, 1), (5.0, 2), (10.0, 3)]] * 2
+    assert [list(zip(r.snapshots.t_minutes, r.snapshots.score)) for r in results] == [[(0.0, 1), (5.0, 2), (10.0, 3)]] * 2

@@ -23,11 +23,13 @@ from oracles import (
     reference_extract_temporal,
     reference_labeling_feature_matrix,
     reference_score_records,
+    snapshot_rows,
+    snapshots_from_rows,
 )
 
 
 def full_horizon(records):
-    return max(r.snapshots[-1].t_minutes for r in records)
+    return max(r.snapshots.t_minutes[-1] for r in records)
 
 
 def hand_made_records():
@@ -59,7 +61,7 @@ def ragged(records, seed=11):
     for r in records:
         keep = rng.random(len(r.snapshots)) < rng.uniform(0.2, 1.0)
         keep[-1] = True
-        out.append(replace(r, snapshots=tuple(s for s, k in zip(r.snapshots, keep) if k)))
+        out.append(replace(r, snapshots=snapshots_from_rows(s for s, k in zip(snapshot_rows(r.snapshots), keep) if k)))
     return out
 
 

@@ -23,7 +23,7 @@ WIDE = NormalizationCaps({"score": 1e12, "comments": 1e12, "crossposts": 1e12})
 class TestWindowView:
     def test_boundary_excludes_future(self):
         r = make_record(times=[0, 5, 35], scores=[0, 1, 2])
-        assert [s.t_minutes for s in observed_by(r, 30.0)] == [0.0, 5.0]
+        assert list(observed_by(r, 30.0).t_minutes) == [0.0, 5.0]
 
     def test_window_larger_than_series(self):
         r = make_record(times=[0, 5, 10], scores=[0, 1, 2])

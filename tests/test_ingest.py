@@ -1,6 +1,7 @@
 import ast
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from viralearly import ingest, synth
 from viralearly.errors import DatasetError
 
-from conftest import make_record
+from conftest import make_record, make_snapshots
 
 
 def write_lines(path, lines):
@@ -57,6 +58,22 @@ class TestParseDataset:
             categories=["new", "rising", "hot"],
             static_features={"template_name": "stonks", "relatability_score": 7},
         )
+        path = tmp_path / "d.jsonl"
+        ingest.write_dataset([record], path)
+        (parsed,) = ingest.parse_dataset(path)
+        assert parsed == record
+
+    @pytest.mark.parametrize(
+        "snapshots",
+        [
+            make_snapshots([], []),
+            make_snapshots([4], [2], categories=["top"]),
+            make_snapshots([0, 5, 10, 15], [0, 2, 5, 9], ratios=[None, 0.5, None, 0.75]),
+        ],
+        ids=["none", "one", "some_ratios"],
+    )
+    def test_round_trip_identity_of_a_series(self, tmp_path, snapshots):
+        record = replace(make_record(), snapshots=snapshots)
         path = tmp_path / "d.jsonl"
         ingest.write_dataset([record], path)
         (parsed,) = ingest.parse_dataset(path)
@@ -168,7 +185,7 @@ def test_dataset_schema_ships():
 def test_truncate_record():
     record = make_record(times=[0, 5, 35], scores=[0, 1, 2])
     cut = ingest.truncate_record(record, 30.0)
-    assert [s.t_minutes for s in cut.snapshots] == [0.0, 5.0]
+    assert list(cut.snapshots.t_minutes) == [0.0, 5.0]
 
 
 # One valid synthetic record; each example below breaks one leaf of it.

@@ -284,10 +284,10 @@ class TestLeakageGuard:
         test_ids = {r.post_id for r in base.test_records}
         for i, r in enumerate(mutated):
             if r.post_id in test_ids and rng.random() < 0.5:
-                boosted = [s.score * 100 + 5 for s in r.snapshots]
+                boosted = [s * 100 + 5 for s in r.snapshots.score]
                 mutated[i] = make_record(
                     post_id=r.post_id,
-                    times=[s.t_minutes for s in r.snapshots],
+                    times=r.snapshots.t_minutes,
                     scores=boosted,
                     created_minutes=(r.created_utc - base.train_records[0].created_utc).total_seconds() / 60
                     + 200000,

@@ -346,6 +346,40 @@ class TestSerialization:
         with pytest.raises(SchemaError, match=message):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            # one column short: a numpy broadcast error at predict time
+            ({("weights", 1): lambda w: [row[:-1] for row in w]}, "'weights'\\[1\\] is not 5 rows of 4 numbers"),
+            # a ragged row: numpy's "inhomogeneous shape" error
+            ({("weights", 0, 2): lambda row: row[:-1]}, "'weights'\\[0\\] is not 3 rows of 5 numbers"),
+            ({("weights", 0): lambda w: w[:-1]}, "'weights'\\[0\\] is not 3 rows of 5 numbers"),
+            ({("weights", 1): lambda w: w[:-1]}, "'weights'\\[1\\] is not 5 rows of 4 numbers"),
+            ({("biases", 0): lambda b: b[:-1]}, "'weights'\\[0\\] is not 3 rows of 4 numbers, one per 'biases'\\[0\\] item"),
+            ({("biases",): lambda b: b[:-1]}, "'biases' is not a list of length 3"),
+            (
+                {("weights", 2): lambda w: [row + [0.5] for row in w], ("biases", 2): lambda b: b + [0.0]},
+                "the last layer of 'weights' has 2 columns, not 1",
+            ),
+            ({("weights",): lambda w: [], ("biases",): lambda b: []}, "the last layer of 'weights' has 3 columns, not 1"),
+        ],
+        ids=["short_column", "ragged_row", "missing_row", "missing_hidden_row", "short_bias", "missing_bias", "two_outputs", "no_layers"],
+    )
+    def test_malformed_mlp_is_schema_error(self, edits, message, tmp_path):
+        X = np.random.default_rng(4).normal(size=(40, 3))
+        model = train(ModelConfig("mlp", {"hidden": [5, 4], "max_epochs": 2}), X, (X[:, 0] > 0).astype(int))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for keys, edit in edits.items():
+            parent = doc["payload"]
+            for key in keys[:-1]:
+                parent = parent[key]
+            parent[keys[-1]] = edit(parent[keys[-1]])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"model file {path}: {message}"):
+            load_model(path)
+
     def test_feature_names_must_match_the_payload(self, tmp_path):
         # a split on column 2 of a model saved with two feature names would
         # be an IndexError at predict time

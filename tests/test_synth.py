@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,20 @@ class TestGenerate:
         ingest.write_dataset(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (SynthConfig(n_posts=200, seed=7), "95820d47d2471736788c91e4c4dc30cc2b583a7b165a4162b0320077c6bd6e7c"),
+            (SynthConfig(n_posts=200, seed=3, signal="mixed"), "ea5eca4bdfbc195d68868fbacc04a111b6082e9847228750ebbf88fdabd16873"),
+        ],
+        ids=["temporal_seed_7", "mixed_seed_3"],
+    )
+    def test_written_corpus_is_pinned(self, tmp_path, config, digest):
+        # any change to the generator's draws or to the line format shows here
+        path = tmp_path / "posts.jsonl"
+        ingest.write_dataset(generate(config)[0], path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_different_seeds_differ(self):
         a, _ = generate(SynthConfig(n_posts=60, seed=1))
         b, _ = generate(SynthConfig(n_posts=60, seed=2))
@@ -55,7 +71,7 @@ class TestGenerate:
     def test_snapshots_follow_poll_grid(self):
         records, _ = generate(SynthConfig(n_posts=20, seed=3, horizon_minutes=1560.0))
         grid = poll_grid(1560.0)
-        assert [s.t_minutes for s in records[0].snapshots] == grid.tolist()
+        assert list(records[0].snapshots.t_minutes) == grid.tolist()
         # 5-minute resolution early, hourly late
         assert grid[1] - grid[0] == 5.0
         assert grid[-1] - grid[-2] == 60.0
@@ -82,9 +98,9 @@ class TestTrajectoryShape:
         for record, viral in zip(records, labels):
             if not viral:
                 continue
-            t = np.array([s.t_minutes for s in record.snapshots])
+            t = np.array(record.snapshots.t_minutes)
             norm = np.array(
-                [normalize_metric(s.score, record.subreddit.subscribers, 1e12) for s in record.snapshots]
+                [normalize_metric(s, record.subreddit.subscribers, 1e12) for s in record.snapshots.score]
             )
             point = oracles.takeoff_point(t, norm)
             tv, v = oracles.velocity_series(t, norm)
@@ -101,8 +117,7 @@ class TestTrajectoryShape:
         for record, viral in zip(records, labels):
             if viral:
                 continue
-            last = record.last_snapshot()
-            finals.append(last.score / record.subreddit.subscribers * 100_000)
+            finals.append(record.snapshots.score[-1] / record.subreddit.subscribers * 100_000)
         assert np.median(finals) < 50.0
 
 
