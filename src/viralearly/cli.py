@@ -2,8 +2,9 @@
 
 Subcommands: validate, synth, collect, label, features, train, evaluate,
 sweep, ablate, importance. Every subcommand reads an optional INI config
-file (one section per module, flat key=value) with flags taking precedence,
-and writes its outputs plus a manifest into the run directory.
+file whose ``[<subcommand>]`` section sets its flags by destination
+(``top_frac = 0.1`` for ``--top-frac 0.1``); a flag on the command line
+wins. Each writes its outputs plus a manifest into the run directory.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import json
 import sys
 import time
@@ -23,10 +25,14 @@ import numpy as np
 from . import __version__, collector, evaluation, experiments, ingest, models, preprocess, synth
 from .errors import ConfigError
 from .features import DEFAULT_WINDOW_SWEEP, MODALITIES, FeatureMatrix, WindowSpec, assemble_matrix
-from .labeling import LabelingArtifacts
+from .labeling import DEFAULT_WEIGHT_WINDOWS, LabelingArtifacts
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
+
+# Destinations the config file never sets: the parser's own, the config file
+# itself, labeling artifacts to reuse and the collector's credentials.
+_FLAG_ONLY = frozenset({"command", "handler", "config", "artifacts", "auth_header"})
 
 
 class _UsageError(Exception):
@@ -39,14 +45,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, subcommands = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_help()
             return USAGE_ERROR
-        cfg = _load_config(args.config)
-        return args.handler(args, cfg)
+        if args.config is not None:
+            subcommands[args.command].set_defaults(**_config_defaults(args.config, args.command, vars(args)))
+            args = parser.parse_args(argv)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -59,140 +67,119 @@ def main(argv: list[str] | None = None) -> int:
         return DATA_ERROR
 
 
-def _build_parser() -> _Parser:
+def _config_defaults(path: Path, section: str, parsed: dict) -> dict:
+    """The keys of the file's ``[section]`` that name one of the subcommand's
+    destinations in ``parsed``, as new defaults for its parser: parsing again
+    then applies flag > config > default and converts each text through the
+    flag's type. A destination holding a bool takes configparser's booleans."""
+    cfg = configparser.ConfigParser()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg.read_file(fh)
+        if not cfg.has_section(section):
+            return {}
+        return {
+            key: cfg.getboolean(section, key) if isinstance(parsed[key], bool) else cfg.get(section, key)
+            for key in cfg.options(section)
+            if key in parsed and key not in _FLAG_ONLY
+        }
+    except (OSError, configparser.Error, ValueError) as exc:
+        raise ConfigError(f"bad config file {path}: {exc}") from exc
+
+
+def _default(fn, name: str):
+    """The default that ``fn``'s signature gives its parameter ``name``."""
+    return inspect.signature(fn).parameters[name].default
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _strings(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="viralearly", description=__doc__)
     parser.add_argument("--version", action="version", version=f"viralearly {__version__}")
     parser.set_defaults(command=None)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", type=Path, default=None, help="INI config file; flags override it")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=Path, default=None, help="run directory")
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--out", type=Path, default=Path("runs", name), help="run directory")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("validate", help="check a dataset file against the schema and filters")
-    common(p)
+    train_frac = _default(experiments.prepare, "train_frac")
+
+    def study(name, handler, help):
+        p = command(name, handler, help)
+        p.add_argument("--data", type=Path, required=True)
+        p.add_argument("--train-frac", type=float, default=train_frac)
+        p.add_argument("--artifacts", type=Path, default=None, help="reuse labeling.json instead of refitting")
+        return p
+
+    p = command("validate", cmd_validate, "check a dataset file against the schema and filters")
     p.add_argument("--data", type=Path, required=True)
-    p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
-    common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--viral-frac", type=float, default=None)
-    p.add_argument("--signal", choices=synth.SIGNAL_PLACEMENTS, default=None)
-    p.set_defaults(handler=cmd_synth)
+    p = command("synth", cmd_synth, "generate a synthetic labeled corpus")
+    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--viral-frac", type=float, default=_default(synth.SynthConfig, "viral_frac"))
+    p.add_argument("--signal", choices=synth.SIGNAL_PLACEMENTS, default=_default(synth.SynthConfig, "signal"))
 
-    p = sub.add_parser("collect", help="track posts through a replay or HTTP source")
-    common(p)
+    p = command("collect", cmd_collect, "track posts through a replay or HTTP source")
     p.add_argument("--replay", type=Path, default=None, help="dataset file to replay as the source")
     p.add_argument("--base-url", default=None, help="HTTP post-state endpoint base URL")
     p.add_argument("--auth-header", default=None)
-    p.add_argument("--post-ids", default=None, help="comma-separated ids (default: all replay posts)")
-    p.add_argument("--until", type=float, default=None, help="track until this post age in minutes")
-    p.set_defaults(handler=cmd_collect)
+    p.add_argument("--post-ids", type=_strings, default=None, help="comma-separated ids (default: all replay posts)")
+    p.add_argument("--until", type=float, default=1440.0, help="track until this post age in minutes")
 
-    p = sub.add_parser("label", help="fit labeling artifacts on the chronological train split")
-    common(p)
+    p = command("label", cmd_label, "fit labeling artifacts on the chronological train split")
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--train-frac", type=float, default=None)
-    p.add_argument("--top-frac", type=float, default=None)
-    p.add_argument("--weight-windows", default=None, help="comma-separated minutes")
-    p.set_defaults(handler=cmd_label)
+    p.add_argument("--train-frac", type=float, default=train_frac)
+    p.add_argument("--top-frac", type=float, default=_default(experiments.prepare, "top_frac"))
+    p.add_argument("--weight-windows", type=_floats, default=DEFAULT_WEIGHT_WINDOWS, help="comma-separated minutes")
 
-    p = sub.add_parser("features", help="extract a windowed feature matrix")
-    common(p)
+    p = command("features", cmd_features, "extract a windowed feature matrix")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--artifacts", type=Path, required=True, help="labeling.json from `label`")
-    p.add_argument("--window", type=float, default=None)
-    p.add_argument("--modalities", default=None, help="comma-separated subset")
-    p.set_defaults(handler=cmd_features)
+    p.add_argument("--window", type=float, default=120.0)
+    p.add_argument("--modalities", type=_strings, default=MODALITIES, help="comma-separated subset")
 
-    p = sub.add_parser("train", help="fit preprocessing and one model on a feature matrix")
-    common(p)
+    p = command("train", cmd_train, "fit preprocessing and one model on a feature matrix")
     p.add_argument("--matrix", type=Path, required=True, help="features CSV (manifest sidecar expected)")
     p.add_argument("--labels", type=Path, required=True, help="labels.csv from `label`")
-    p.add_argument("--model", choices=models.MODEL_KINDS, default=None)
-    p.set_defaults(handler=cmd_train)
+    p.add_argument("--model", choices=models.MODEL_KINDS, default="gbt")
 
-    p = sub.add_parser("evaluate", help="score a trained model on a feature matrix")
-    common(p)
+    p = command("evaluate", cmd_evaluate, "score a trained model on a feature matrix")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--preprocess", type=Path, required=True)
     p.add_argument("--matrix", type=Path, required=True)
     p.add_argument("--labels", type=Path, required=True)
-    p.set_defaults(handler=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="window sweep: per (window, model) test and CV metrics")
-    common(p)
-    p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--windows", default=None, help="comma-separated minutes")
-    p.add_argument("--models", default=None, help="comma-separated model kinds")
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--no-cv", action="store_true")
-    p.add_argument("--artifacts", type=Path, default=None, help="reuse labeling.json instead of refitting")
-    p.set_defaults(handler=cmd_sweep)
+    p = study("sweep", cmd_sweep, "window sweep: per (window, model) test and CV metrics")
+    p.add_argument("--windows", type=_floats, default=DEFAULT_WINDOW_SWEEP, help="comma-separated minutes")
+    p.add_argument("--models", type=_strings, default=experiments.SWEEP_MODELS, help="comma-separated model kinds")
+    p.add_argument("--folds", type=int, default=_default(experiments.run_window_sweep, "k_folds"))
+    p.add_argument("--no-cv", dest="cv", action="store_false")
 
-    p = sub.add_parser("ablate", help="modality ablation at one window (gbt)")
-    common(p)
-    p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--window", type=float, default=None)
-    p.add_argument("--artifacts", type=Path, default=None)
-    p.set_defaults(handler=cmd_ablate)
+    p = study("ablate", cmd_ablate, "modality ablation at one window (gbt)")
+    p.add_argument("--window", type=float, default=experiments.ABLATION_WINDOW_MINUTES)
 
-    p = sub.add_parser("importance", help="modality membership in the top-k features per window")
-    common(p)
-    p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--windows", default=None)
-    p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--artifacts", type=Path, default=None)
-    p.set_defaults(handler=cmd_importance)
+    p = study("importance", cmd_importance, "modality membership in the top-k features per window")
+    p.add_argument("--windows", type=_floats, default=DEFAULT_WINDOW_SWEEP)
+    p.add_argument("--top-k", type=int, default=experiments.DEFAULT_TOP_K)
 
-    return parser
+    return parser, sub.choices
 
 
-def _load_config(path: Path | None) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
-    if path is not None:
-        if not Path(path).exists():
-            raise ConfigError(f"config file not found: {path}")
-        cfg.read(path)
-    return cfg
-
-
-def _get(args_value, cfg, section, key, default, cast=str):
-    """Flag > config file > default. Environment variables are never read."""
-    if args_value is not None:
-        return args_value
-    if cfg.has_option(section, key):
-        raw = cfg.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad config value [{section}] {key} = {raw!r}") from exc
-    return default
-
-
-def _floats(text) -> tuple[float, ...]:
-    if isinstance(text, (tuple, list)):
-        return tuple(float(v) for v in text)
-    return tuple(float(v.strip()) for v in str(text).split(",") if v.strip())
-
-
-def _strings(text) -> tuple[str, ...]:
-    if isinstance(text, (tuple, list)):
-        return tuple(text)
-    return tuple(v.strip() for v in str(text).split(",") if v.strip())
-
-
-def _out_dir(args, cfg, command: str) -> Path:
-    out = _get(args.out, cfg, command, "out", Path(f"runs/{command}"), Path)
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _seed(args, cfg, command: str) -> int:
-    return _get(args.seed, cfg, command, "seed", 42, int)
+def _out_dir(args) -> Path:
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out
 
 
 def _write_run_manifest(
@@ -223,20 +210,16 @@ def _labels_for(path: Path, row_ids: list[str]) -> np.ndarray:
     return np.array([labels[rid] for rid in row_ids], dtype=np.int8)
 
 
-def _prepare_from_args(args, cfg, command: str, records, seed: int) -> experiments.PreparedData:
-    artifacts = None
-    artifacts_path = getattr(args, "artifacts", None)
-    if artifacts_path is not None:
-        artifacts = LabelingArtifacts.load(artifacts_path)
-    train_frac = _get(getattr(args, "train_frac", None), cfg, command, "train_frac", 0.8, float)
-    forest = models.default_config("random_forest", seed=seed)
-    return experiments.prepare(records, train_frac=train_frac, forest_config=forest, artifacts=artifacts)
+def _prepare_study(args, records) -> experiments.PreparedData:
+    artifacts = None if args.artifacts is None else LabelingArtifacts.load(args.artifacts)
+    forest = models.default_config("random_forest", seed=args.seed)
+    return experiments.prepare(records, train_frac=args.train_frac, forest_config=forest, artifacts=artifacts)
 
 
 # -- subcommand handlers -------------------------------------------------
 
 
-def cmd_validate(args, cfg) -> int:
+def cmd_validate(args) -> int:
     diagnostics: list[ingest.ParseDiagnostic] = []
     records = list(ingest.parse_dataset(args.data, on_error=diagnostics.append))
     reports = [ingest.validate_record(r) for r in records]
@@ -258,14 +241,9 @@ def cmd_validate(args, cfg) -> int:
     return DATA_ERROR if diagnostics or violations else 0
 
 
-def cmd_synth(args, cfg) -> int:
-    out = _out_dir(args, cfg, "synth")
-    config = synth.SynthConfig(
-        n_posts=_get(args.n, cfg, "synth", "n", 1000, int),
-        viral_frac=_get(args.viral_frac, cfg, "synth", "viral_frac", 0.05, float),
-        signal=_get(args.signal, cfg, "synth", "signal", "temporal"),
-        seed=_seed(args, cfg, "synth"),
-    )
+def cmd_synth(args) -> int:
+    out = _out_dir(args)
+    config = synth.SynthConfig(n_posts=args.n, viral_frac=args.viral_frac, signal=args.signal, seed=args.seed)
     records, planted = synth.generate(config)
     ingest.write_dataset(records, out / "posts.jsonl")
     experiments.write_csv(
@@ -277,22 +255,19 @@ def cmd_synth(args, cfg) -> int:
     return 0
 
 
-def cmd_collect(args, cfg) -> int:
-    out = _out_dir(args, cfg, "collect")
-    until = _get(args.until, cfg, "collect", "until", 1440.0, float)
-    replay = _get(args.replay, cfg, "collect", "replay", None, Path)
-    base_url = _get(args.base_url, cfg, "collect", "base_url", None)
-    if (replay is None) == (base_url is None):
+def cmd_collect(args) -> int:
+    out = _out_dir(args)
+    if (args.replay is None) == (args.base_url is None):
         raise _UsageError("collect needs exactly one of --replay or --base-url")
 
-    clock = collector.SimulatedClock() if replay is not None else collector.SystemClock()
-    if replay is not None:
-        source = collector.FileReplaySource.from_dataset(replay, clock)
-        default_ids = ",".join(sorted(source._records))
+    if args.replay is not None:
+        clock = collector.SimulatedClock()
+        source = collector.FileReplaySource.from_dataset(args.replay, clock)
+        ids = tuple(sorted(source._records)) if args.post_ids is None else args.post_ids
     else:
-        source = collector.HttpPollingSource(base_url, auth_header=args.auth_header)
-        default_ids = ""
-    ids = _strings(_get(args.post_ids, cfg, "collect", "post_ids", default_ids))
+        clock = collector.SystemClock()
+        source = collector.HttpPollingSource(args.base_url, auth_header=args.auth_header)
+        ids = args.post_ids
     if not ids:
         raise _UsageError("no post ids to track")
 
@@ -300,30 +275,28 @@ def cmd_collect(args, cfg) -> int:
     # one line per post as soon as it finishes, so a failure later in the run keeps it
     with open(out / "tracked.jsonl", "w", encoding="utf-8") as fh:
         for pid in ids:
-            res = collector.track_post(source, pid, until_minutes=until, clock=clock)
+            res = collector.track_post(source, pid, until_minutes=args.until, clock=clock)
             fh.write(json.dumps({"post_id": res.post_id, "reason": res.reason, "snapshots": res.snapshots.to_json_list()}) + "\n")
             fh.flush()
             for key in ("polls", "retries", "skipped_polls", "rate_limit_wait_minutes"):
                 outcome[key] += getattr(res, key)
             outcome["reasons"][res.reason] = outcome["reasons"].get(res.reason, 0) + 1
     _write_run_manifest(
-        out, "collect", {"until": until, "n_posts": len(ids), "source": str(replay or base_url)}, outcome=outcome
+        out, "collect", {"until": args.until, "n_posts": len(ids), "source": str(args.replay or args.base_url)}, outcome=outcome
     )
     print(f"tracked {len(ids)} posts to {out / 'tracked.jsonl'}")
     return 0
 
 
-def cmd_label(args, cfg) -> int:
-    out = _out_dir(args, cfg, "label")
-    seed = _seed(args, cfg, "label")
+def cmd_label(args) -> int:
+    out = _out_dir(args)
     records = list(ingest.parse_dataset(args.data))
-    windows = _floats(_get(args.weight_windows, cfg, "label", "weight_windows", "30,60,120"))
     data = experiments.prepare(
         records,
-        train_frac=_get(args.train_frac, cfg, "label", "train_frac", 0.8, float),
-        weight_windows=windows,
-        top_frac=_get(args.top_frac, cfg, "label", "top_frac", 0.05, float),
-        forest_config=models.default_config("random_forest", seed=seed),
+        train_frac=args.train_frac,
+        weight_windows=args.weight_windows,
+        top_frac=args.top_frac,
+        forest_config=models.default_config("random_forest", seed=args.seed),
     )
     data.artifacts.save(out / "labeling.json")
 
@@ -340,7 +313,7 @@ def cmd_label(args, cfg) -> int:
         "label",
         {
             "data": str(args.data),
-            "seed": seed,
+            "seed": args.seed,
             "tau": data.artifacts.threshold.tau,
             "weights": data.artifacts.weights.weights,
             "n_train": data.n_train,
@@ -355,49 +328,45 @@ def cmd_label(args, cfg) -> int:
     return 0
 
 
-def cmd_features(args, cfg) -> int:
-    out = _out_dir(args, cfg, "features")
+def cmd_features(args) -> int:
+    out = _out_dir(args)
     records = list(ingest.parse_dataset(args.data))
     artifacts = LabelingArtifacts.load(args.artifacts)
-    window = _get(args.window, cfg, "features", "window", 120.0, float)
-    modalities = _strings(_get(args.modalities, cfg, "features", "modalities", ",".join(MODALITIES)))
-    matrix = assemble_matrix(records, WindowSpec(window), artifacts.caps, modalities)
-    path = out / f"features_{int(window)}.csv"
+    matrix = assemble_matrix(records, WindowSpec(args.window), artifacts.caps, args.modalities)
+    path = out / f"features_{int(args.window)}.csv"
     matrix.to_csv(path)
     _write_run_manifest(
         out,
         "features",
-        {"data": str(args.data), "window": window, "modalities": list(modalities), "n_rows": matrix.n_rows},
+        {"data": str(args.data), "window": args.window, "modalities": list(args.modalities), "n_rows": matrix.n_rows},
     )
     print(f"wrote {matrix.n_rows}x{len(matrix.columns)} matrix to {path}")
     return 0
 
 
-def cmd_train(args, cfg) -> int:
-    out = _out_dir(args, cfg, "train")
-    seed = _seed(args, cfg, "train")
-    kind = _get(args.model, cfg, "train", "model", "gbt")
+def cmd_train(args) -> int:
+    out = _out_dir(args)
     matrix = FeatureMatrix.from_csv(args.matrix)
     y = _labels_for(args.labels, matrix.row_ids)
 
     prep = preprocess.fit(matrix)
     transformed = preprocess.transform(prep, matrix)
     start = time.perf_counter()
-    model = models.train(models.default_config(kind, seed=seed), transformed.X, y, feature_names=transformed.names)
+    model = models.train(models.default_config(args.model, seed=args.seed), transformed.X, y, feature_names=transformed.names)
     duration = time.perf_counter() - start
     prep.save(out / "preprocess.json")
     models.save_model(model, out / "model.json")
     _write_run_manifest(
         out,
         "train",
-        {"matrix": str(args.matrix), "model": kind, "seed": seed, "duration_seconds": duration},
+        {"matrix": str(args.matrix), "model": args.model, "seed": args.seed, "duration_seconds": duration},
     )
-    print(f"trained {kind} on {matrix.n_rows} rows in {duration:.2f}s -> {out / 'model.json'}")
+    print(f"trained {args.model} on {matrix.n_rows} rows in {duration:.2f}s -> {out / 'model.json'}")
     return 0
 
 
-def cmd_evaluate(args, cfg) -> int:
-    out = _out_dir(args, cfg, "evaluate")
+def cmd_evaluate(args) -> int:
+    out = _out_dir(args)
     model = models.load_model(args.model)
     prep = preprocess.PreprocessModel.load(args.preprocess)
     matrix = FeatureMatrix.from_csv(args.matrix)
@@ -411,52 +380,44 @@ def cmd_evaluate(args, cfg) -> int:
     return 0
 
 
-def cmd_sweep(args, cfg) -> int:
-    out = _out_dir(args, cfg, "sweep")
-    seed = _seed(args, cfg, "sweep")
+def cmd_sweep(args) -> int:
+    out = _out_dir(args)
     records = list(ingest.parse_dataset(args.data))
-    windows = _floats(_get(args.windows, cfg, "sweep", "windows", DEFAULT_WINDOW_SWEEP, _floats))
-    kinds = _strings(_get(args.models, cfg, "sweep", "models", ",".join(experiments.SWEEP_MODELS)))
-    data = _prepare_from_args(args, cfg, "sweep", records, seed)
     rows = experiments.run_window_sweep(
         records,
-        windows=windows,
-        model_kinds=kinds,
-        seed=seed,
-        k_folds=_get(args.folds, cfg, "sweep", "folds", 5, int),
-        with_cv=not args.no_cv and _get(None, cfg, "sweep", "cv", "true") != "false",
+        windows=args.windows,
+        model_kinds=args.models,
+        seed=args.seed,
+        k_folds=args.folds,
+        with_cv=args.cv,
         out_dir=out,
-        data=data,
+        data=_prepare_study(args, records),
     )
-    params = {"data": args.data, "artifacts": args.artifacts, "seed": seed, "windows": list(windows), "models": list(kinds)}
+    params = {"data": args.data, "artifacts": args.artifacts, "seed": args.seed, "windows": list(args.windows), "models": list(args.models)}
     _write_run_manifest(out, "sweep", params, "window_sweep")
     print(f"wrote {len(rows)} rows to {out / 'window_sweep.csv'}")
     return 0
 
 
-def cmd_ablate(args, cfg) -> int:
-    out = _out_dir(args, cfg, "ablate")
-    seed = _seed(args, cfg, "ablate")
+def cmd_ablate(args) -> int:
+    out = _out_dir(args)
     records = list(ingest.parse_dataset(args.data))
-    window = _get(args.window, cfg, "ablate", "window", experiments.ABLATION_WINDOW_MINUTES, float)
-    data = _prepare_from_args(args, cfg, "ablate", records, seed)
-    rows = experiments.run_ablation(records, window=window, seed=seed, out_dir=out, data=data)
-    _write_run_manifest(out, "ablate", {"data": args.data, "artifacts": args.artifacts, "seed": seed, "window": window}, "ablation")
-    print(f"wrote {len(rows)} rows to {out / f'ablation_{int(window)}.csv'}")
+    data = _prepare_study(args, records)
+    rows = experiments.run_ablation(records, window=args.window, seed=args.seed, out_dir=out, data=data)
+    params = {"data": args.data, "artifacts": args.artifacts, "seed": args.seed, "window": args.window}
+    _write_run_manifest(out, "ablate", params, "ablation")
+    print(f"wrote {len(rows)} rows to {out / f'ablation_{int(args.window)}.csv'}")
     return 0
 
 
-def cmd_importance(args, cfg) -> int:
-    out = _out_dir(args, cfg, "importance")
-    seed = _seed(args, cfg, "importance")
+def cmd_importance(args) -> int:
+    out = _out_dir(args)
     records = list(ingest.parse_dataset(args.data))
-    windows = _floats(_get(args.windows, cfg, "importance", "windows", DEFAULT_WINDOW_SWEEP, _floats))
-    top_k = _get(args.top_k, cfg, "importance", "top_k", experiments.DEFAULT_TOP_K, int)
-    data = _prepare_from_args(args, cfg, "importance", records, seed)
+    data = _prepare_study(args, records)
     counts, _ = experiments.importance_over_time(
-        records, windows=windows, top_k=top_k, seed=seed, out_dir=out, data=data
+        records, windows=args.windows, top_k=args.top_k, seed=args.seed, out_dir=out, data=data
     )
-    params = {"data": args.data, "artifacts": args.artifacts, "seed": seed, "windows": list(windows), "top_k": top_k}
+    params = {"data": args.data, "artifacts": args.artifacts, "seed": args.seed, "windows": list(args.windows), "top_k": args.top_k}
     _write_run_manifest(out, "importance", params, "importance_over_time")
     print(f"wrote {len(counts)} rows to {out / 'modality_importance.csv'}")
     return 0

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Protocol, Sequence
 
-from .errors import ConfigError
-from .ingest import PostRecord, Snapshots, decode_json, parse_dataset, read_engagement, read_flag, read_object
+from .errors import ConfigError, DatasetError
+from .ingest import PostRecord, Snapshots, decode_json, parse_dataset, read_engagement, read_flag, read_object, validate_record
 
 #: (max_age_minutes, interval_minutes) tiers: 5-minute polls for the first
 #: two hours, 15 minutes up to eight hours, hourly through the first day and
@@ -231,7 +231,14 @@ class FileReplaySource:
 
     @classmethod
     def from_dataset(cls, path, clock: Clock) -> "FileReplaySource":
-        return cls(list(parse_dataset(path)), clock)
+        """Replay a dataset file; DatasetError naming the file, the post and its
+        first violation when a record breaks an invariant of ``validate_record``."""
+        records = list(parse_dataset(path))
+        for record in records:
+            report = validate_record(record)
+            if not report.ok:
+                raise DatasetError(f"{path}: post {record.post_id}: {report.violations[0]}")
+        return cls(records, clock)
 
     def fetch(self, post_id: str) -> PollResult:
         record = self._records.get(post_id)

@@ -8,6 +8,7 @@ class-imbalance weighting as configured.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,44 +23,24 @@ from .gbt import GBTModel, fit_gbt
 from .logreg import LogisticModel, fit_logreg
 from .mlp import MLPModel, MLPParams, fit_mlp, init_params, loss_and_gradients
 
-MODEL_KINDS = ("logreg", "gbt", "mlp", "random_forest")
+# Each kind's fit function and model class; the fit function's keyword
+# defaults are the kind's default hyperparameters.
+_FAMILIES = {
+    "logreg": (fit_logreg, LogisticModel),
+    "gbt": (fit_gbt, GBTModel),
+    "mlp": (fit_mlp, MLPModel),
+    "random_forest": (fit_random_forest, RandomForestModel),
+}
+
+MODEL_KINDS = tuple(_FAMILIES)
 
 _FORMAT_VERSION = 2
 
-_DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
-    "logreg": {
-        "C": 1.0,
-        "class_weight": "balanced",
-        "tol": 1e-6,
-        "max_iter": 10_000,
-    },
-    "gbt": {
-        "n_rounds": 100,
-        "learning_rate": 0.3,
-        "max_depth": 6,
-        "min_child_weight": 1.0,
-        "reg_lambda": 1.0,
-        "max_bins": 64,
-        "scale_pos_weight": "auto",
-    },
-    "mlp": {
-        "hidden": (100, 50),
-        "learning_rate": 1e-3,
-        "batch_size": 256,
-        "max_epochs": 500,
-        "early_stopping": True,
-        "validation_fraction": 0.1,
-        "tol": 1e-4,
-        "patience": 10,
-        "class_weight": "balanced",
-    },
-    "random_forest": {
-        "n_trees": 100,
-        "max_features": "sqrt",
-        "min_samples_split": 2,
-        "max_depth": None,
-    },
-}
+
+def _fit_function(kind: str):
+    if kind not in _FAMILIES:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    return _FAMILIES[kind][0]
 
 
 @dataclass
@@ -71,9 +52,10 @@ class ModelConfig:
     seed: int = 42
 
     def resolved_params(self) -> dict[str, Any]:
-        if self.kind not in _DEFAULT_PARAMS:
-            raise ConfigError(f"unknown model kind {self.kind!r}")
-        merged = dict(_DEFAULT_PARAMS[self.kind])
+        """The keyword defaults of the kind's fit function but ``seed``,
+        updated by ``params``."""
+        signature = inspect.signature(_fit_function(self.kind)).parameters
+        merged = {name: p.default for name, p in signature.items() if p.default is not p.empty and name != "seed"}
         unknown = set(self.params) - set(merged)
         if unknown:
             raise ConfigError(f"unknown {self.kind} parameters: {sorted(unknown)}")
@@ -83,8 +65,7 @@ class ModelConfig:
 
 def default_config(kind: str, seed: int = 42) -> ModelConfig:
     """The benchmark defaults for each family (weighting and loss included)."""
-    if kind not in _DEFAULT_PARAMS:
-        raise ConfigError(f"unknown model kind {kind!r}")
+    _fit_function(kind)
     return ModelConfig(kind=kind, params={}, seed=seed)
 
 
@@ -124,25 +105,10 @@ def train(config: ModelConfig, X, y, feature_names: list[str] | None = None) -> 
     elif len(feature_names) != X.shape[1]:
         raise SchemaError("feature_names length does not match X columns")
 
-    if config.kind == "logreg":
-        inner = fit_logreg(X, y, **params)
-    elif config.kind == "gbt":
-        inner = fit_gbt(X, y, **params)
-    elif config.kind == "mlp":
-        inner = fit_mlp(X, y, seed=config.seed, **{**params, "hidden": tuple(params["hidden"])})
-    elif config.kind == "random_forest":
-        inner = fit_random_forest(X, y, seed=config.seed, **params)
-    else:
-        raise ConfigError(f"unknown model kind {config.kind!r}")
-    return TrainedModel(config=config, feature_names=list(feature_names), inner=inner)
-
-
-_INNER_CLASSES = {
-    "logreg": LogisticModel,
-    "gbt": GBTModel,
-    "mlp": MLPModel,
-    "random_forest": RandomForestModel,
-}
+    fit = _fit_function(config.kind)
+    if "seed" in inspect.signature(fit).parameters:
+        params["seed"] = config.seed
+    return TrainedModel(config=config, feature_names=list(feature_names), inner=fit(X, y, **params))
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -161,10 +127,10 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> TrainedModel:
     doc = load_document(path, "model file", _FORMAT_VERSION)
     kind = doc.read("kind", read_text)
-    if kind not in _INNER_CLASSES:
+    if kind not in _FAMILIES:
         raise SchemaError(f"unknown model kind {kind!r} in file")
     feature_names = doc.read("feature_names", read_list, item=read_text)
-    inner = _INNER_CLASSES[kind].from_payload(doc.object("payload"))
+    inner = _FAMILIES[kind][1].from_payload(doc.object("payload"))
     if inner.n_features != len(feature_names):
         raise SchemaError(f"{doc.source}: the payload has {inner.n_features} features, 'feature_names' {len(feature_names)}")
     config = ModelConfig(kind=kind, params=dict(doc.object("params")), seed=doc.read("seed", read_int))

@@ -1,9 +1,11 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from viralearly import experiments, ingest, models
+from viralearly import cli, experiments, ingest, models
 from viralearly.cli import main
 from viralearly.labeling import LabelingArtifacts
 
@@ -584,6 +586,16 @@ class TestCollectCommand:
     def test_needs_exactly_one_source(self, tmp_path):
         assert main(["collect", "--out", str(tmp_path / "x")]) == 1
 
+    def test_replay_file_with_times_out_of_order_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "replay.jsonl"
+        ingest.write_dataset(
+            [make_record(post_id="p0"), make_record(post_id="p1", times=[0, 10, 5, 20], scores=[1, 2, 3, 4])], data
+        )
+        out = tmp_path / "collected"
+        assert main(["collect", "--replay", str(data), "--until", "30", "--out", str(out)]) == 2
+        assert f"{data}: post p1: non-increasing time at index 2" in capsys.readouterr().err
+        assert not (out / "tracked.jsonl").exists()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):
@@ -600,3 +612,123 @@ class TestConfigFile:
 
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "command, argv, line, flag, observe, from_config, from_flag",
+        [
+            ("synth", lambda d: ["--n", "60"], "signal = mixed", ["--signal", "network"],
+             lambda out: _params(out)["signal"], "mixed", "network"),
+            ("collect", lambda d: ["--replay", str(d["posts"]), "--post-ids", "p000000"], "until = 5", ["--until", "10"],
+             lambda out: _params(out)["until"], 5.0, 10.0),
+            ("label", lambda d: ["--data", str(d["posts"])], "train_frac = 0.5", ["--train-frac", "0.75"],
+             lambda out: _params(out)["n_train"], 120, 180),
+            ("features", lambda d: ["--data", str(d["posts"]), "--artifacts", str(d["lab"] / "labeling.json")],
+             "window = 60", ["--window", "30"], lambda out: _params(out)["window"], 60.0, 30.0),
+            ("train", lambda d: ["--matrix", str(d["feats"] / "features_120.csv"), "--labels", str(d["lab"] / "labels.csv")],
+             "model = logreg", ["--model", "gbt"], lambda out: _params(out)["model"], "logreg", "gbt"),
+            ("evaluate", lambda d: evaluate_argv(d["feats"], d["trained"], d["lab"] / "labels.csv", "-")[1:-2], "", [],
+             lambda out: (out / "metrics.json").exists(), True, True),
+            ("sweep", lambda d: ["--data", str(d["posts"]), "--windows", "120", "--no-cv"], "models = logreg",
+             ["--models", "gbt"], lambda out: _params(out, "window_sweep")["models"], ["logreg"], ["gbt"]),
+            ("sweep", lambda d: ["--data", str(d["posts"]), "--windows", "120", "--models", "gbt", "--no-cv"],
+             "train_frac = 0.5", ["--train-frac", "0.75"], lambda out: _manifest(out, "window_sweep")["n_train"], 120, 180),
+            ("sweep", lambda d: ["--data", str(d["posts"]), "--windows", "120", "--models", "gbt"], "cv = on",
+             ["--no-cv"], lambda out: _manifest(out, "window_sweep")["with_cv"], True, False),
+            ("ablate", lambda d: ["--data", str(d["posts"])], "window = 60", ["--window", "30"],
+             lambda out: _params(out, "ablation")["window"], 60.0, 30.0),
+            ("importance", lambda d: ["--data", str(d["posts"]), "--windows", "120"], "top_k = 3", ["--top-k", "5"],
+             lambda out: _params(out, "importance_over_time")["top_k"], 3, 5),
+        ],
+        ids=["synth", "collect", "label", "features", "train", "evaluate", "sweep", "sweep-train_frac", "sweep-cv",
+             "ablate", "importance"],
+    )
+    def test_config_key_reaches_the_run_and_its_flag_wins(
+        self, synth_dir, trained_flow, tmp_path, command, argv, line, flag, observe, from_config, from_flag
+    ):
+        lab, feats, trained = trained_flow
+        paths = {"posts": synth_dir / "posts.jsonl", "lab": lab, "feats": feats, "trained": trained}
+        from_file, from_flags = tmp_path / "from-config", tmp_path / "from-flag"
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{command}]\n{line}\nout = {from_file}\n", encoding="utf-8")
+        base = [command, "--config", str(cfg)] + argv(paths)
+        assert main(base) == 0
+        assert observe(from_file) == from_config
+        assert main(base + flag + ["--out", str(from_flags)]) == 0
+        assert observe(from_flags) == from_flag
+
+    @pytest.mark.parametrize("value", ["False", "no", "0"])
+    def test_cv_off_in_the_config_skips_cross_validation(self, synth_dir, tmp_path, value):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[sweep]\ncv = {value}\n", encoding="utf-8")
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(cfg), "--data", str(synth_dir / "posts.jsonl"), "--windows", "120", "--models", "gbt"]
+        assert main(argv + ["--out", str(out)]) == 0
+        header = (out / "window_sweep.csv").read_text(encoding="utf-8").splitlines()[0].split(",")
+        assert [c for c in header if c.startswith("cv_")] == []
+        assert _manifest(out, "window_sweep")["with_cv"] is False
+
+    def test_keys_that_name_no_setting_are_ignored(self, synth_dir, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            f"[sweep]\njobs = 4\nno_cv = true\nartifacts = {tmp_path / 'missing.json'}\nhandler = x\ncommand = x\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(cfg), "--data", str(synth_dir / "posts.jsonl"), "--windows", "120", "--models", "gbt"]
+        assert main(argv + ["--out", str(out)]) == 0
+        manifest = _manifest(out, "window_sweep")
+        assert manifest["with_cv"] is True
+        assert manifest["params"]["artifacts"] is None
+
+    @pytest.mark.parametrize(
+        "command, flags, section",
+        [
+            ("sweep", ["--windows", "30,abc"], ""),
+            ("label", ["--weight-windows", "30,abc"], ""),
+            ("sweep", [], "windows = 30,abc"),
+            ("label", [], "weight_windows = 30,abc"),
+            ("sweep", [], "cv = maybe"),
+            ("sweep", [], "folds = five"),
+        ],
+        ids=["flag-windows", "flag-weight_windows", "config-windows", "config-weight_windows", "config-cv", "config-folds"],
+    )
+    def test_bad_value_from_flag_or_config_is_usage_error(self, synth_dir, tmp_path, command, flags, section):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{command}]\n{section}\n", encoding="utf-8")
+        argv = [command, "--config", str(cfg), "--data", str(synth_dir / "posts.jsonl"), "--out", str(tmp_path / "o")]
+        assert main(argv + flags) == 1
+
+    @pytest.mark.parametrize("contents", ["windows = 30\n", None], ids=["not-ini", "a-directory"])
+    def test_config_that_cannot_be_read_is_usage_error(self, tmp_path, contents):
+        cfg = tmp_path / "run.ini"
+        if contents is None:
+            cfg.mkdir()
+        else:
+            cfg.write_text(contents, encoding="utf-8")
+        assert main(["synth", "--config", str(cfg), "--n", "20", "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
+
+
+def _manifest(out, study=None):
+    return json.loads((out / (f"{study}_manifest.json" if study else "run_manifest.json")).read_text(encoding="utf-8"))
+
+
+def _params(out, study=None):
+    return _manifest(out, study)["params"]
+
+
+def test_only_the_config_loader_reads_configparser():
+    # a setting reaches a handler through argparse only, never from the config object
+    package = Path(cli.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            imported = isinstance(node, ast.Import) and any(a.name == "configparser" for a in node.names)
+            if imported or (isinstance(node, ast.ImportFrom) and node.module == "configparser"):
+                found.append(f"{path.name}: import")
+            elif isinstance(node, ast.Name) and node.id == "configparser":
+                owner = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                found.append(f"{path.name}: {owner[-1] if owner else 'module level'}")
+    assert sorted(set(found)) == ["cli.py: _config_defaults", "cli.py: import"]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from viralearly import models
+from viralearly import experiments, models
 from viralearly.errors import ConfigError, FitError, SchemaError
 from viralearly.models import (
     LogisticModel,
@@ -49,6 +49,37 @@ class TestCommon:
             default_config("svm")
         with pytest.raises(ConfigError):
             ModelConfig("gbt", {"bogus_param": 1}).resolved_params()
+        with pytest.raises(ConfigError):
+            ModelConfig("svm").resolved_params()
+        with pytest.raises(ConfigError):
+            train(ModelConfig("svm"), *separable_1d())
+
+    # a fit signature's defaults are every study manifest's model_configs
+    # hash, so a changed default must show here
+    @pytest.mark.parametrize(
+        "kind, params, digest",
+        [
+            ("logreg", {"C": 1.0, "class_weight": "balanced", "tol": 1e-06, "max_iter": 10000}, "e87a45cee04c936c"),
+            (
+                "gbt",
+                {"n_rounds": 100, "learning_rate": 0.3, "max_depth": 6, "min_child_weight": 1.0, "reg_lambda": 1.0,
+                 "max_bins": 64, "scale_pos_weight": "auto"},
+                "e9d1b4316cc3d601",
+            ),
+            (
+                "mlp",
+                {"hidden": (100, 50), "learning_rate": 0.001, "batch_size": 256, "max_epochs": 500,
+                 "early_stopping": True, "validation_fraction": 0.1, "tol": 0.0001, "patience": 10,
+                 "class_weight": "balanced"},
+                "2ec85a0373fbd984",
+            ),
+            ("random_forest", {"n_trees": 100, "max_features": "sqrt", "min_samples_split": 2, "max_depth": None},
+             "184121552c9208a1"),
+        ],
+    )
+    def test_default_settings_are_pinned(self, kind, params, digest):
+        assert default_config(kind).resolved_params() == params
+        assert experiments._config_hash(default_config(kind, seed=7)) == digest
 
     def test_predict_column_mismatch(self):
         X, y = separable_1d()
