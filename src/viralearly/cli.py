@@ -64,12 +64,9 @@ def main(argv: list[str] | None = None) -> int:
             subcommands[args.command].set_defaults(**_config_defaults(args.config, args.command, vars(args)))
             args = parser.parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        (exc.parser or usage).print_usage(sys.stderr)
-        return USAGE_ERROR
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        (getattr(exc, "parser", None) or usage).print_usage(sys.stderr)
         return USAGE_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -101,12 +98,32 @@ def _default(fn, name: str):
     return inspect.signature(fn).parameters[name].default
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+def _checked(convert, ok, what: str):
+    """An argparse type: ``convert(text)``, a usage error saying the value
+    is not ``what`` when it cannot be converted or ``ok`` rejects it."""
+
+    def read(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+
+    return read
 
 
-def _strings(text: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in text.split(",") if v.strip())
+def _one_of(choices: tuple[str, ...]):
+    return _checked(str, lambda v: v in choices, f"one of {', '.join(choices)}")
+
+
+def _list(item=str):
+    """An argparse type: a non-empty comma-separated list of ``item`` values."""
+    return _checked(lambda text: tuple(item(v.strip()) for v in text.split(",") if v.strip()), bool, "a non-empty list")
+
+
+_minutes = _checked(float, lambda v: 0 < v < float("inf"), "a positive number of minutes")
 
 
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -146,20 +163,20 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--replay", type=Path, default=None, help="dataset file to replay as the source")
     p.add_argument("--base-url", default=None, help="HTTP post-state endpoint base URL")
     p.add_argument("--auth-header", default=None)
-    p.add_argument("--post-ids", type=_strings, default=None, help="comma-separated ids (default: all replay posts)")
+    p.add_argument("--post-ids", type=_list(), default=None, help="comma-separated ids (default: all replay posts)")
     p.add_argument("--until", type=float, default=1440.0, help="track until this post age in minutes")
 
     p = command("label", cmd_label, "fit labeling artifacts on the chronological train split", seeded=True)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--train-frac", type=float, default=train_frac)
     p.add_argument("--top-frac", type=float, default=_default(experiments.prepare, "top_frac"))
-    p.add_argument("--weight-windows", type=_floats, default=DEFAULT_WEIGHT_WINDOWS, help="comma-separated minutes")
+    p.add_argument("--weight-windows", type=_list(_minutes), default=DEFAULT_WEIGHT_WINDOWS, help="comma-separated minutes")
 
     p = command("features", cmd_features, "extract a windowed feature matrix")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--artifacts", type=Path, required=True, help="labeling.json from `label`")
-    p.add_argument("--window", type=float, default=120.0)
-    p.add_argument("--modalities", type=_strings, default=MODALITIES, help="comma-separated subset")
+    p.add_argument("--window", type=_minutes, default=120.0)
+    p.add_argument("--modalities", type=_list(_one_of(MODALITIES)), default=MODALITIES, help="comma-separated subset")
 
     p = command("train", cmd_train, "fit preprocessing and one model on a feature matrix", seeded=True)
     p.add_argument("--matrix", type=Path, required=True, help="features CSV (manifest sidecar expected)")
@@ -173,17 +190,17 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--labels", type=Path, required=True)
 
     p = study("sweep", cmd_sweep, "window sweep: per (window, model) test and CV metrics")
-    p.add_argument("--windows", type=_floats, default=DEFAULT_WINDOW_SWEEP, help="comma-separated minutes")
-    p.add_argument("--models", type=_strings, default=experiments.SWEEP_MODELS, help="comma-separated model kinds")
-    p.add_argument("--folds", type=int, default=_default(experiments.run_window_sweep, "k_folds"))
+    p.add_argument("--windows", type=_list(_minutes), default=DEFAULT_WINDOW_SWEEP, help="comma-separated minutes")
+    p.add_argument("--models", type=_list(_one_of(models.MODEL_KINDS)), default=experiments.SWEEP_MODELS, help="comma-separated model kinds")
+    p.add_argument("--folds", type=_checked(int, lambda v: v > 1, "an integer above 1"), default=_default(experiments.run_window_sweep, "k_folds"))
     p.add_argument("--no-cv", dest="cv", action="store_false")
 
     p = study("ablate", cmd_ablate, "modality ablation at one window (gbt)")
-    p.add_argument("--window", type=float, default=experiments.ABLATION_WINDOW_MINUTES)
+    p.add_argument("--window", type=_minutes, default=experiments.ABLATION_WINDOW_MINUTES)
 
     p = study("importance", cmd_importance, "modality membership in the top-k features per window")
-    p.add_argument("--windows", type=_floats, default=DEFAULT_WINDOW_SWEEP)
-    p.add_argument("--top-k", type=int, default=experiments.DEFAULT_TOP_K)
+    p.add_argument("--windows", type=_list(_minutes), default=DEFAULT_WINDOW_SWEEP)
+    p.add_argument("--top-k", type=_checked(int, lambda v: v > 0, "a positive integer"), default=experiments.DEFAULT_TOP_K)
 
     return parser, sub.choices
 
@@ -267,7 +284,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_collect(args) -> int:
-    out = _out_dir(args)
     if (args.replay is None) == (args.base_url is None):
         raise _UsageError("collect needs exactly one of --replay or --base-url")
 
@@ -281,6 +297,7 @@ def cmd_collect(args) -> int:
         ids = args.post_ids
     if not ids:
         raise _UsageError("no post ids to track")
+    out = _out_dir(args)
 
     outcome = {"polls": 0, "retries": 0, "skipped_polls": 0, "rate_limit_wait_minutes": 0.0, "reasons": {}}
     # one line per post as soon as it finishes, so a failure later in the run keeps it

@@ -31,21 +31,10 @@ BACKOFF_BASE_MINUTES = 2.0
 
 @dataclass(frozen=True)
 class PollSchedule:
-    """Ordered (max_age_minutes, interval_minutes) tiers."""
+    """(max_age_minutes, interval_minutes) tiers: max ages strictly
+    increasing, intervals positive and non-decreasing."""
 
     tiers: tuple[tuple[float, float], ...] = DEFAULT_POLL_SCHEDULE_TIERS
-
-    def __post_init__(self):
-        if not self.tiers:
-            raise ConfigError("poll schedule needs at least one tier")
-        ages = [a for a, _ in self.tiers]
-        intervals = [i for _, i in self.tiers]
-        if any(b <= a for a, b in zip(ages, ages[1:])):
-            raise ConfigError("tier max ages must be strictly increasing")
-        if any(i <= 0 for i in intervals):
-            raise ConfigError("poll intervals must be positive")
-        if any(b < a for a, b in zip(intervals, intervals[1:])):
-            raise ConfigError("poll intervals must be non-decreasing across tiers")
 
 
 #: The schedule that tracking follows and that synthetic corpora sit on.

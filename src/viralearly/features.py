@@ -227,8 +227,13 @@ class ColumnSpec:
 
     @classmethod
     def read(cls, doc) -> "ColumnSpec":
-        """The column saved as an object of a file read by :func:`ingest.load_document`."""
-        return cls(*(doc.read(key, read_text) for key in ("name", "modality", "kind")))
+        """The column saved as an object of a file read by :func:`ingest.load_document`;
+        a modality or kind this module does not know is a :class:`SchemaError`."""
+        spec = cls(*(doc.read(key, read_text) for key in ("name", "modality", "kind")))
+        for key, known in (("modality", MODALITIES), ("kind", ("numeric", "categorical"))):
+            if getattr(spec, key) not in known:
+                raise SchemaError(f"{doc.source}: {key!r} of {spec.name!r} is not one of {', '.join(known)} ({getattr(spec, key)!r})")
+        return spec
 
 
 class FeatureMatrix:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -471,13 +471,3 @@ def observed_count(t: np.ndarray, minutes: float) -> np.ndarray:
     so later data is excluded by construction."""
     return np.count_nonzero(t <= minutes, axis=-1)
 
-
-def observed_by(record: PostRecord, minutes: float) -> Snapshots:
-    """The snapshots of a time-ordered record that a window of ``minutes`` observes."""
-    n = observed_count(np.array(record.snapshots.t_minutes), minutes)
-    return Snapshots(*(getattr(record.snapshots, f.name)[:n] for f in fields(Snapshots)))
-
-
-def truncate_record(record: PostRecord, minutes: float) -> PostRecord:
-    """Copy of ``record`` with snapshots after ``minutes`` physically removed."""
-    return replace(record, snapshots=observed_by(record, minutes))

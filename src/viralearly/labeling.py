@@ -8,10 +8,10 @@ Five steps, fitted on training records only and then applied everywhere:
    against a preliminary top-fraction target, whose averaged importances
    become the hybrid weights (:func:`learn_hybrid_weights`);
 3. the hybrid score, a weighted sum of final engagement features
-   (:func:`hybrid_score`);
+   (:func:`score_records`);
 4. a 1-D two-cluster K-Means boundary over the training score distribution
    (:func:`fit_threshold`);
-5. the binary label: score at or above the threshold (:func:`assign_label`).
+5. the binary label: score at or above the threshold (:func:`assign_labels`).
 
 :class:`LabelingArtifacts` bundles the three fitted artifacts and serializes
 them to a versioned file so labeling runs are auditable and reusable.
@@ -29,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -133,17 +133,12 @@ def make_preliminary_target(
     return labels
 
 
-def labeling_feature_matrix(records: Sequence[PostRecord], caps: NormalizationCaps, window_minutes: float | None = None) -> np.ndarray:
-    """Design matrix of :data:`LABELING_FEATURES`, windowed or over the full
-    horizon, from the batched kernel (:func:`trajectory.labeling_columns`).
-    Takeoff never reached counts as the horizon; nothing observed in scope
-    counts as zero engagement."""
-    return _labeling_matrices(records, caps, [window_minutes])[0]
-
-
-def _labeling_matrices(records: Sequence[PostRecord], caps: NormalizationCaps, windows: Sequence[float | None]) -> list[np.ndarray]:
-    """The labeling design matrix at each of ``windows``, padding
-    ``_PAD_CHUNK`` records at a time."""
+def labeling_feature_matrices(records: Sequence[PostRecord], caps: NormalizationCaps, windows: Sequence[float | None]) -> list[np.ndarray]:
+    """Design matrix of :data:`LABELING_FEATURES` at each of ``windows``
+    (None: over the full horizon), from the batched kernel
+    (:func:`trajectory.labeling_columns`), padding ``_PAD_CHUNK`` records at
+    a time. Takeoff never reached counts as the horizon; nothing observed in
+    scope counts as zero engagement."""
     parts = []
     for i in range(0, max(len(records), 1), _PAD_CHUNK):
         batch = trajectory.pad_snapshots(records[i : i + _PAD_CHUNK], caps)
@@ -189,7 +184,7 @@ def learn_hybrid_weights(
     config = forest_config or models.default_config("random_forest")
 
     acc = np.zeros(len(LABELING_FEATURES))
-    for X in _labeling_matrices(train, caps, [float(w) for w in windows]):
+    for X in labeling_feature_matrices(train, caps, [float(w) for w in windows]):
         forest = models.train(config, X, prelim, feature_names=list(LABELING_FEATURES))
         acc += forest.importances
     acc /= len(windows)
@@ -204,15 +199,6 @@ def learn_hybrid_weights(
     )
 
 
-def hybrid_score(features: Mapping[str, float], weights: HybridWeights) -> float:
-    """Weighted sum over the feature keys; key sets must match exactly."""
-    if set(features) != set(weights.weights):
-        missing = set(weights.weights) - set(features)
-        extra = set(features) - set(weights.weights)
-        raise SchemaError(f"feature keys do not match weights (missing={sorted(missing)}, extra={sorted(extra)})")
-    return float(sum(weights.weights[k] * features[k] for k in weights.weights))
-
-
 def score_records(
     records: Sequence[PostRecord], caps: NormalizationCaps, weights: HybridWeights
 ) -> np.ndarray:
@@ -224,7 +210,7 @@ def score_records(
     # Columns in the weights' key order, C-ordered: the summation order of
     # the product, and so every score bit, depends on the memory layout.
     order = [LABELING_FEATURES.index(k) for k in keys]
-    X = np.ascontiguousarray(labeling_feature_matrix(records, caps)[:, order])
+    X = np.ascontiguousarray(labeling_feature_matrices(records, caps, [None])[0][:, order])
     beta = np.array([weights.weights[k] for k in keys])
     return X @ beta
 
@@ -274,12 +260,8 @@ def fit_threshold(scores: Iterable[float], fingerprint: str = "unspecified") -> 
     return ViralityThreshold(tau=(low + high) / 2.0, centroids=(low, high), fitted_on=fingerprint)
 
 
-def assign_label(score: float, tau: float) -> bool:
-    """Viral iff the hybrid score reaches the threshold (boundary inclusive)."""
-    return score >= tau
-
-
 def assign_labels(scores: np.ndarray, tau: float) -> np.ndarray:
+    """1 (viral) where the hybrid score reaches the threshold (boundary inclusive), else 0."""
     return (np.asarray(scores) >= tau).astype(np.int8)
 
 

@@ -34,7 +34,7 @@ _FAMILIES = {
 
 MODEL_KINDS = tuple(_FAMILIES)
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 def _fit_function(kind: str):

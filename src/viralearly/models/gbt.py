@@ -21,8 +21,6 @@ import numpy as np
 from ..ingest import read_int, read_list, read_number
 from ._common import _Tree, check_training_data, sigmoid
 
-IMPORTANCE_TYPES = ("gain", "cover", "frequency")
-
 # A mathematically-zero gain can round to a tiny negative; still split there
 # so symmetric targets (XOR-like) are not stuck at the constant predictor.
 _GAIN_EPS = 1e-12
@@ -31,20 +29,16 @@ _GAIN_EPS = 1e-12
 class GBTModel:
     kind = "gbt"
 
-    def __init__(self, base_logit, trees, n_features, gain, cover, frequency):
+    def __init__(self, base_logit, trees, n_features, gain):
         self.base_logit = float(base_logit)
         self.trees: list[_Tree] = trees
         self.n_features = int(n_features)
-        self._importance = {"gain": gain, "cover": cover, "frequency": frequency}
+        self._gain = gain
 
     @property
     def importances(self) -> np.ndarray:
-        return self.importance("gain")
-
-    def importance(self, importance_type: str = "gain") -> np.ndarray:
-        if importance_type not in IMPORTANCE_TYPES:
-            raise ValueError(f"unknown importance type {importance_type!r}")
-        return self._importance[importance_type].copy()
+        """Total split gain per feature."""
+        return self._gain.copy()
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -61,17 +55,17 @@ class GBTModel:
             "base_logit": self.base_logit,
             "n_features": self.n_features,
             "trees": [t.to_payload() for t in self.trees],
-            "importance": {k: v.tolist() for k, v in self._importance.items()},
+            "importance": self._gain.tolist(),
         }
 
     @classmethod
     def from_payload(cls, payload) -> "GBTModel":
-        n_features, imp = payload.read("n_features", read_int), payload.object("importance")
+        n_features = payload.read("n_features", read_int)
         return cls(
             payload.read("base_logit", read_number),
             [_Tree.from_payload(t, n_features) for t in payload.objects("trees")],
             n_features,
-            *(np.array(imp.read(k, read_list, item=read_number, length=n_features)) for k in IMPORTANCE_TYPES),
+            np.array(payload.read("importance", read_list, item=read_number, length=n_features)),
         )
 
 
@@ -125,10 +119,10 @@ def fit_gbt(
 
     if d == 0:  # nothing to split on: every tree is one leaf on zero gradient mass
         leaf = _Tree([-1], [0.0], [-1], [-1], [learning_rate * (-0.0 / (0.0 + reg_lambda))])
-        return GBTModel(base_logit, [leaf] * n_rounds, 0, np.zeros(0), np.zeros(0), np.zeros(0))
+        return GBTModel(base_logit, [leaf] * n_rounds, 0, np.zeros(0))
 
     grower = _HistogramGrower(*_bin_columns(X, max_bins))
-    importance = (np.zeros(d), np.zeros(d), np.zeros(d))  # gain, cover, frequency
+    gain = np.zeros(d)
     trees: list[_Tree] = []
     margin = np.full(n, base_logit)
     for _ in range(n_rounds):
@@ -137,12 +131,12 @@ def fit_gbt(
         h = w * p * (1.0 - p)
         tree, row_leaf = grower.grow(
             g, h, max_depth=max_depth, min_child_weight=min_child_weight,
-            reg_lambda=reg_lambda, learning_rate=learning_rate, importance=importance,
+            reg_lambda=reg_lambda, learning_rate=learning_rate, gain_imp=gain,
         )
         margin += tree.leaf_value[row_leaf]
         trees.append(tree)
 
-    return GBTModel(base_logit, trees, d, *importance)
+    return GBTModel(base_logit, trees, d, gain)
 
 
 class _HistogramGrower:
@@ -206,12 +200,11 @@ class _HistogramGrower:
         self.cand_bin = np.arange(len(self.cand_feature)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         self.cand_pos = first[self.cand_feature] + self.cand_bin * nw
 
-    def grow(self, g, h, *, max_depth, min_child_weight, reg_lambda, learning_rate, importance):
+    def grow(self, g, h, *, max_depth, min_child_weight, reg_lambda, learning_rate, gain_imp):
         """One tree on gradients ``g`` and hessians ``h``; returns it and each row's leaf.
 
-        ``importance`` is the fit's (gain, cover, frequency) arrays, added to in place.
+        ``gain_imp`` is the fit's gain per feature, added to in place.
         """
-        gain_imp, cover_imp, freq_imp = importance
         lam = reg_lambda
         nb = self.n_bins
         splittable = len(self.cand_feature) > 0
@@ -243,8 +236,6 @@ class _HistogramGrower:
                     c = int(best[k])
                     bj, bb = int(self.cand_feature[c]), int(self.cand_bin[c])
                     gain_imp[bj] += max(gain, 0.0)
-                    cover_imp[bj] += H
-                    freq_imp[bj] += 1.0
                     lid, rid = len(nodes), len(nodes) + 1
                     nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
                     nodes[nid][:4] = [bj, float(self.thresholds[bj][bb]), lid, rid]

@@ -23,7 +23,12 @@ to build the shared flat-array tree: the random forest with its linked
 ``_Node`` objects, recursive build and stack-based prediction, and the GBT
 growing five parallel lists per tree. They reuse the package's input checks,
 binning and sigmoid; the GBT one also builds the package's tree and model
-types, so its payloads compare directly.
+types, so its payloads compare directly. It still accumulates the gain, cover
+and frequency importances the GBT once saved; the model keeps the gain.
+
+``reference_hybrid_score`` is the scalar hybrid score of one post that the
+batched ``labeling.score_records`` replaced, and ``truncate_record`` cuts a
+record's snapshots after a window for the causality checks.
 
 ``reference_roc_auc`` is the midrank loop the vectorised tie-block ranks
 replaced, and ``STATIC_CATALOG`` pins the static feature catalog as it was
@@ -33,7 +38,7 @@ written out by hand before it was derived from the shipped schema.
 import math
 import time
 from collections import namedtuple
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -383,10 +388,25 @@ def reference_labeling_feature_matrix(records, caps, window_minutes=None, keys=L
     return np.array([reference_labeling_row(r, caps, window_minutes, keys) for r in records])
 
 
+def reference_hybrid_score(features, weights):
+    """One post's hybrid score from its labeling features (a mapping): the
+    weighted sum over the weights' keys, which must match the features' exactly."""
+    if set(features) != set(weights.weights):
+        missing = set(weights.weights) - set(features)
+        extra = set(features) - set(weights.weights)
+        raise SchemaError(f"feature keys do not match weights (missing={sorted(missing)}, extra={sorted(extra)})")
+    return float(sum(weights.weights[k] * features[k] for k in weights.weights))
+
+
 def reference_score_records(records, caps, weights):
     keys = list(weights.weights)
     X = reference_labeling_feature_matrix(records, caps, window_minutes=None, keys=keys)
     return X @ np.array([weights.weights[k] for k in keys])
+
+
+def truncate_record(record, minutes):
+    """Copy of ``record`` with the snapshots after ``minutes`` physically removed."""
+    return replace(record, snapshots=snapshots_from_rows(s for s in snapshot_rows(record.snapshots) if s.t_minutes <= minutes))
 
 
 def _window_view(record, w):
@@ -805,7 +825,7 @@ def reference_fit_gbt(
             margin=margin,
         )
         trees.append(tree)
-    return GBTModel(base_logit, trees, d, gain_imp, cover_imp, freq_imp)
+    return GBTModel(base_logit, trees, d, gain_imp)
 
 
 def _reference_grow_tree(

@@ -221,6 +221,32 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "saved, key, value",
+        [("manifest", "kind", "numerc"), ("manifest", "modality", "bogus"), ("preprocess", "kind", "numerc")],
+        ids=["manifest_kind", "manifest_modality", "preprocess_kind"],
+    )
+    def test_unknown_column_kind_or_modality_is_data_error(self, trained_flow, tmp_path, capsys, saved, key, value):
+        # a misspelt kind trained with exit 0, one-hot encoding the column into 251 categories
+        lab, feats, trained = trained_flow
+        matrix = tmp_path / "features_120.csv"
+        matrix.write_bytes((feats / "features_120.csv").read_bytes())
+        source = feats / "features_120.manifest.json" if saved == "manifest" else trained / "preprocess.json"
+        doc = json.loads(source.read_text(encoding="utf-8"))
+        (column,) = [c for c in doc["columns"] if c["name"] == "temporal__peak_velocity"]
+        column[key] = value
+        broken = tmp_path / source.name
+        broken.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        if saved == "manifest":
+            argv = ["train", "--matrix", str(matrix), "--labels", str(lab / "labels.csv"), "--out", str(tmp_path / "m")]
+        else:
+            argv = evaluate_argv(feats, trained, lab / "labels.csv", tmp_path / "e", preprocess=broken)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{broken}: {key!r} of 'temporal__peak_velocity' is not one of" in err and repr(value) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "keys, value, message",
         [
             # a std of 0 was divided by: exit 0 and a pr_auc of 0.068
@@ -461,6 +487,18 @@ class TestFeatureTrainEvaluate:
         assert main(evaluate_argv(feats, trained, lab / "labels.csv", tmp_path / "e", model=old)) == 2
         assert "unsupported model file version 1" in capsys.readouterr().err
 
+    def test_version_2_gbt_model_is_data_error(self, trained_flow, tmp_path, capsys):
+        # version 2 saved the GBT's gain, cover and frequency importances
+        lab, feats, trained = trained_flow
+        doc = json.loads((trained / "model.json").read_text(encoding="utf-8"))
+        gain = doc["payload"]["importance"]
+        doc["format_version"] = 2
+        doc["payload"]["importance"] = {"gain": gain, "cover": gain, "frequency": gain}
+        old = tmp_path / "model_v2.json"
+        old.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(evaluate_argv(feats, trained, lab / "labels.csv", tmp_path / "e", model=old)) == 2
+        assert "unsupported model file version 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "drop",
         [
@@ -603,6 +641,11 @@ class TestCollectCommand:
 
     def test_needs_exactly_one_source(self, tmp_path):
         assert main(["collect", "--out", str(tmp_path / "x")]) == 1
+        assert not (tmp_path / "x").exists()
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        assert main(["collect", "--replay", str(empty), "--out", str(tmp_path / "x")]) == 1  # no post to track
+        assert not (tmp_path / "x").exists()
 
     def test_replay_file_with_times_out_of_order_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "replay.jsonl"
@@ -714,14 +757,29 @@ class TestConfigFile:
             ("label", [], "weight_windows = 30,abc"),
             ("sweep", [], "cv = maybe"),
             ("sweep", [], "folds = five"),
+            ("sweep", ["--models", "svm"], ""),
+            ("sweep", ["--windows", ""], ""),
+            ("importance", ["--top-k", "-1"], ""),
+            ("sweep", ["--folds", "1"], ""),
+            ("ablate", ["--window", "0"], ""),
+            ("label", ["--weight-windows", "30,-5"], ""),
+            ("sweep", [], "models = gbt,svm"),
+            ("importance", [], "top_k = 0"),
+            ("ablate", [], "window = -30"),
         ],
-        ids=["flag-windows", "flag-weight_windows", "config-windows", "config-weight_windows", "config-cv", "config-folds"],
+        ids=[
+            "flag-windows", "flag-weight_windows", "config-windows", "config-weight_windows", "config-cv", "config-folds",
+            "flag-unknown-model", "flag-no-windows", "flag-negative-top_k", "flag-one-fold", "flag-zero-window",
+            "flag-negative-weight_window", "config-unknown-model", "config-zero-top_k", "config-negative-window",
+        ],
     )
-    def test_bad_value_from_flag_or_config_is_usage_error(self, synth_dir, tmp_path, command, flags, section):
+    def test_bad_value_from_flag_or_config_is_usage_error(self, synth_dir, tmp_path, capsys, command, flags, section):
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[{command}]\n{section}\n", encoding="utf-8")
         argv = [command, "--config", str(cfg), "--data", str(synth_dir / "posts.jsonl"), "--out", str(tmp_path / "o")]
         assert main(argv + flags) == 1
+        assert f"usage: viralearly {command}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("contents", ["windows = 30\n", None], ids=["not-ini", "a-directory"])
     def test_config_that_cannot_be_read_is_usage_error(self, tmp_path, contents):

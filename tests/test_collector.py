@@ -3,6 +3,7 @@ import json
 import pytest
 
 from viralearly.collector import (
+    DEFAULT_POLL_SCHEDULE_TIERS,
     FileReplaySource,
     HttpPollingSource,
     PermanentSourceError,
@@ -14,7 +15,6 @@ from viralearly.collector import (
     schedule_next_poll,
     track_post,
 )
-from viralearly.errors import ConfigError
 
 from conftest import make_record
 
@@ -55,17 +55,14 @@ class TestSchedule:
     def test_tier_boundary_moves_to_next(self):
         assert schedule_next_poll(120.0, PollSchedule()) == 15.0
 
-    def test_empty_schedule_rejected(self):
-        with pytest.raises(ConfigError):
-            PollSchedule(tiers=())
-
-    def test_bad_tier_order_rejected(self):
-        with pytest.raises(ConfigError):
-            PollSchedule(tiers=((120.0, 5.0), (60.0, 15.0)))
-
-    def test_decreasing_intervals_rejected(self):
-        with pytest.raises(ConfigError):
-            PollSchedule(tiers=((120.0, 15.0), (480.0, 5.0)))
+    def test_default_tiers_are_well_formed(self):
+        # the schedule is a constant, so its invariants are checked here, not at construction
+        ages = [age for age, _ in DEFAULT_POLL_SCHEDULE_TIERS]
+        intervals = [interval for _, interval in DEFAULT_POLL_SCHEDULE_TIERS]
+        assert ages
+        assert all(a < b for a, b in zip(ages, ages[1:]))
+        assert all(i > 0 for i in intervals)
+        assert all(a <= b for a, b in zip(intervals, intervals[1:]))
 
 
 class TestTrackPost:

@@ -14,7 +14,7 @@ import pytest
 from viralearly import synth
 from viralearly.experiments import build_window_matrices, prepare
 from viralearly.features import DEFAULT_WINDOW_SWEEP, MODALITIES, WindowSpec, extract_network, extract_temporal
-from viralearly.labeling import HybridWeights, fit_p99_caps, labeling_feature_matrix, score_records
+from viralearly.labeling import HybridWeights, fit_p99_caps, labeling_feature_matrices, score_records
 
 from conftest import make_record
 from oracles import (
@@ -118,9 +118,9 @@ def test_extractors_match_reference(source, corpus):
 def test_labeling_matrix_matches_reference(source, corpus):
     records = corpus if source == "corpus" else hand_made_records()
     caps = fit_p99_caps(records)
-    for minutes in DEFAULT_WINDOW_SWEEP + (None,):
+    windows = DEFAULT_WINDOW_SWEEP + (None,)
+    for minutes, new in zip(windows, labeling_feature_matrices(records, caps, windows), strict=True):
         ref = reference_labeling_feature_matrix(records, caps, window_minutes=minutes)
-        new = labeling_feature_matrix(records, caps, window_minutes=minutes)
         assert new.shape == ref.shape
         assert new.tobytes() == ref.tobytes()
 

@@ -11,27 +11,26 @@ from viralearly.features import (
     extract_static,
     extract_temporal,
 )
-from viralearly.ingest import observed_by, truncate_record
+from viralearly.ingest import observed_count
 from viralearly.labeling import NormalizationCaps
 
 from conftest import make_record
-from oracles import STATIC_CATALOG
+from oracles import STATIC_CATALOG, truncate_record
 
 WIDE = NormalizationCaps({"score": 1e12, "comments": 1e12, "crossposts": 1e12})
 
 
 class TestWindowView:
     def test_boundary_excludes_future(self):
-        r = make_record(times=[0, 5, 35], scores=[0, 1, 2])
-        assert list(observed_by(r, 30.0).t_minutes) == [0.0, 5.0]
+        assert observed_count(np.array([0.0, 5.0, 35.0]), 30.0) == 2
+        # a batch's rows, padded with +inf past each post's last snapshot
+        assert observed_count(np.array([[0.0, 5.0, 35.0], [0.0, 40.0, np.inf]]), 30.0).tolist() == [2, 1]
 
     def test_window_larger_than_series(self):
-        r = make_record(times=[0, 5, 10], scores=[0, 1, 2])
-        assert observed_by(r, 1e6) == r.snapshots
+        assert observed_count(np.array([0.0, 5.0, 10.0, np.inf]), 1e6) == 3
 
     def test_boundary_inclusive(self):
-        r = make_record(times=[0, 30], scores=[0, 1])
-        assert len(observed_by(r, 30.0)) == 2
+        assert observed_count(np.array([0.0, 30.0]), 30.0) == 2
 
     def test_nonpositive_window_rejected(self):
         with pytest.raises(ConfigError):
@@ -179,26 +178,23 @@ def test_static_catalogs_agree_with_schema():
     assert set(ingest.NUMERIC_STATIC_FIELDS) == {name for name, _, kind in STATIC_CATALOG if kind == "numeric"}
 
 
+def assert_same_windowed_rows(records, cut_records, w):
+    """Every temporal and network column of the two batches' matrices is equal."""
+    full = assemble_matrix(records, w, WIDE, include_modalities=features.WINDOWED_MODALITIES)
+    cut = assemble_matrix(cut_records, w, WIDE, include_modalities=features.WINDOWED_MODALITIES)
+    assert cut.column_names == full.column_names
+    for name in full.column_names:
+        np.testing.assert_array_equal(cut.column(name), full.column(name), err_msg=name)
+
+
 class TestCausality:
     def test_truncation_equivalence(self, temporal_corpus):
-        records, _ = temporal_corpus
-        w = WindowSpec(120.0)
-        for r in records[:20]:
-            truncated = truncate_record(r, 120.0)
-            full = extract_temporal(r, w, WIDE).as_mapping()
-            cut = extract_temporal(truncated, w, WIDE).as_mapping()
-            assert full == cut
+        records = temporal_corpus[0][:20]
+        assert_same_windowed_rows(records, [truncate_record(r, 120.0) for r in records], WindowSpec(120.0))
 
     def test_small_window_blind_to_later_data(self, temporal_corpus):
-        records, _ = temporal_corpus
-        w1, w2 = WindowSpec(60.0), WindowSpec(300.0)
-        for r in records[:20]:
-            from_full = extract_temporal(r, w1, WIDE).as_mapping()
-            from_w2_truncated = extract_temporal(truncate_record(r, w2.minutes), w1, WIDE).as_mapping()
-            assert from_full == from_w2_truncated
-            net_full = extract_network(r, w1).as_mapping()
-            net_cut = extract_network(truncate_record(r, w2.minutes), w1).as_mapping()
-            assert net_full == net_cut
+        records = temporal_corpus[0][:20]
+        assert_same_windowed_rows(records, [truncate_record(r, 300.0) for r in records], WindowSpec(60.0))
 
 
 class TestAssembleMatrix:

@@ -4,6 +4,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from viralearly import ingest, synth
 from viralearly.errors import DatasetError
 
 from conftest import make_record, make_snapshots
+from oracles import truncate_record
 
 
 def write_lines(path, lines):
@@ -183,9 +185,11 @@ def test_dataset_schema_ships():
 
 
 def test_truncate_record():
+    # the causality tests' truncation keeps the prefix the window rule observes
     record = make_record(times=[0, 5, 35], scores=[0, 1, 2])
-    cut = ingest.truncate_record(record, 30.0)
-    assert list(cut.snapshots.t_minutes) == [0.0, 5.0]
+    cut = truncate_record(record, 30.0)
+    assert cut.snapshots == make_snapshots([0, 5], [0, 1])
+    assert len(cut.snapshots) == ingest.observed_count(np.array(record.snapshots.t_minutes), 30.0)
 
 
 # One valid synthetic record; each example below breaks one leaf of it.

@@ -16,17 +16,18 @@ from viralearly.labeling import (
     LabelingArtifacts,
     NormalizationCaps,
     ViralityThreshold,
-    assign_label,
+    assign_labels,
     fit_p99_caps,
     fit_threshold,
-    hybrid_score,
+    labeling_feature_matrices,
     learn_hybrid_weights,
     make_preliminary_target,
     normalize_metric,
+    score_records,
 )
 
 from conftest import make_record
-from oracles import interpolated_percentile
+from oracles import interpolated_percentile, reference_hybrid_score
 
 WIDE_CAPS = NormalizationCaps({"score": 1e12, "comments": 1e12, "crossposts": 1e12})
 
@@ -155,30 +156,45 @@ class TestLearnWeights:
         assert abs((dup[1] + dup[4]) - single[1]) < 0.1
 
 
+VOLUME_AND_VELOCITY = HybridWeights({"norm_score": 1.0, "norm_comments": 0.44, "peak_velocity": 0.14}, (30.0,))
+
+
 class TestHybridScore:
     def test_all_zero_features(self):
-        w = HybridWeights({"a": 1.0, "b": 0.5}, (30.0,))
-        assert hybrid_score({"a": 0.0, "b": 0.0}, w) == 0.0
+        assert score_records([flat_record("p0", 0)], WIDE_CAPS, VOLUME_AND_VELOCITY).tolist() == [0.0]
 
     def test_reference_weights_example(self):
-        w = HybridWeights({"norm_score": 1.0, "norm_comments": 0.44, "peak_velocity": 0.14}, (30.0,))
-        value = hybrid_score({"norm_score": 100.0, "norm_comments": 50.0, "peak_velocity": 10.0}, w)
-        assert value == pytest.approx(123.4)
+        # norm_score 100, norm_comments 50 and peak_velocity 10 per minute
+        record = make_record(times=[0, 10], scores=[0, 100], comments=[0, 50], subscribers=100_000)
+        assert score_records([record], WIDE_CAPS, VOLUME_AND_VELOCITY)[0] == pytest.approx(123.4)
+        features = {"norm_score": 100.0, "norm_comments": 50.0, "peak_velocity": 10.0}
+        assert reference_hybrid_score(features, VOLUME_AND_VELOCITY) == pytest.approx(123.4)
 
     def test_linearity(self):
-        w = HybridWeights({"a": 0.7, "b": 0.2}, (30.0,))
-        f = {"a": 3.0, "b": 11.0}
-        doubled = {k: 2 * v for k, v in f.items()}
-        assert hybrid_score(doubled, w) == pytest.approx(2 * hybrid_score(f, w))
+        # doubling every count doubles the volumes and velocities these weights read
+        times, scores, comments = [0, 5, 15, 40], [0, 30, 70, 90], [0, 3, 9, 12]
+        records = [
+            make_record(post_id=f"p{k}", times=times, scores=[k * v for v in scores], comments=[k * v for v in comments])
+            for k in (1, 2)
+        ]
+        single, doubled = score_records(records, WIDE_CAPS, VOLUME_AND_VELOCITY)
+        assert doubled == pytest.approx(2 * single)
 
-    def test_key_order_irrelevant(self):
-        w = HybridWeights({"a": 0.7, "b": 0.2}, (30.0,))
-        assert hybrid_score({"a": 1.0, "b": 2.0}, w) == hybrid_score({"b": 2.0, "a": 1.0}, w)
+    def test_key_order_irrelevant(self, temporal_corpus, prepared):
+        # each score row is the scalar sum over that post's features, whatever
+        # the order of the weights' or the features' keys
+        records = temporal_corpus[0][:60]
+        caps, fitted = prepared.artifacts.caps, prepared.artifacts.weights
+        reordered = HybridWeights(dict(reversed(fitted.weights.items())), fitted.source_windows)
+        (X,) = labeling_feature_matrices(records, caps, [None])
+        expected = [reference_hybrid_score(dict(reversed(list(zip(LABELING_FEATURES, row)))), fitted) for row in X]
+        for weights in (fitted, reordered):
+            assert score_records(records, caps, weights).tolist() == pytest.approx(expected, rel=1e-12)
 
     def test_key_mismatch_rejected(self):
-        w = HybridWeights({"a": 1.0}, (30.0,))
-        with pytest.raises(SchemaError):
-            hybrid_score({"a": 1.0, "b": 2.0}, w)
+        w = HybridWeights({"norm_score": 1.0, "norm_upvotes": 2.0}, (30.0,))
+        with pytest.raises(SchemaError, match="norm_upvotes"):
+            score_records([flat_record("p0", 1)], WIDE_CAPS, w)
 
 
 class TestFitThreshold:
@@ -205,10 +221,10 @@ class TestFitThreshold:
 
 class TestAssignLabel:
     def test_boundary_inclusive(self):
-        assert assign_label(300.27, 300.27) is True
+        assert assign_labels(np.array([300.27]), 300.27).tolist() == [1]
 
     def test_below_boundary(self):
-        assert assign_label(300.27 - 1e-9, 300.27) is False
+        assert assign_labels(np.array([300.27 - 1e-9]), 300.27).tolist() == [0]
 
     @given(
         st.floats(-1e6, 1e6, allow_nan=False),
@@ -217,8 +233,8 @@ class TestAssignLabel:
     )
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_score(self, tau, s1, s2):
-        lo, hi = sorted((s1, s2))
-        assert assign_label(lo, tau) <= assign_label(hi, tau)
+        lo, hi = assign_labels(np.array(sorted((s1, s2))), tau)
+        assert lo <= hi
 
 
 class TestArtifacts:
@@ -262,13 +278,15 @@ class TestArtifacts:
         keys = list(arts.weights.weights)
         base = {k: 10.0 for k in keys}
         tau = arts.threshold.tau
-        s0 = hybrid_score(base, arts.weights)
+        s0 = reference_hybrid_score(base, arts.weights)
         for k in keys:
             if arts.weights.weights[k] > 0:
                 bumped = dict(base)
                 bumped[k] += 5.0
-                assert hybrid_score(bumped, arts.weights) >= s0
-                assert assign_label(hybrid_score(bumped, arts.weights), tau) >= assign_label(s0, tau)
+                s1 = reference_hybrid_score(bumped, arts.weights)
+                assert s1 >= s0
+                before, after = assign_labels(np.array([s0, s1]), tau)
+                assert after >= before
 
 
 class TestLeakageGuard:

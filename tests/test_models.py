@@ -139,6 +139,7 @@ class TestGbt:
         y = (X[:, 2] > 0.2).astype(int)
         model = train(default_config("gbt"), X, y)
         assert int(np.argmax(model.importances)) == 2
+        assert (model.importances >= 0).all()
 
     def test_zero_rounds_is_weighted_base_rate(self):
         X = np.arange(16.0).reshape(8, 2)
@@ -188,15 +189,6 @@ class TestGbt:
             model = train(ModelConfig(kind, params), X, y)
             p = model.predict_proba(X)
             assert np.isfinite(p).all() and p.min() >= 0.0 and p.max() <= 1.0
-
-    def test_importance_types_exposed(self):
-        X, y = separable_1d()
-        model = train(default_config("gbt"), X, y)
-        for kind in ("gain", "cover", "frequency"):
-            imp = model.inner.importance(kind)
-            assert (imp >= 0).all()
-        with pytest.raises(ValueError):
-            model.inner.importance("shapley")
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)

@@ -97,7 +97,7 @@ def labeling_matrices():
     train = [by_id[i] for i in evaluation.chronological_split(records, train_frac=0.8).train_ids]
     caps = labeling.fit_p99_caps(train)
     prelim = labeling.make_preliminary_target(train, caps)
-    return [labeling.labeling_feature_matrix(train, caps, w) for w in labeling.DEFAULT_WEIGHT_WINDOWS], prelim
+    return labeling.labeling_feature_matrices(train, caps, labeling.DEFAULT_WEIGHT_WINDOWS), prelim
 
 
 @pytest.mark.parametrize("index", range(3), ids=[f"{w:g}min" for w in labeling.DEFAULT_WEIGHT_WINDOWS])
@@ -254,7 +254,7 @@ def parent_gbt_payload(model):
             }
             for t in model.trees
         ],
-        "importance": {k: model.importance(k).tolist() for k in ("gain", "cover", "frequency")},
+        "importance": model.importances.tolist(),
     }
 
 
