@@ -55,12 +55,16 @@ class TestSchedule:
     def test_tier_boundary_moves_to_next(self):
         assert schedule_next_poll(120.0, PollSchedule()) == 15.0
 
-    def test_default_tiers_are_well_formed(self):
-        # the schedule is a constant, so its invariants are checked here, not at construction
+    # the schedule is a constant, so its invariants are checked here, not at construction
+    def test_default_tiers_nonempty(self):
+        assert DEFAULT_POLL_SCHEDULE_TIERS
+
+    def test_default_tier_ages_strictly_increase(self):
         ages = [age for age, _ in DEFAULT_POLL_SCHEDULE_TIERS]
-        intervals = [interval for _, interval in DEFAULT_POLL_SCHEDULE_TIERS]
-        assert ages
         assert all(a < b for a, b in zip(ages, ages[1:]))
+
+    def test_default_intervals_positive_and_nondecreasing(self):
+        intervals = [interval for _, interval in DEFAULT_POLL_SCHEDULE_TIERS]
         assert all(i > 0 for i in intervals)
         assert all(a <= b for a, b in zip(intervals, intervals[1:]))
 
