@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, collector, evaluation, experiments, ingest, models, preprocess, synth
 from .errors import ConfigError
-from .features import DEFAULT_WINDOW_SWEEP, MODALITIES, FeatureMatrix, WindowSpec, assemble_matrix
+from .features import DEFAULT_WINDOW_SWEEP, MODALITIES, FeatureMatrix, WindowSpec, assemble_matrix, window_name
 from .labeling import DEFAULT_WEIGHT_WINDOWS, LabelingArtifacts
 
 USAGE_ERROR = 1
@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             subcommands[args.command].set_defaults(**_config_defaults(args.config, args.command, vars(args)))
             args = parser.parse_args(argv)
-        return args.handler(args)
+        return _run(args)
     except (_UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         (getattr(exc, "parser", None) or usage).print_usage(sys.stderr)
@@ -71,6 +71,23 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
+
+
+def _run(args) -> int:
+    """The subcommand's exit code. A run that fails removes the directories
+    it made for ``--out`` while they are empty; none that existed before."""
+    made = [p for p in (args.out, *args.out.parents) if not p.exists()] if "out" in args else []
+    status = DATA_ERROR
+    try:
+        status = args.handler(args)
+        return status
+    finally:
+        if status != 0:
+            for path in made:  # the deepest first
+                try:
+                    path.rmdir()
+                except OSError:  # not empty, or never made
+                    break
 
 
 def _config_defaults(path: Path, section: str, parsed: dict) -> dict:
@@ -249,11 +266,18 @@ def _prepare_study(args, records) -> experiments.PreparedData:
 
 def cmd_validate(args) -> int:
     diagnostics: list[ingest.ParseDiagnostic] = []
-    records = list(ingest.parse_dataset(args.data, on_error=diagnostics.append))
-    reports = [ingest.validate_record(r) for r in records]
-    violations = [r for r in reports if not r.ok]
+    violations: list[ingest.ValidationReport] = []
     summary = ingest.FilterSummary()
-    list(ingest.apply_quality_filters(records, summary=summary))
+
+    def validated(records):  # each record checked as it is parsed; none is kept
+        for record in records:
+            report = ingest.validate_record(record)
+            if not report.ok:
+                violations.append(report)
+            yield record
+
+    for _ in ingest.apply_quality_filters(validated(ingest.parse_dataset(args.data, on_error=diagnostics.append)), summary):
+        pass
 
     for diag in diagnostics:
         print(f"parse {diag}")
@@ -261,7 +285,7 @@ def cmd_validate(args) -> int:
         for v in report.violations:
             print(f"{report.post_id}: {v}")
     print(
-        f"records={len(records)} malformed_lines={len(diagnostics)} "
+        f"records={summary.total} malformed_lines={len(diagnostics)} "
         f"invalid_records={len(violations)} filter_kept={summary.kept} "
         f"(removed={summary.dropped_removed} no_media={summary.dropped_no_media} "
         f"short={summary.dropped_short_tracking} gap={summary.dropped_gap})"
@@ -361,7 +385,7 @@ def cmd_features(args) -> int:
     records = list(ingest.parse_dataset(args.data))
     artifacts = LabelingArtifacts.load(args.artifacts)
     matrix = assemble_matrix(records, WindowSpec(args.window), artifacts.caps, args.modalities)
-    path = out / f"features_{int(args.window)}.csv"
+    path = out / f"features_{window_name(args.window)}.csv"
     matrix.to_csv(path)
     _write_run_manifest(
         out,
@@ -434,7 +458,7 @@ def cmd_ablate(args) -> int:
     rows = experiments.run_ablation(records, window=args.window, seed=args.seed, out_dir=out, data=data)
     params = {"data": args.data, "artifacts": args.artifacts, "seed": args.seed, "window": args.window}
     _write_run_manifest(out, "ablate", params, "ablation")
-    print(f"wrote {len(rows)} rows to {out / f'ablation_{int(args.window)}.csv'}")
+    print(f"wrote {len(rows)} rows to {out / f'ablation_{window_name(args.window)}.csv'}")
     return 0
 
 

@@ -13,8 +13,11 @@ import email.utils
 import time as _time
 import urllib.error
 import urllib.request
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import accumulate
 from typing import Protocol, Sequence
 
 from .errors import ConfigError, DatasetError
@@ -180,7 +183,7 @@ def track_post(
 
     if reason is None:
         reason = "completed" if times else "unreachable"
-    snapshots = Snapshots(*map(tuple, (times, scores, comments, crossposts, ratios, categories)))
+    snapshots = Snapshots(times, scores, comments, crossposts, ratios, categories)
     return TrackResult(post_id, snapshots, reason, polls, retries, skipped, rate_wait)
 
 
@@ -217,6 +220,9 @@ class FileReplaySource:
         self._records = {r.post_id: r for r in records}
         self._clock = clock
         self._started: dict[str, float] = {}
+        # each fetched post's running maximum of times: the first index whose
+        # maximum passes the elapsed time is the first index whose time does
+        self._reach: dict[str, array] = {}
 
     @classmethod
     def from_dataset(cls, path, clock: Clock) -> "FileReplaySource":
@@ -233,11 +239,12 @@ class FileReplaySource:
         record = self._records.get(post_id)
         if record is None:
             raise PermanentSourceError(f"unknown post {post_id}")
+        snaps = record.snapshots
         if post_id not in self._started:
             self._started[post_id] = self._clock.now_minutes()
+            self._reach[post_id] = array("d", accumulate(snaps.t_minutes, max))
         elapsed = self._clock.now_minutes() - self._started[post_id]
-        snaps = record.snapshots
-        i = next((i for i, t in enumerate(snaps.t_minutes) if t > elapsed), len(snaps)) - 1
+        i = bisect_right(self._reach[post_id], elapsed) - 1
         if i < 0:
             return PollResult(score=0, comments=0, crossposts=0, category="new")
         if record.removed and elapsed > snaps.t_minutes[-1]:

@@ -19,7 +19,16 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__, evaluation, models, preprocess, trajectory
-from .features import DEFAULT_WINDOW_SWEEP, MODALITIES, STATIC_MODALITIES, WINDOWED_MODALITIES, FeatureMatrix, WindowSpec, assemble_matrix
+from .features import (
+    DEFAULT_WINDOW_SWEEP,
+    MODALITIES,
+    STATIC_MODALITIES,
+    WINDOWED_MODALITIES,
+    FeatureMatrix,
+    WindowSpec,
+    assemble_matrix,
+    window_name,
+)
 from .ingest import PostRecord
 from .labeling import DEFAULT_WEIGHT_WINDOWS, LabelingArtifacts, assign_labels, score_records
 
@@ -212,7 +221,7 @@ def run_ablation(
         rows.append({"scenario": name, "window": window, "pr_auc": cell["pr_auc"], "roc_auc": cell["roc_auc"]})
     if out_dir is not None:
         out_dir = Path(out_dir)
-        write_csv(out_dir / f"ablation_{int(window)}.csv", rows)
+        write_csv(out_dir / f"ablation_{window_name(window)}.csv", rows)
         write_manifest(
             out_dir,
             "ablation",

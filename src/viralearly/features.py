@@ -59,6 +59,12 @@ class WindowSpec:
             raise ConfigError("window minutes must be positive")
 
 
+def window_name(minutes: float) -> str:
+    """A window as output file names spell it: integral minutes as an integer
+    (``120``), any other exactly (``30.2``), so distinct windows never share a file."""
+    return str(int(minutes)) if float(minutes).is_integer() else repr(float(minutes))
+
+
 @dataclass
 class TemporalFeatures:
     """Submission-time and dynamics features over the window (None = missing)."""

@@ -8,6 +8,9 @@ One post per line, UTF-8 JSON, snapshots embedded. The full field contract
 Dataset lines, HTTP post states and saved files are all decoded by
 :func:`decode_json` and their values read by the ``read_*`` functions, each
 checking one JSON type and raising the boundary's error naming the field.
+A post's snapshot series is held as typed columns (:class:`Snapshots`) and
+read a column at a time; the per-value readers read only a series whose
+columns fail that check.
 
 Nothing in this module looks at labels or the train/test split: ingestion is
 split-agnostic by construction.
@@ -17,9 +20,12 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -46,17 +52,36 @@ MIN_TRACKING_MINUTES = 1440.0
 MAX_SNAPSHOT_GAP_MINUTES = 360.0
 
 
+#: The ``array`` typecode of each array column of :class:`Snapshots` (numpy
+#: reads the same codes): times in doubles, counts in 64-bit integers.
+COLUMN_TYPECODES = {"t_minutes": "d", "score": "q", "comments": "q", "crossposts": "q"}
+_COUNT_RANGE = (-(2**63), 2**63)  # what a 64-bit column holds: [low, high)
+
+
 @dataclass(frozen=True)
 class Snapshots:
-    """A post's engagement series in time order, one tuple per field: entry
-    i of each is the i-th timestamped observation's value."""
+    """A post's engagement series in time order, one column per field: entry
+    i of each is the i-th timestamped observation's value.
 
-    t_minutes: tuple[float, ...] = ()
-    score: tuple[int, ...] = ()
-    comments: tuple[int, ...] = ()
-    crossposts: tuple[int, ...] = ()
+    Times are an ``array('d')``, the three counts ``array('q')``, ratios and
+    category names tuples; a column given as another sequence is converted.
+    """
+
+    t_minutes: array = field(default_factory=lambda: array("d"))
+    score: array = field(default_factory=lambda: array("q"))
+    comments: array = field(default_factory=lambda: array("q"))
+    crossposts: array = field(default_factory=lambda: array("q"))
     upvote_ratio: tuple[float | None, ...] = ()  # None where not observed
     category: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for name, code in COLUMN_TYPECODES.items():
+            column = getattr(self, name)
+            if type(column) is not array or column.typecode != code:
+                object.__setattr__(self, name, array(code, column))
+        for name in ("upvote_ratio", "category"):
+            if type(getattr(self, name)) is not tuple:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def __len__(self) -> int:
         return len(self.t_minutes)
@@ -64,16 +89,66 @@ class Snapshots:
     def to_json_list(self) -> list[dict[str, Any]]:
         """One JSON object per snapshot, as a dataset line holds them: without
         ``upvote_ratio`` where it is None."""
-        keys = ("t_minutes", "score", "comments", "crossposts", "category", "upvote_ratio")
-        rows = zip(self.t_minutes, self.score, self.comments, self.crossposts, self.category, self.upvote_ratio)
-        return [dict(zip(keys, row if row[-1] is not None else row[:-1])) for row in rows]
+        columns = (self.t_minutes.tolist(), self.score.tolist(), self.comments.tolist(), self.crossposts.tolist())
+        return [
+            {"t_minutes": t, "score": s, "comments": c, "crossposts": x, "category": k, "upvote_ratio": r}
+            if r is not None
+            else {"t_minutes": t, "score": s, "comments": c, "crossposts": x, "category": k}
+            for t, s, c, x, k, r in zip(*columns, self.category, self.upvote_ratio)
+        ]
 
     @classmethod
     def from_json_list(cls, value: Any) -> "Snapshots":
         """The series held by a dataset line's ``snapshots`` list of objects,
-        each with a ``t_minutes`` and what :func:`read_engagement` reads."""
-        objects = (read_object(d, "snapshot") for d in read_list(value, "snapshots"))
-        return cls(*zip(*((read_number(d.get("t_minutes"), "t_minutes"), *read_engagement(d)) for d in objects)))
+        each with a ``t_minutes`` and what :func:`read_engagement` reads.
+
+        Each field is gathered over the series and checked as one column. When
+        a column holds a value of another type or range, a bad one or a valid
+        but unusual one (a count written ``12.0``), the series is read by the
+        per-value readers instead: they return its values or raise the error
+        of its first bad value."""
+        objects = read_list(value, "snapshots")
+        columns = _read_columns(objects)
+        if columns is None:
+            snapshots = (read_object(d, "snapshot") for d in objects)
+            return cls(*zip(*((read_number(d.get("t_minutes"), "t_minutes"), *read_engagement(d)) for d in snapshots)))
+        return cls(*columns)
+
+
+# Category names as the one string each known name is, so that parsed series share them.
+_CATEGORY_NAMES = {name: name for name in CATEGORIES}
+# The fields a snapshot object of the dataset writer always holds.
+_WRITTEN_FIELDS = itemgetter("t_minutes", "score", "comments", "crossposts", "category")
+
+
+def _read_columns(objects: list) -> tuple | None:
+    """The columns of a list of snapshot objects as the dataset writer
+    spells them: every field present but for ratios, each column of one JSON
+    type (exact type tests keep ``true`` out of the counts) and within its
+    range. None for any other list."""
+    if not objects:
+        return ()
+    if {*map(type, objects)} != {dict}:
+        return None
+    try:
+        times, *counts, names = zip(*map(_WRITTEN_FIELDS, objects))
+        if {*map(type, chain(*counts))} != {int}:
+            return None
+        counts = [array("q", column) for column in counts]
+    except (KeyError, OverflowError):  # a field left out, or a count past 64 bits
+        return None
+    ratios = tuple(map(dict.get, objects, repeat("upvote_ratio")))
+    kinds = {*map(type, ratios)}
+    present = ratios if kinds == {float} else [r for r in ratios if r is not None]
+    if (
+        {*map(type, times)} != {float}
+        or not math.isfinite(sum(times))  # a NaN or an infinity, or a sum past the float range
+        or kinds - {float, type(None)}
+        or (present and not (0.0 <= min(present) and max(present) <= 1.0 and math.isfinite(sum(present))))
+        or {*map(type, names)} != {str}
+    ):
+        return None
+    return (array("d", times), *counts, ratios, tuple(map(_CATEGORY_NAMES.get, names, names)))
 
 
 @dataclass(frozen=True)
@@ -145,28 +220,34 @@ class PostRecord:
                 media_url=None if media_url is None else read_text(media_url, "media_url"),
                 removed=read_flag(d.get("removed", False), "removed"),
                 snapshots=Snapshots.from_json_list(d["snapshots"]),
-                static_features=None if static is None else read_object(static, "static_features"),
+                static_features=None if static is None else _shared_keys(read_object(static, "static_features")),
             )
         except (KeyError, ValueError) as exc:  # a missing key, a bad value or timestamp
             raise DatasetError(f"bad post record: {exc}") from exc
 
 
 def read_engagement(d: dict) -> tuple[int, int, int, float | None, str]:
-    """The score, comments, crossposts, upvote_ratio (optional, in [0, 1])
-    and category of a snapshot or an HTTP post state, read from its JSON
-    object ``d``; in :class:`Snapshots` field order."""
+    """The score, comments, crossposts (integers below 2**63 in magnitude),
+    upvote_ratio (optional, in [0, 1]) and category of a snapshot or an HTTP
+    post state, read from its JSON object ``d``; in :class:`Snapshots` field
+    order."""
     ratio = d.get("upvote_ratio")
     if ratio is not None:
         ratio = read_number(ratio, "upvote_ratio")
         if not 0.0 <= ratio <= 1.0:
             raise DatasetError(f"upvote_ratio is not in [0, 1] ({ratio!r})")
-    return (
-        read_int(d.get("score"), "score"),
-        read_int(d.get("comments"), "comments"),
-        read_int(d.get("crossposts"), "crossposts"),
-        ratio,
-        read_text(d.get("category", "unknown"), "category"),
-    )
+    score, comments, crossposts = (_read_count(d.get(name), name) for name in ("score", "comments", "crossposts"))
+    category = read_text(d.get("category", "unknown"), "category")
+    return score, comments, crossposts, ratio, _CATEGORY_NAMES.get(category, category)
+
+
+def _read_count(value: Any, name: str) -> int:
+    """A snapshot count: what :func:`read_int` reads, within the 64-bit range
+    of a :class:`Snapshots` column."""
+    count = read_int(value, name)
+    if not _COUNT_RANGE[0] <= count < _COUNT_RANGE[1]:
+        raise DatasetError(f"{name} is too large for a 64-bit integer ({count!r})")
+    return count
 
 
 def read_int(value: Any, name: str, error: type[ValueError] = DatasetError) -> int:
@@ -463,6 +544,15 @@ STATIC_FEATURE_SCHEMA: dict[str, dict] = dataset_schema()["properties"]["static_
 NUMERIC_STATIC_FIELDS = tuple(
     name for name, spec in STATIC_FEATURE_SCHEMA.items() if spec["type"] in ("number", "integer", "boolean")
 )
+
+
+# Each known static-feature key as one string, so that parsed blobs share their keys.
+_STATIC_KEYS = {name: name for name in STATIC_FEATURE_SCHEMA}
+
+
+def _shared_keys(blob: dict) -> dict:
+    """``blob`` with each known key replaced by the equal string of :data:`_STATIC_KEYS`."""
+    return {_STATIC_KEYS.get(k, k): v for k, v in blob.items()}
 
 
 def observed_count(t: np.ndarray, minutes: float) -> np.ndarray:

@@ -21,6 +21,7 @@ categorical distributions keyed on the post id.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -173,12 +174,13 @@ def _make_post(index, rng, is_viral, config, subreddit, created, grid) -> PostRe
 
     categories = _category_path(rng, grid, is_viral, network_signal)
     ratio = float(np.clip(rng.normal(0.92 if is_viral else 0.78, 0.03 if is_viral else 0.06), 0.05, 0.99))
+    ratios = np.clip(ratio + 0.005 * rng.normal(size=len(grid)), 0.0, 1.0)
     snapshots = Snapshots(
-        t_minutes=tuple(map(float, grid)),
-        score=tuple(map(int, scores)),
-        comments=tuple(map(int, comments_raw)),
-        crossposts=tuple(map(int, crossposts_raw)),
-        upvote_ratio=tuple(round(float(np.clip(ratio + 0.005 * rng.normal(), 0.0, 1.0)), 4) for _ in grid),
+        t_minutes=array("d", grid.tobytes()),
+        score=array("q", scores.astype(np.int64, copy=False).tobytes()),
+        comments=array("q", comments_raw.astype(np.int64, copy=False).tobytes()),
+        crossposts=array("q", crossposts_raw.astype(np.int64, copy=False).tobytes()),
+        upvote_ratio=tuple(round(r, 4) for r in ratios.tolist()),
         category=tuple(categories),
     )
 

@@ -2,7 +2,9 @@
 
 :func:`pad_snapshots` lays a batch's snapshots out once as (posts x
 snapshots) arrays, times padded with +inf so no window observes a pad, and
-derives there all that no window changes. Per window, each row's observed
+derives there all that no window changes. It reads each typed column of
+:class:`ingest.Snapshots` (times, counts) as the joined raw buffers of the
+batch's series, with no Python object per value. Per window, each row's observed
 count comes from the one ``t <= W`` rule, :func:`ingest.observed_count`, and
 :func:`window_columns` and :func:`labeling_columns` reduce every row's
 observed prefix at once. The curve between snapshots is piecewise linear and
@@ -23,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DatasetError
-from .ingest import PostRecord, observed_count
+from .ingest import COLUMN_TYPECODES, PostRecord, observed_count
 
 TAKEOFF_VELOCITY_FRACTION = 0.1
 TAKEOFF_MIN_LEVEL = 1.0
@@ -81,8 +83,8 @@ def pad_snapshots(records: Sequence[PostRecord], caps) -> SnapshotBatch:
     def joined(name):
         return chain.from_iterable(getattr(r.snapshots, name) for r in records)
 
-    def field(name):
-        return padded(np.fromiter(joined(name), np.float64, n_snaps), 0.0)
+    def field(name):  # an array column of every series as float64; an int64 count rounds as float(int) does
+        return padded(np.frombuffer(b"".join(getattr(r.snapshots, name) for r in records), COLUMN_TYPECODES[name]), 0.0)
 
     subscribers = np.array([r.subreddit.subscribers for r in records], dtype=np.float64)[:, None]
     unread = (length > 0) & (subscribers[:, 0] < 1)

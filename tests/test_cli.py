@@ -122,6 +122,58 @@ class TestExitCodes:
         assert f"error: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["score", "comments", "crossposts"])
+    def test_count_past_64_bits_is_data_error(self, synth_dir, tmp_path, capsys, field):
+        lines = (synth_dir / "posts.jsonl").read_text(encoding="utf-8").splitlines()
+        doc = json.loads(lines[5])
+        doc["snapshots"][-1][field] = 2**63  # an integer, so within the float range
+        lines[5] = json.dumps(doc)
+        path = tmp_path / "posts.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        message = f"line 6: bad post record: {field} is too large for a 64-bit integer ({2**63})"
+        assert main(["validate", "--data", str(path)]) == 2
+        assert f"parse {message}" in capsys.readouterr().out
+        assert main(["label", "--data", str(path), "--out", str(tmp_path / "lab")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
+    def test_validate_reports_in_a_fixed_order(self, tmp_path, capsys):
+        times = list(range(0, 1441, 60))
+        scores = list(range(len(times)))
+        broken = make_record(post_id="x1", times=times, scores=scores).to_json_dict()
+        broken["snapshots"][2]["score"] = 12.9
+        records = [
+            make_record(post_id="ok1", times=times, scores=scores),
+            broken,
+            make_record(post_id="r1", times=times, scores=scores, removed=True),
+            make_record(post_id="m1", times=times, scores=scores, media_url=None),
+            make_record(post_id="s1", times=[0, 100], scores=[0, 1]),
+            make_record(post_id="g1", times=[0, 500, 1500], scores=[0, 1, 2]),
+            make_record(post_id="bad", times=times, scores=scores, comments=[0, -1] + [0] * (len(times) - 2)),
+        ]
+        path = tmp_path / "posts.jsonl"
+        path.write_text("".join(json.dumps(r if isinstance(r, dict) else r.to_json_dict()) + "\n" for r in records), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", "--data", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "parse line 2: bad post record: score is not an integer (12.9)",
+            "bad: negative comments at index 1",
+            "records=6 malformed_lines=1 invalid_records=1 filter_kept=2 (removed=1 no_media=1 short=1 gap=1)",
+        ]
+
+    def test_a_failed_run_leaves_no_run_directory_it_made(self, tmp_path):
+        argv = ["evaluate", "--model", str(tmp_path / "nope.json"), "--preprocess", "p", "--matrix", "m", "--labels", "l"]
+        assert main(argv + ["--out", str(tmp_path / "runs" / "e")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        assert main(argv + ["--out", str(existing)]) == 2
+        assert existing.is_dir()
+        assert main(argv + ["--out", str(existing / "e")]) == 2
+        assert list(tmp_path.iterdir()) == [existing] and list(existing.iterdir()) == []
+
     @pytest.mark.parametrize(
         "keys, value, message",
         [
@@ -438,6 +490,23 @@ def evaluate_argv(feats, trained, labels, out, model=None, preprocess=None, matr
 
 
 class TestFeatureTrainEvaluate:
+    def test_each_window_writes_its_own_files(self, synth_dir, trained_flow, tmp_path):
+        lab, feats, _ = trained_flow
+        data = str(synth_dir / "posts.jsonl")
+        out = tmp_path / "f"
+        for window in ("30.2", "30.7", "30"):
+            assert main(["features", "--data", data, "--artifacts", str(lab / "labeling.json"), "--window", window, "--out", str(out)]) == 0
+            assert _params(out)["window"] == float(window)
+        names = ("features_30.2", "features_30.7", "features_30")
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["run_manifest.json", *(n + ".csv" for n in names), *(n + ".manifest.json" for n in names)]
+        )
+        assert (out / "features_30.2.csv").read_bytes() != (out / "features_30.7.csv").read_bytes()
+        assert (feats / "features_120.csv").exists()  # integral windows keep their names
+        ablated = tmp_path / "a"
+        assert main(["ablate", "--data", data, "--artifacts", str(lab / "labeling.json"), "--window", "30.2", "--out", str(ablated)]) == 0
+        assert (ablated / "ablation_30.2.csv").exists() and _params(ablated, "ablation")["window"] == 30.2
+
     def test_full_flow(self, trained_flow, tmp_path):
         lab, feats, trained = trained_flow
         assert (feats / "features_120.csv").exists()

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viralearly.collector import (
     DEFAULT_POLL_SCHEDULE_TIERS,
@@ -17,6 +19,7 @@ from viralearly.collector import (
 )
 
 from conftest import make_record
+from oracles import reference_replay_index
 
 
 class ScriptedSource:
@@ -154,6 +157,21 @@ class TestFileReplaySource:
             scores.append(source.fetch("p1").score)
         assert scores == [1, 1, 3, 4]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        times=st.lists(st.floats(0.0, 100.0) | st.integers(0, 100), max_size=12),
+        sort=st.booleans(),
+        elapsed=st.lists(st.floats(0.0, 120.0) | st.integers(0, 120), min_size=1, max_size=6),
+    )
+    def test_the_bisected_answer_is_the_linear_scans(self, times, sort, elapsed):
+        times = sorted(times) if sort else times
+        clock = SimulatedClock()
+        source = FileReplaySource([make_record(times=times, scores=range(1, len(times) + 1))], clock)
+        for e in (0.0, *sorted(elapsed)):  # a post's elapsed time starts at its first fetch
+            clock.sleep_minutes(e - clock.now_minutes())
+            i = reference_replay_index([float(t) for t in times], clock.now_minutes())
+            assert source.fetch("p1").score == (i + 1 if i >= 0 else 0)  # score i + 1 at index i; zeros before the first
+
     def test_unknown_post_is_permanent_error(self):
         source = FileReplaySource([], SimulatedClock())
         with pytest.raises(PermanentSourceError):
@@ -278,6 +296,12 @@ class TestHttpPollingSource:
         # so tracking retries and skips the poll instead of crashing
         result = track_post(source, "p1", until_minutes=10.0, clock=SimulatedClock())
         assert (result.reason, len(result.snapshots)) == ("unreachable", 0)
+
+    def test_a_count_past_64_bits_is_transient(self, monkeypatch):
+        body = {"score": 2**63, "comments": 3, "crossposts": 1}
+        monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout: FakeResponse(body))
+        with pytest.raises(TransientSourceError, match="score is too large for a 64-bit integer"):
+            HttpPollingSource("https://api.example/posts").fetch("p1")
 
     def test_gone_is_permanent(self, monkeypatch):
         import urllib.error

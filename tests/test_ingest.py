@@ -1,6 +1,9 @@
 import ast
+import gc
 import json
 import tempfile
+import tracemalloc
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +16,7 @@ from viralearly import ingest, synth
 from viralearly.errors import DatasetError
 
 from conftest import make_record, make_snapshots
-from oracles import truncate_record
+from oracles import reference_snapshots_from_json_list, truncate_record
 
 
 def write_lines(path, lines):
@@ -302,3 +305,143 @@ def test_non_finite_json_token_is_malformed(tmp_path, token):
     write_lines(path, [line])
     with pytest.raises(DatasetError, match=f"line 1: {token} is not a JSON number"):
         list(ingest.parse_dataset(path))
+
+
+# -- the column reader --------------------------------------------------------
+
+SNAPSHOT_FIELDS = ("t_minutes", "score", "comments", "crossposts", "upvote_ratio", "category")
+# Every leaf value the non-finite-leaf test writes, as JSON decodes it (NaN
+# and infinity as floats, so the readers see them), but for the integer of
+# 5000 digits that json does not decode; then counts just past 64 bits.
+LEAF_VALUES = tuple(
+    json.loads(text) for text in NOT_A_NUMBER_JSON + FRACTION_JSON + NOT_A_FLAG_JSON + NOT_A_CONTAINER_JSON if len(text) < 4300
+) + (2**63, -(2**63) - 1, float(2**63))
+
+
+def read_outcome(read, value):
+    """The Snapshots ``read(value)`` returns, or the type and message of its error."""
+    try:
+        return read(value)
+    except Exception as exc:  # compared as data: the same error type and message
+        return type(exc), str(exc)
+
+
+def assert_reads_as_the_per_value_reader(value):
+    assert read_outcome(ingest.Snapshots.from_json_list, value) == read_outcome(reference_snapshots_from_json_list, value)
+
+
+def test_the_writers_series_take_the_column_path():
+    columns = ingest._read_columns(SYNTH_DOC["snapshots"])
+    assert columns is not None
+    assert ingest.Snapshots(*columns) == reference_snapshots_from_json_list(SYNTH_DOC["snapshots"])
+
+
+@pytest.mark.parametrize("field", SNAPSHOT_FIELDS)
+def test_every_broken_leaf_fails_as_the_per_value_reader(field):
+    last = len(SYNTH_DOC["snapshots"]) - 1
+    for index in (0, last // 2, last):
+        for value in LEAF_VALUES:
+            snapshots = json.loads(json.dumps(SYNTH_DOC["snapshots"]))
+            snapshots[index][field] = value
+            assert_reads_as_the_per_value_reader(snapshots)
+        del snapshots[index][field]  # a missing ratio or category is valid; any other missing field is not
+        assert_reads_as_the_per_value_reader(snapshots)
+
+
+def test_every_broken_container_fails_as_the_per_value_reader():
+    for value in LEAF_VALUES:
+        assert_reads_as_the_per_value_reader(value)
+        assert_reads_as_the_per_value_reader([*SYNTH_DOC["snapshots"][:3], value, *SYNTH_DOC["snapshots"][3:]])
+
+
+# valid values, unusual spellings included: an integer time, a count written
+# as a float with no fraction, a ratio of 0 or 1 or null, and category names
+# the validator rejects but the parser reads
+VALID_FIELDS = {
+    "t_minutes": st.one_of(st.floats(-1e6, 1e6), st.integers(-(10**6), 10**6)),
+    **dict.fromkeys(
+        ("score", "comments", "crossposts"),
+        st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(-(10**6), 10**6).map(float)),
+    ),
+    "upvote_ratio": st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, None])),
+    "category": st.one_of(st.sampled_from(ingest.CATEGORIES), st.text(max_size=4)),
+}
+VALID_SNAPSHOT = st.fixed_dictionaries(
+    {k: VALID_FIELDS[k] for k in SNAPSHOT_FIELDS[:4]}, optional={k: VALID_FIELDS[k] for k in SNAPSHOT_FIELDS[4:]}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    series=st.lists(VALID_SNAPSHOT, max_size=8),
+    broken=st.none() | st.tuples(st.integers(0, 7), st.sampled_from(SNAPSHOT_FIELDS), st.sampled_from(LEAF_VALUES)),
+)
+def test_the_column_reader_equals_the_per_value_reader(series, broken):
+    if broken is not None and series:
+        index, field, value = broken
+        series[index % len(series)][field] = value
+    assert_reads_as_the_per_value_reader(series)
+
+
+def test_series_are_held_as_typed_columns(tmp_path):
+    records = [
+        replace(make_record(post_id="a"), snapshots=make_snapshots([0, 5, 10, 15], [0, 2, 5, 9], ratios=[None, 0.5, None, 0.75])),
+        make_record(post_id="b", categories=["new", "rising", "hot"], static_features={"template_name": "stonks"}),
+        make_record(post_id="c", categories=["hot", "hot", "top"], static_features={"template_name": "drake"}),
+    ]
+    path = tmp_path / "d.jsonl"
+    ingest.write_dataset(records, path)
+    parsed = list(ingest.parse_dataset(path))
+    assert parsed == records  # missing ratios included
+    for record in parsed:
+        snaps = record.snapshots
+        assert [(type(c), c.typecode) for c in (snaps.t_minutes, snaps.score, snaps.comments, snaps.crossposts)] == [
+            (array, "d"), (array, "q"), (array, "q"), (array, "q")
+        ]
+        assert type(snaps.upvote_ratio) is tuple and type(snaps.category) is tuple
+    # each category name and static-feature key is one string across records
+    assert parsed[1].snapshots.category[2] is parsed[2].snapshots.category[0]
+    assert next(iter(parsed[1].static_features)) is next(iter(parsed[2].static_features))
+
+
+def test_snapshots_convert_other_sequences():
+    snaps = ingest.Snapshots([0, 5.5], [1, 2], [0, 0], [0, 1], [None, 0.5], ["new", "hot"])
+    assert snaps == make_snapshots([0.0, 5.5], [1, 2], crossposts=[0, 1], categories=["new", "hot"], ratios=[None, 0.5])
+    assert snaps.t_minutes == array("d", [0.0, 5.5]) and snaps.score == array("q", [1, 2])
+    assert ingest.Snapshots() == make_snapshots([], []) and len(ingest.Snapshots()) == 0
+
+
+@pytest.mark.parametrize("field", ["score", "comments", "crossposts"])
+@pytest.mark.parametrize("count", [2**63, -(2**63) - 1, float(2**64)], ids=["2**63", "-2**63-1", "float_2**64"])
+def test_a_count_past_64_bits_is_rejected_naming_the_field(tmp_path, field, count):
+    doc = make_record().to_json_dict()
+    doc["snapshots"][1][field] = count
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [json.dumps(doc)])
+    with pytest.raises(DatasetError, match=rf"^line 1: bad post record: {field} is too large for a 64-bit integer \({int(count)}\)$"):
+        list(ingest.parse_dataset(path))
+    doc["snapshots"][1][field] = 2**63 - 1 if count > 0 else -(2**63)  # the largest counts a column holds
+    write_lines(path, [json.dumps(doc)])
+    (record,) = ingest.parse_dataset(path)
+    assert getattr(record.snapshots, field)[1] == doc["snapshots"][1][field]
+
+
+def test_a_parsed_corpus_holds_its_series_as_columns(tmp_path):
+    # Retained bytes per parsed post of a 200-post synth corpus (Python 3.11,
+    # 64-bit): 9.4 KB held as typed columns with shared static-feature keys,
+    # 12.5 KB with each line's own keys, 17.8 KB with one boxed value per
+    # snapshot field.
+    records, _ = synth.generate(synth.SynthConfig(n_posts=200, seed=7))
+    path = tmp_path / "posts.jsonl"
+    ingest.write_dataset(records, path)
+    del records
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parsed = list(ingest.parse_dataset(path))
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == 200
+    assert retained / len(parsed) < 11_000
