@@ -8,9 +8,8 @@ One post per line, UTF-8 JSON, snapshots embedded. The full field contract
 Dataset lines, HTTP post states and saved files are all decoded by
 :func:`decode_json` and their values read by the ``read_*`` functions, each
 checking one JSON type and raising the boundary's error naming the field.
-A post's snapshot series is held as typed columns (:class:`Snapshots`) and
-read a column at a time; the per-value readers read only a series whose
-columns fail that check.
+A post's snapshot series is read one value at a time and held as typed
+columns (:class:`Snapshots`).
 
 Nothing in this module looks at labels or the train/test split: ingestion is
 split-agnostic by construction.
@@ -24,8 +23,6 @@ from array import array
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
-from itertools import chain, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -89,66 +86,20 @@ class Snapshots:
     def to_json_list(self) -> list[dict[str, Any]]:
         """One JSON object per snapshot, as a dataset line holds them: without
         ``upvote_ratio`` where it is None."""
-        columns = (self.t_minutes.tolist(), self.score.tolist(), self.comments.tolist(), self.crossposts.tolist())
-        return [
-            {"t_minutes": t, "score": s, "comments": c, "crossposts": x, "category": k, "upvote_ratio": r}
-            if r is not None
-            else {"t_minutes": t, "score": s, "comments": c, "crossposts": x, "category": k}
-            for t, s, c, x, k, r in zip(*columns, self.category, self.upvote_ratio)
-        ]
+        keys = ("t_minutes", "score", "comments", "crossposts", "category", "upvote_ratio")
+        rows = zip(self.t_minutes, self.score, self.comments, self.crossposts, self.category, self.upvote_ratio)
+        return [dict(zip(keys, row if row[-1] is not None else row[:-1])) for row in rows]
 
     @classmethod
     def from_json_list(cls, value: Any) -> "Snapshots":
         """The series held by a dataset line's ``snapshots`` list of objects,
-        each with a ``t_minutes`` and what :func:`read_engagement` reads.
-
-        Each field is gathered over the series and checked as one column. When
-        a column holds a value of another type or range, a bad one or a valid
-        but unusual one (a count written ``12.0``), the series is read by the
-        per-value readers instead: they return its values or raise the error
-        of its first bad value."""
-        objects = read_list(value, "snapshots")
-        columns = _read_columns(objects)
-        if columns is None:
-            snapshots = (read_object(d, "snapshot") for d in objects)
-            return cls(*zip(*((read_number(d.get("t_minutes"), "t_minutes"), *read_engagement(d)) for d in snapshots)))
-        return cls(*columns)
+        each with a ``t_minutes`` and what :func:`read_engagement` reads."""
+        objects = (read_object(d, "snapshot") for d in read_list(value, "snapshots"))
+        return cls(*zip(*((read_number(d.get("t_minutes"), "t_minutes"), *read_engagement(d)) for d in objects)))
 
 
 # Category names as the one string each known name is, so that parsed series share them.
 _CATEGORY_NAMES = {name: name for name in CATEGORIES}
-# The fields a snapshot object of the dataset writer always holds.
-_WRITTEN_FIELDS = itemgetter("t_minutes", "score", "comments", "crossposts", "category")
-
-
-def _read_columns(objects: list) -> tuple | None:
-    """The columns of a list of snapshot objects as the dataset writer
-    spells them: every field present but for ratios, each column of one JSON
-    type (exact type tests keep ``true`` out of the counts) and within its
-    range. None for any other list."""
-    if not objects:
-        return ()
-    if {*map(type, objects)} != {dict}:
-        return None
-    try:
-        times, *counts, names = zip(*map(_WRITTEN_FIELDS, objects))
-        if {*map(type, chain(*counts))} != {int}:
-            return None
-        counts = [array("q", column) for column in counts]
-    except (KeyError, OverflowError):  # a field left out, or a count past 64 bits
-        return None
-    ratios = tuple(map(dict.get, objects, repeat("upvote_ratio")))
-    kinds = {*map(type, ratios)}
-    present = ratios if kinds == {float} else [r for r in ratios if r is not None]
-    if (
-        {*map(type, times)} != {float}
-        or not math.isfinite(sum(times))  # a NaN or an infinity, or a sum past the float range
-        or kinds - {float, type(None)}
-        or (present and not (0.0 <= min(present) and max(present) <= 1.0 and math.isfinite(sum(present))))
-        or {*map(type, names)} != {str}
-    ):
-        return None
-    return (array("d", times), *counts, ratios, tuple(map(_CATEGORY_NAMES.get, names, names)))
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,8 @@ and frequency importances the GBT once saved; the model keeps the gain.
 batched ``labeling.score_records`` replaced, and ``truncate_record`` cuts a
 record's snapshots after a window for the causality checks.
 
-``reference_snapshots_from_json_list`` is the per-value snapshot reader that
-the column reader replaced, and ``reference_replay_index`` the linear scan
-that replay fetches made before they bisected a running maximum of times.
+``reference_replay_index`` is the linear scan that replay fetches made
+before they bisected a running maximum of times.
 
 ``reference_roc_auc`` is the midrank loop the vectorised tie-block ranks
 replaced, and ``STATIC_CATALOG`` pins the static feature catalog as it was
@@ -60,7 +59,7 @@ from viralearly.features import (
     WindowSpec,
     extract_static,
 )
-from viralearly.ingest import Snapshots, read_engagement, read_list, read_number, read_object
+from viralearly.ingest import Snapshots
 from viralearly.labeling import LABELING_FEATURES, normalize_metric
 from viralearly.models._common import _Tree, check_training_data, sigmoid
 from viralearly.models.gbt import _GAIN_EPS, GBTModel, _bin_columns
@@ -349,13 +348,6 @@ def snapshot_rows(snapshots):
 def snapshots_from_rows(rows):
     """The :class:`Snapshots` value holding ``rows``, in their order."""
     return Snapshots(*zip(*rows))
-
-
-def reference_snapshots_from_json_list(value):
-    """A dataset line's ``snapshots`` read one snapshot at a time, each field
-    by the package's per-value readers: the first bad value raises."""
-    objects = (read_object(d, "snapshot") for d in read_list(value, "snapshots"))
-    return Snapshots(*zip(*((read_number(d.get("t_minutes"), "t_minutes"), *read_engagement(d)) for d in objects)))
 
 
 def reference_replay_index(times, elapsed):
