@@ -289,6 +289,7 @@ class HttpPollingSource:
         try:
             payload = read_object(decode_json(body.decode("utf-8")), "body")
             score, comments, crossposts, ratio, category = read_engagement(payload)
+            Snapshots((0.0,), (score,), (comments,), (crossposts,))  # counts a snapshot column holds, else a DatasetError
             return PollResult(score, comments, crossposts, category, ratio, read_flag(payload.get("removed", False), "removed"))
         except ValueError as exc:  # undecodable bytes, invalid JSON or a bad value
             raise TransientSourceError(f"unreadable body for {post_id}: {exc}") from exc

@@ -53,6 +53,8 @@ MAX_SNAPSHOT_GAP_MINUTES = 360.0
 #: reads the same codes): times in doubles, counts in 64-bit integers.
 COLUMN_TYPECODES = {"t_minutes": "d", "score": "q", "comments": "q", "crossposts": "q"}
 _COUNT_RANGE = (-(2**63), 2**63)  # what a 64-bit column holds: [low, high)
+# Each known category name as one string, so that series share their names.
+_CATEGORY_NAMES = {name: name for name in CATEGORIES}
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,9 @@ class Snapshots:
     i of each is the i-th timestamped observation's value.
 
     Times are an ``array('d')``, the three counts ``array('q')``, ratios and
-    category names tuples; a column given as another sequence is converted.
+    category names tuples (each known name the one string of
+    :data:`CATEGORIES`); a column given as another sequence is converted. A
+    count outside the 64-bit range is a :class:`DatasetError` naming the field.
     """
 
     t_minutes: array = field(default_factory=lambda: array("d"))
@@ -75,10 +79,14 @@ class Snapshots:
         for name, code in COLUMN_TYPECODES.items():
             column = getattr(self, name)
             if type(column) is not array or column.typecode != code:
-                object.__setattr__(self, name, array(code, column))
-        for name in ("upvote_ratio", "category"):
-            if type(getattr(self, name)) is not tuple:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
+                try:
+                    object.__setattr__(self, name, array(code, column))
+                except OverflowError:  # only a count column's integers can overflow
+                    count = next(c for c in column if not _COUNT_RANGE[0] <= c < _COUNT_RANGE[1])
+                    raise DatasetError(f"{name} is too large for a 64-bit integer ({count!r})") from None
+        if type(self.upvote_ratio) is not tuple:
+            object.__setattr__(self, "upvote_ratio", tuple(self.upvote_ratio))
+        object.__setattr__(self, "category", tuple(map(_CATEGORY_NAMES.get, self.category, self.category)))
 
     def __len__(self) -> int:
         return len(self.t_minutes)
@@ -96,10 +104,6 @@ class Snapshots:
         each with a ``t_minutes`` and what :func:`read_engagement` reads."""
         objects = (read_object(d, "snapshot") for d in read_list(value, "snapshots"))
         return cls(*zip(*((read_number(d.get("t_minutes"), "t_minutes"), *read_engagement(d)) for d in objects)))
-
-
-# Category names as the one string each known name is, so that parsed series share them.
-_CATEGORY_NAMES = {name: name for name in CATEGORIES}
 
 
 @dataclass(frozen=True)
@@ -178,27 +182,22 @@ class PostRecord:
 
 
 def read_engagement(d: dict) -> tuple[int, int, int, float | None, str]:
-    """The score, comments, crossposts (integers below 2**63 in magnitude),
-    upvote_ratio (optional, in [0, 1]) and category of a snapshot or an HTTP
-    post state, read from its JSON object ``d``; in :class:`Snapshots` field
-    order."""
+    """The score, comments, crossposts, upvote_ratio (optional, in [0, 1])
+    and category of a snapshot or an HTTP post state, read from its JSON
+    object ``d``; in :class:`Snapshots` field order. :class:`Snapshots`
+    checks that the counts lie in its 64-bit range."""
     ratio = d.get("upvote_ratio")
     if ratio is not None:
         ratio = read_number(ratio, "upvote_ratio")
         if not 0.0 <= ratio <= 1.0:
             raise DatasetError(f"upvote_ratio is not in [0, 1] ({ratio!r})")
-    score, comments, crossposts = (_read_count(d.get(name), name) for name in ("score", "comments", "crossposts"))
-    category = read_text(d.get("category", "unknown"), "category")
-    return score, comments, crossposts, ratio, _CATEGORY_NAMES.get(category, category)
-
-
-def _read_count(value: Any, name: str) -> int:
-    """A snapshot count: what :func:`read_int` reads, within the 64-bit range
-    of a :class:`Snapshots` column."""
-    count = read_int(value, name)
-    if not _COUNT_RANGE[0] <= count < _COUNT_RANGE[1]:
-        raise DatasetError(f"{name} is too large for a 64-bit integer ({count!r})")
-    return count
+    return (
+        read_int(d.get("score"), "score"),
+        read_int(d.get("comments"), "comments"),
+        read_int(d.get("crossposts"), "crossposts"),
+        ratio,
+        read_text(d.get("category", "unknown"), "category"),
+    )
 
 
 def read_int(value: Any, name: str, error: type[ValueError] = DatasetError) -> int:

@@ -336,6 +336,8 @@ def test_snapshots_convert_other_sequences():
     assert snaps == make_snapshots([0.0, 5.5], [1, 2], crossposts=[0, 1], categories=["new", "hot"], ratios=[None, 0.5])
     assert snaps.t_minutes == array("d", [0.0, 5.5]) and snaps.score == array("q", [1, 2])
     assert ingest.Snapshots() == make_snapshots([], []) and len(ingest.Snapshots()) == 0
+    with pytest.raises(DatasetError, match=r"^comments is too large for a 64-bit integer \(-9223372036854775809\)$"):
+        ingest.Snapshots([0.0, 1.0], [1, 2], [0, -(2**63) - 1], [0, 0])
 
 
 @pytest.mark.parametrize("field", ["score", "comments", "crossposts"])
