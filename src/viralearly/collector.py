@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import accumulate
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from .errors import ConfigError, DatasetError
 from .ingest import PostRecord, Snapshots, decode_json, parse_dataset, read_engagement, read_flag, read_object, validate_record
@@ -57,9 +57,9 @@ def schedule_next_poll(post_age_minutes: float, schedule: PollSchedule) -> float
     return schedule.tiers[-1][1]
 
 
-@dataclass(frozen=True)
-class PollResult:
-    """One transport answer about a post's current state."""
+class PollResult(NamedTuple):
+    """One transport answer about a post's current state (a tuple, cheap to
+    build once per fetch)."""
 
     score: int
     comments: int

@@ -8,8 +8,10 @@ One post per line, UTF-8 JSON, snapshots embedded. The full field contract
 Dataset lines, HTTP post states and saved files are all decoded by
 :func:`decode_json` and their values read by the ``read_*`` functions, each
 checking one JSON type and raising the boundary's error naming the field.
-A post's snapshot series is read one value at a time and held as typed
-columns (:class:`Snapshots`).
+A post's snapshot series is read a column at a time, each column checked
+whole, and held as typed columns (:class:`Snapshots`); the per-value readers
+go over a series only to name its first bad value. :func:`write_dataset`
+formats each snapshot with one template.
 
 Nothing in this module looks at labels or the train/test split: ingestion is
 split-agnostic by construction.
@@ -24,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -55,6 +57,9 @@ COLUMN_TYPECODES = {"t_minutes": "d", "score": "q", "comments": "q", "crossposts
 _COUNT_RANGE = (-(2**63), 2**63)  # what a 64-bit column holds: [low, high)
 # Each known category name as one string, so that series share their names.
 _CATEGORY_NAMES = {name: name for name in CATEGORIES}
+# The types of the values a number column and the ratio column may hold (exact: a bool is neither).
+_NUMBER_TYPES = {float, int}
+_RATIO_TYPES = {float, int, type(None)}
 
 
 @dataclass(frozen=True)
@@ -101,9 +106,71 @@ class Snapshots:
     @classmethod
     def from_json_list(cls, value: Any) -> "Snapshots":
         """The series held by a dataset line's ``snapshots`` list of objects,
-        each with a ``t_minutes`` and what :func:`read_engagement` reads."""
-        objects = (read_object(d, "snapshot") for d in read_list(value, "snapshots"))
-        return cls(*zip(*((read_number(d.get("t_minutes"), "t_minutes"), *read_engagement(d)) for d in objects)))
+        each with a ``t_minutes`` and what :func:`read_engagement` reads.
+
+        Each field is gathered as one column and the whole column checked at
+        once (its value types, finite times, the ratio range, the 64-bit count
+        range), accepting exactly what the per-value readers accept. When a
+        column fails, the per-value readers go over the series to raise the
+        error naming the field of its first bad snapshot."""
+        objects = read_list(value, "snapshots")
+        columns = _read_columns(objects)
+        if columns is None:
+            _raise_first_error(objects)
+        return cls(*columns)
+
+
+def _read_columns(objects: list) -> tuple | None:
+    """The columns of :class:`Snapshots` in a list of snapshot objects, each
+    checked whole; None when a column holds a value the per-value readers
+    reject. Exact type tests keep ``true`` out of the numbers."""
+    if not objects:
+        return ()
+    if {*map(type, objects)} != {dict}:
+        return None
+    times = [d.get("t_minutes") for d in objects]
+    if {*map(type, times)} - _NUMBER_TYPES:
+        return None
+    try:
+        times = array("d", times)
+    except OverflowError:  # an integer past the float range
+        return None
+    # a sum is finite only when every term is; one past the float range is checked term by term
+    if not (math.isfinite(sum(times)) or all(map(math.isfinite, times))):
+        return None
+    counts = []
+    for name in ("score", "comments", "crossposts"):
+        column = [d.get(name) for d in objects]
+        kinds = {*map(type, column)}
+        if kinds != {int}:
+            if kinds - _NUMBER_TYPES or not all(x.is_integer() for x in column if type(x) is float):
+                return None
+            column = list(map(int, column))
+        try:
+            counts.append(array("q", column))
+        except OverflowError:  # a count past 64 bits
+            return None
+    ratios = [d.get("upvote_ratio") for d in objects]
+    kinds = {*map(type, ratios)}
+    if kinds - _RATIO_TYPES:
+        return None
+    present = ratios if kinds == {float} else [r for r in ratios if r is not None]
+    if present and not (0.0 <= min(present) and max(present) <= 1.0 and math.isfinite(sum(present))):
+        return None  # the sum catches a NaN that min and max pass over
+    if int in kinds:
+        ratios = [float(r) if type(r) is int else r for r in ratios]
+    names = [d.get("category", "unknown") for d in objects]
+    if {*map(type, names)} != {str}:
+        return None
+    return (times, *counts, tuple(ratios), names)
+
+
+def _raise_first_error(objects: list) -> NoReturn:
+    """Raise the error of the first bad snapshot in ``objects``, read one
+    value at a time in field order, or else of the first count past 64 bits."""
+    objects = (read_object(d, "snapshot") for d in objects)
+    Snapshots(*zip(*((read_number(d.get("t_minutes"), "t_minutes"), *read_engagement(d)) for d in objects)))
+    raise AssertionError("a column check rejected a series that the per-value readers accept")
 
 
 @dataclass(frozen=True)
@@ -136,7 +203,14 @@ class PostRecord:
     static_features: dict[str, Any] | None = None
 
     def to_json_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {
+        d = {**self._json_head(), "snapshots": self.snapshots.to_json_list()}
+        if self.static_features is not None:
+            d["static_features"] = self.static_features
+        return d
+
+    def _json_head(self) -> dict[str, Any]:
+        """The fields a dataset line holds before ``snapshots``, in its order."""
+        return {
             "post_id": self.post_id,
             "created_utc": _format_utc(self.created_utc),
             "title": self.title,
@@ -145,11 +219,7 @@ class PostRecord:
             "media_type": self.media_type,
             "media_url": self.media_url,
             "removed": self.removed,
-            "snapshots": self.snapshots.to_json_list(),
         }
-        if self.static_features is not None:
-            d["static_features"] = self.static_features
-        return d
 
     @classmethod
     def from_json_dict(cls, d: dict[str, Any]) -> "PostRecord":
@@ -304,15 +374,81 @@ def parse_dataset(
                 on_error(diag)
 
 
+#: The compact JSON text of a value, as a dataset line spells it; a float
+#: that is not finite, which JSON cannot hold, is a ValueError.
+_encode_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+#: One snapshot's object as json writes it, from its fields in
+#: :class:`Snapshots` order with the category's JSON text; without the ratio
+#: where it is None.
+_SNAPSHOT_TEXT = '{"t_minutes":%r,"score":%d,"comments":%d,"crossposts":%d,"category":%s,"upvote_ratio":%r}'
+_SNAPSHOT_TEXT_NO_RATIO = '{"t_minutes":%r,"score":%d,"comments":%d,"crossposts":%d,"category":%s}'
+
+
+class _JsonText(dict):
+    """Each value's JSON text, encoded once."""
+
+    def __missing__(self, value):
+        text = self[value] = _encode_json(value)
+        return text
+
+
 def write_dataset(records: Iterable[PostRecord], path: str | Path) -> int:
-    """Write records in the line-delimited format; returns the line count."""
+    """Write records in the line-delimited format; returns the line count.
+
+    A line is the compact JSON of :meth:`PostRecord.to_json_dict`, its
+    snapshots formatted by one template each. A float that is not finite,
+    which JSON cannot hold, is a :class:`DatasetError` naming the post and
+    the field."""
+    category_text = _JsonText()
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record.to_json_dict(), separators=(",", ":")))
-            fh.write("\n")
+            try:
+                line = _dataset_line(record, category_text)
+            except ValueError:  # a float that is not finite
+                found = _first_non_finite(record.to_json_dict())
+                if found is None:
+                    raise
+                raise DatasetError(f"post {record.post_id}: {found[0]} is not a finite number ({found[1]!r})") from None
+            fh.write(line)
             n += 1
     return n
+
+
+def _dataset_line(record: PostRecord, category_text: _JsonText) -> str:
+    head = _encode_json(record._json_head())
+    static = "" if record.static_features is None else ',"static_features":' + _encode_json(record.static_features)
+    return f'{head[:-1]},"snapshots":[{_snapshots_text(record.snapshots, category_text)}]{static}}}\n'
+
+
+def _snapshots_text(snaps: Snapshots, category_text: _JsonText) -> str:
+    """The JSON text of ``snaps.to_json_list()``'s items, comma-separated."""
+    ratios = snaps.upvote_ratio
+    kinds = {*map(type, ratios)}
+    present = ratios if kinds == {float} else [r for r in ratios if r is not None]
+    # the template writes floats as json does only when they are floats and
+    # finite, which their sum is only when every term is
+    if kinds - {float, type(None)} or not math.isfinite(sum(snaps.t_minutes) + sum(present)):
+        return _encode_json(snaps.to_json_list())[1:-1]
+    rows = zip(snaps.t_minutes, snaps.score, snaps.comments, snaps.crossposts, map(category_text.__getitem__, snaps.category), ratios)
+    if kinds == {float}:
+        return ",".join(map(_SNAPSHOT_TEXT.__mod__, rows))
+    return ",".join([_SNAPSHOT_TEXT_NO_RATIO % row[:5] if row[5] is None else _SNAPSHOT_TEXT % row for row in rows])
+
+
+def _first_non_finite(value: Any, name: str = "") -> tuple[str, float] | None:
+    """The name and value of the first float in a JSON value that is not
+    finite (``a.b[2].c``), or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (name, value)
+    if isinstance(value, dict):
+        items = ((f"{name}.{k}" if name else str(k), v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{name}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_first_non_finite(v, n) for n, v in items)), None)
 
 
 @dataclass
@@ -365,7 +501,10 @@ def _drop_reason(record: PostRecord) -> str | None:
     times = record.snapshots.t_minutes
     if not times or times[-1] < MIN_TRACKING_MINUTES:
         return "dropped_short_tracking"
-    if any(b - a > MAX_SNAPSHOT_GAP_MINUTES for a, b in zip((0.0, *times), times)):  # from creation on
+    t = np.frombuffer(times)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, no gap
+        gaps = t[1:] - t[:-1]
+    if t[0] > MAX_SNAPSHOT_GAP_MINUTES or (gaps > MAX_SNAPSHOT_GAP_MINUTES).any():  # from creation on
         return "dropped_gap"
     return None
 
@@ -399,15 +538,16 @@ def validate_record(record: PostRecord) -> ValidationReport:
     snaps = record.snapshots
     if not snaps:
         v.append("no snapshots")
-    times = snaps.t_minutes
-    for i, t in enumerate(times):
-        if t < 0:
-            v.append(f"negative time at index {i}")
-        if i and t <= times[i - 1]:
-            v.append(f"non-increasing time at index {i}")
-            break
+    times = np.frombuffer(snaps.t_minutes)
+    # each negative time up to the first that does not increase, then that one
+    stop = _first(times[1:] <= times[:-1])
+    negative = times[: len(times) if stop is None else stop + 2] < 0
+    if negative.any():
+        v.extend(f"negative time at index {i}" for i in np.flatnonzero(negative))
+    if stop is not None:
+        v.append(f"non-increasing time at index {stop + 1}")
     for name, values in (("comments", snaps.comments), ("crossposts", snaps.crossposts)):
-        i = next((i for i, x in enumerate(values) if x < 0), None)
+        i = _first(np.frombuffer(values, values.typecode) < 0)
         if i is not None:
             v.append(f"negative {name} at index {i}")
     i = next((i for i, c in enumerate(snaps.category) if c not in CATEGORIES), None)
@@ -420,6 +560,11 @@ def validate_record(record: PostRecord) -> ValidationReport:
         except DatasetError as exc:
             v.append(str(exc))
     return report
+
+
+def _first(flags: np.ndarray) -> int | None:
+    """The index of the first true entry of ``flags``, or None."""
+    return int(flags.argmax()) if flags.any() else None
 
 
 def coerce_static(value: Any, kind: str, name: str) -> float | str | None:

@@ -33,11 +33,21 @@ record's snapshots after a window for the causality checks.
 ``reference_replay_index`` is the linear scan that replay fetches made
 before they bisected a running maximum of times.
 
+``reference_snapshots_from_json_list`` and ``reference_write_dataset`` are
+the snapshot reader and the dataset writer as they were before series were
+read and written a column at a time: one object and one value at a time
+through the package's readers, and one ``json.dumps`` of a dict per
+snapshot. ``reference_series_violations`` and ``reference_drop_reason`` are
+the time and count checks of ``ingest.validate_record`` and the quality
+filter's drop reason as Python loops over the columns, before numpy checked
+each column whole.
+
 ``reference_roc_auc`` is the midrank loop the vectorised tie-block ranks
 replaced, and ``STATIC_CATALOG`` pins the static feature catalog as it was
 written out by hand before it was derived from the shipped schema.
 """
 
+import json
 import math
 import time
 from collections import namedtuple
@@ -59,7 +69,7 @@ from viralearly.features import (
     WindowSpec,
     extract_static,
 )
-from viralearly.ingest import Snapshots
+from viralearly.ingest import MAX_SNAPSHOT_GAP_MINUTES, MIN_TRACKING_MINUTES, Snapshots, read_engagement, read_list, read_number, read_object
 from viralearly.labeling import LABELING_FEATURES, normalize_metric
 from viralearly.models._common import _Tree, check_training_data, sigmoid
 from viralearly.models.gbt import _GAIN_EPS, GBTModel, _bin_columns
@@ -348,6 +358,56 @@ def snapshot_rows(snapshots):
 def snapshots_from_rows(rows):
     """The :class:`Snapshots` value holding ``rows``, in their order."""
     return Snapshots(*zip(*rows))
+
+
+def reference_snapshots_from_json_list(value):
+    """The series held by a dataset line's ``snapshots`` list, read one
+    snapshot object and one value at a time."""
+    objects = (read_object(d, "snapshot") for d in read_list(value, "snapshots"))
+    return Snapshots(*zip(*((read_number(d.get("t_minutes"), "t_minutes"), *read_engagement(d)) for d in objects)))
+
+
+def reference_write_dataset(records, path):
+    """Write records as one ``json.dumps`` of each record's dict per line."""
+    n = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record.to_json_dict(), separators=(",", ":")))
+            fh.write("\n")
+            n += 1
+    return n
+
+
+def reference_series_violations(snaps):
+    """The violations ``validate_record`` reports of a series' times,
+    comments and crossposts, in its order."""
+    v = []
+    times = snaps.t_minutes
+    for i, t in enumerate(times):
+        if t < 0:
+            v.append(f"negative time at index {i}")
+        if i and t <= times[i - 1]:
+            v.append(f"non-increasing time at index {i}")
+            break
+    for name, values in (("comments", snaps.comments), ("crossposts", snaps.crossposts)):
+        i = next((i for i, x in enumerate(values) if x < 0), None)
+        if i is not None:
+            v.append(f"negative {name} at index {i}")
+    return v
+
+
+def reference_drop_reason(record):
+    """The first quality check ``record`` fails, as a ``FilterSummary`` field name, or None."""
+    if record.removed:
+        return "dropped_removed"
+    if not record.media_url:
+        return "dropped_no_media"
+    times = record.snapshots.t_minutes
+    if not times or times[-1] < MIN_TRACKING_MINUTES:
+        return "dropped_short_tracking"
+    if any(b - a > MAX_SNAPSHOT_GAP_MINUTES for a, b in zip((0.0, *times), times)):  # from creation on
+        return "dropped_gap"
+    return None
 
 
 def reference_replay_index(times, elapsed):

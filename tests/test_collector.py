@@ -348,3 +348,12 @@ def test_replay_keys_elapsed_time_per_post():
     assert shared.now_minutes() == 20.0
     assert all(r.reason == "completed" for r in results)
     assert [list(zip(r.snapshots.t_minutes, r.snapshots.score)) for r in results] == [[(0.0, 1), (5.0, 2), (10.0, 3)]] * 2
+
+
+def test_a_poll_result_is_an_immutable_named_tuple():
+    result = PollResult(3, 1, 0)
+    assert result == PollResult(score=3, comments=1, crossposts=0, category="unknown", upvote_ratio=None, removed=False)
+    assert PollResult._fields == ("score", "comments", "crossposts", "category", "upvote_ratio", "removed")
+    assert isinstance(result, tuple)
+    with pytest.raises(AttributeError):
+        result.score = 4

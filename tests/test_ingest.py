@@ -1,6 +1,7 @@
 import ast
 import gc
 import json
+import math
 import tempfile
 import tracemalloc
 from array import array
@@ -16,7 +17,13 @@ from viralearly import ingest, synth
 from viralearly.errors import DatasetError
 
 from conftest import make_record, make_snapshots
-from oracles import truncate_record
+from oracles import (
+    reference_drop_reason,
+    reference_series_violations,
+    reference_snapshots_from_json_list,
+    reference_write_dataset,
+    truncate_record,
+)
 
 
 def write_lines(path, lines):
@@ -383,3 +390,198 @@ def test_a_parsed_corpus_holds_its_series_as_columns(tmp_path):
     _, typed_bytes = retained_bytes(lambda: [[array(code, c) for code, c in post] for post in columns])
     _, boxed_bytes = retained_bytes(lambda: [[tuple(c) for _, c in post] for post in columns])
     assert parsed_bytes < 0.9 * (parsed_bytes - typed_bytes + boxed_bytes)
+
+
+# -- the column reader and the template writer ---------------------------------
+
+
+def outcome(read, value):
+    """What ``read(value)`` gives: ("value", its result) or ("error", its type and message)."""
+    try:
+        return "value", read(value)
+    except ValueError as exc:
+        return "error", (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("signal", synth.SIGNAL_PLACEMENTS)
+def test_column_reader_and_template_writer_match_the_references_on_synth(tmp_path, signal):
+    records, _ = synth.generate(synth.SynthConfig(n_posts=60, signal=signal, seed=11))
+    path, reference_path = tmp_path / "posts.jsonl", tmp_path / "reference.jsonl"
+    assert ingest.write_dataset(records, path) == reference_write_dataset(records, reference_path) == 60
+    assert path.read_bytes() == reference_path.read_bytes()
+    parsed = list(ingest.parse_dataset(path))
+    assert parsed == records
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for record, line in zip(parsed, lines):
+        assert record.snapshots == reference_snapshots_from_json_list(ingest.decode_json(line)["snapshots"])
+
+
+SNAPSHOT = {"t_minutes": 5.0, "score": 3, "comments": 1, "crossposts": 0, "category": "new", "upvote_ratio": 0.5}
+
+
+def series(*changes, n=3):
+    """``n`` copies of :data:`SNAPSHOT` at times 0, 5, 10, ...; each change is
+    (index, field, value), a value of ``...`` removing the field."""
+    objects = [{**SNAPSHOT, "t_minutes": 5.0 * i} for i in range(n)]
+    for i, name, value in changes:
+        if value is ...:
+            del objects[i][name]
+        else:
+            objects[i][name] = value
+    return objects
+
+
+HAND_MADE_SERIES = {
+    "integer_times": series((0, "t_minutes", 0), (2, "t_minutes", 10)),
+    "huge_integer_time": series((1, "t_minutes", 2**53 + 1)),
+    "integral_float_counts": series((0, "score", 3.0), (1, "comments", -2.0), (2, "crossposts", 1e15)),
+    "missing_ratio_and_category": series((0, "upvote_ratio", ...), (1, "category", ...), (2, "upvote_ratio", None)),
+    "every_ratio_missing": series(*((i, "upvote_ratio", ...) for i in range(3))),
+    "int_ratios_0_and_1": series((0, "upvote_ratio", 0), (2, "upvote_ratio", 1)),
+    "ratio_bounds": series((0, "upvote_ratio", -0.0), (1, "upvote_ratio", 1.0), (2, "upvote_ratio", 5e-324)),
+    "empty_list": [],
+    "one_snapshot": series(n=1),
+    "true_count": series((1, "score", True)),
+    "false_count": series((2, "crossposts", False)),
+    "count_2_63": series((1, "comments", 2**63)),
+    "count_minus_2_63_minus_1": series((0, "crossposts", -(2**63) - 1)),
+    "counts_of_64_bits": series((0, "score", 2**63 - 1), (1, "score", -(2**63))),
+    "float_count_past_64_bits": series((2, "score", 1e300)),
+    "infinite_float_count": series((1, "score", float("inf"))),
+    "fractional_count": series((1, "comments", 12.5)),
+    "count_past_the_float_range": series((1, "score", 10**400)),
+    "null_count": series((1, "score", None)),
+    "string_count": series((0, "score", "3")),
+    "time_1e400": series((1, "t_minutes", float("inf"))),
+    "time_minus_1e400": series((2, "t_minutes", float("-inf"))),
+    "nan_time": series((1, "t_minutes", float("nan"))),
+    "time_past_the_float_range": series((1, "t_minutes", 10**400)),
+    "missing_time": series((1, "t_minutes", ...)),
+    "true_time": series((0, "t_minutes", True)),
+    "string_time": series((2, "t_minutes", "5")),
+    "times_whose_sum_overflows": series((1, "t_minutes", 1.7e308), (2, "t_minutes", 1.7e308)),
+    "ratio_1_0000001": series((1, "upvote_ratio", 1.0000001)),
+    "negative_ratio": series((2, "upvote_ratio", -0.25)),
+    "nan_ratio": series((1, "upvote_ratio", float("nan"))),
+    "infinite_ratio": series((0, "upvote_ratio", float("inf"))),
+    "int_ratio_2": series((1, "upvote_ratio", 2)),
+    "ratio_past_the_float_range": series((1, "upvote_ratio", 10**400)),
+    "true_ratio": series((1, "upvote_ratio", True)),
+    "string_ratio": series((1, "upvote_ratio", "0.5")),
+    "unknown_category": series((1, "category", "weird")),
+    "null_category": series((1, "category", None)),
+    "int_category": series((2, "category", 3)),
+    "non_object_snapshot": [*series(n=2), [1, 2]],
+    "null_snapshot": [None, *series(n=1)],
+    "first_error_in_snapshot_order": series((2, "t_minutes", float("inf")), (1, "score", 1.5)),
+    "first_error_in_field_order": series((1, "category", 3), (1, "comments", "x"), (1, "upvote_ratio", 7.0)),
+    "value_errors_before_the_count_range": series((0, "score", 2**63), (2, "upvote_ratio", 2.0)),
+    "first_count_column_past_64_bits": series((2, "score", 2**63), (0, "comments", -(2**63) - 1)),
+}
+
+
+@pytest.mark.parametrize("objects", HAND_MADE_SERIES.values(), ids=HAND_MADE_SERIES.keys())
+def test_the_column_reader_gives_the_reference_record_or_error(objects):
+    got, expected = outcome(ingest.Snapshots.from_json_list, objects), outcome(reference_snapshots_from_json_list, objects)
+    assert got == expected
+    if got[0] == "value":  # the same value types too
+        for name, code in ingest.COLUMN_TYPECODES.items():
+            assert getattr(got[1], name).typecode == code
+        assert [type(r) for r in got[1].upvote_ratio] == [type(r) for r in expected[1].upvote_ratio]
+
+
+@pytest.mark.parametrize("value", [None, {}, "[]", 3], ids=["null", "object", "string", "number"])
+def test_a_series_that_is_not_a_list_is_rejected_as_before(value):
+    assert outcome(ingest.Snapshots.from_json_list, value) == outcome(reference_snapshots_from_json_list, value)
+
+
+def test_a_bad_series_in_a_dataset_line_names_the_field(tmp_path):
+    doc = make_record().to_json_dict()
+    path = tmp_path / "d.jsonl"
+    line = json.dumps({**doc, "snapshots": HAND_MADE_SERIES["first_error_in_snapshot_order"]})
+    write_lines(path, [line.replace("Infinity", "1e400")])  # json reads 1e400 as inf
+    with pytest.raises(DatasetError, match=r"^line 1: bad post record: score is not an integer \(1\.5\)$"):
+        list(ingest.parse_dataset(path))
+
+
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]),
+)
+COUNTS = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([0, 2**63 - 1, -(2**63 - 1), -(2**63)]))
+RATIOS = st.one_of(st.none(), st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, 5e-324]))
+CATEGORY_NAMES = st.one_of(st.sampled_from(ingest.CATEGORIES), st.text(max_size=4))
+
+
+@st.composite
+def snapshot_series(draw):
+    n = draw(st.integers(0, 6))
+    columns = [draw(st.lists(values, min_size=n, max_size=n)) for values in (FINITE_FLOATS, COUNTS, COUNTS, COUNTS, RATIOS, CATEGORY_NAMES)]
+    return ingest.Snapshots(*columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(snaps=snapshot_series(), account_age_days=FINITE_FLOATS)
+def test_write_then_parse_gives_the_record_and_the_reference_bytes(snaps, account_age_days):
+    record = replace(make_record(account_age_days=account_age_days, static_features={"relatability_score": 0.5}), snapshots=snaps)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference_path = Path(tmp) / "d.jsonl", Path(tmp) / "reference.jsonl"
+        ingest.write_dataset([record], path)
+        reference_write_dataset([record], reference_path)
+        assert path.read_bytes() == reference_path.read_bytes()
+        (parsed,) = ingest.parse_dataset(path)
+    assert parsed == record
+    # -0.0 == 0.0, so compare the signs as well
+    assert [math.copysign(1.0, t) for t in parsed.snapshots.t_minutes] == [math.copysign(1.0, t) for t in snaps.t_minutes]
+
+
+def test_writing_a_float_that_is_not_finite_names_the_post_and_the_field(tmp_path):
+    # json reads 1e400 as inf; the dataset's writer must not write it as Infinity
+    records, _ = synth.generate(synth.SynthConfig(n_posts=40, seed=3))
+    path = tmp_path / "posts.jsonl"
+    ingest.write_dataset(records, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    doc = json.loads(lines[0])
+    doc["static_features"]["primary_topic"] = "<inf>"
+    lines[0] = json.dumps(doc).replace('"<inf>"', "1e400")
+    write_lines(path, lines)
+    parsed = list(ingest.parse_dataset(path))
+    assert parsed[0].static_features["primary_topic"] == math.inf
+    with pytest.raises(DatasetError, match=r"^post p000000: static_features\.primary_topic is not a finite number \(inf\)$"):
+        ingest.write_dataset(parsed, tmp_path / "out.jsonl")
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (make_record(post_id="p7", account_age_days=math.inf), "author.account_age_days is not a finite number (inf)"),
+        (make_record(post_id="p7", times=[0, math.nan, 10], scores=[0, 1, 2]), "snapshots[1].t_minutes is not a finite number (nan)"),
+        (
+            replace(make_record(post_id="p7"), snapshots=make_snapshots([0, 5], [0, 1], ratios=[0.5, -math.inf])),
+            "snapshots[1].upvote_ratio is not a finite number (-inf)",
+        ),
+        (
+            make_record(post_id="p7", static_features={"relatability_score": [1.0, {"x": math.nan}]}),
+            "static_features.relatability_score[1].x is not a finite number (nan)",
+        ),
+    ],
+    ids=["author", "time", "ratio", "nested_static"],
+)
+def test_no_line_is_written_with_a_float_json_cannot_hold(tmp_path, record, message):
+    with pytest.raises(DatasetError) as caught:
+        ingest.write_dataset([make_record(post_id="p6"), record], tmp_path / "d.jsonl")
+    assert str(caught.value) == f"post p7: {message}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    times=st.lists(st.one_of(st.floats(-50, 3000), st.sampled_from([0.0, -0.0, -1.0, 360.0, 1440.0, math.nan, math.inf, -math.inf])), max_size=8),
+    comments=st.lists(st.integers(-2, 2), min_size=8, max_size=8),
+    crossposts=st.lists(st.integers(-2, 2), min_size=8, max_size=8),
+)
+def test_numpy_column_checks_report_what_the_loops_reported(times, comments, crossposts):
+    n = len(times)
+    record = replace(make_record(), snapshots=make_snapshots(times, [0] * n, comments[:n], crossposts[:n]))
+    expected = ([] if n else ["no snapshots"]) + reference_series_violations(record.snapshots)
+    assert ingest.validate_record(record).violations == expected
+    assert ingest._drop_reason(record) == reference_drop_reason(record)
