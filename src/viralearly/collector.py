@@ -150,7 +150,7 @@ def track_post(
     """
     clock = clock or SimulatedClock()
     start = clock.now_minutes()
-    times, scores, comments, crossposts, ratios, categories = [], [], [], [], [], []  # the series, by field
+    times, kept = [], []  # each kept snapshot's time and poll result
     next_t = 0.0
     polls = retries = skipped = 0
     rate_wait = 0.0
@@ -174,16 +174,13 @@ def track_post(
             t = clock.now_minutes() - start
             if not times or t > times[-1]:
                 times.append(t)
-                scores.append(outcome.score)
-                comments.append(outcome.comments)
-                crossposts.append(outcome.crossposts)
-                ratios.append(outcome.upvote_ratio)
-                categories.append(outcome.category)
+                kept.append(outcome)
         next_t += schedule_next_poll(next_t, DEFAULT_POLL_SCHEDULE)
 
     if reason is None:
         reason = "completed" if times else "unreachable"
-    snapshots = Snapshots(times, scores, comments, crossposts, ratios, categories)
+    score, comments, crossposts, category, ratio, _ = zip(*kept) if kept else [()] * len(PollResult._fields)
+    snapshots = Snapshots(times, score, comments, crossposts, ratio, category)
     return TrackResult(post_id, snapshots, reason, polls, retries, skipped, rate_wait)
 
 

@@ -382,7 +382,7 @@ _encode_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 #: :class:`Snapshots` order with the category's JSON text; without the ratio
 #: where it is None.
 _SNAPSHOT_TEXT = '{"t_minutes":%r,"score":%d,"comments":%d,"crossposts":%d,"category":%s,"upvote_ratio":%r}'
-_SNAPSHOT_TEXT_NO_RATIO = '{"t_minutes":%r,"score":%d,"comments":%d,"crossposts":%d,"category":%s}'
+_SNAPSHOT_TEXT_NO_RATIO = _SNAPSHOT_TEXT.replace(',"upvote_ratio":%r', "")
 
 
 class _JsonText(dict):
