@@ -25,6 +25,7 @@ from array import array
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NoReturn
 
@@ -432,8 +433,8 @@ def _snapshots_text(snaps: Snapshots, category_text: _JsonText) -> str:
     if kinds - {float, type(None)} or not math.isfinite(sum(snaps.t_minutes) + sum(present)):
         return _encode_json(snaps.to_json_list())[1:-1]
     rows = zip(snaps.t_minutes, snaps.score, snaps.comments, snaps.crossposts, map(category_text.__getitem__, snaps.category), ratios)
-    if kinds == {float}:
-        return ",".join(map(_SNAPSHOT_TEXT.__mod__, rows))
+    if kinds == {float}:  # every ratio present: one template for the whole series
+        return ",".join([_SNAPSHOT_TEXT] * len(ratios)) % tuple(chain.from_iterable(rows))
     return ",".join([_SNAPSHOT_TEXT_NO_RATIO % row[:5] if row[5] is None else _SNAPSHOT_TEXT % row for row in rows])
 
 
