@@ -452,7 +452,7 @@ HAND_MADE_SERIES = {
     "count_past_the_float_range": series((1, "score", 10**400)),
     "null_count": series((1, "score", None)),
     "string_count": series((0, "score", "3")),
-    "time_1e400": series((1, "t_minutes", float("inf"))),
+    "time_1e400": series((1, "t_minutes", float("inf"))),  # json reads 1e400 as inf
     "time_minus_1e400": series((2, "t_minutes", float("-inf"))),
     "nan_time": series((1, "t_minutes", float("nan"))),
     "time_past_the_float_range": series((1, "t_minutes", 10**400)),
