@@ -380,10 +380,8 @@ def parse_dataset(
 _encode_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 #: One snapshot's object as json writes it, from its fields in
-#: :class:`Snapshots` order with the category's JSON text; without the ratio
-#: where it is None.
+#: :class:`Snapshots` order with the category's JSON text.
 _SNAPSHOT_TEXT = '{"t_minutes":%r,"score":%d,"comments":%d,"crossposts":%d,"category":%s,"upvote_ratio":%r}'
-_SNAPSHOT_TEXT_NO_RATIO = _SNAPSHOT_TEXT.replace(',"upvote_ratio":%r', "")
 
 
 class _JsonText(dict):
@@ -398,44 +396,45 @@ def write_dataset(records: Iterable[PostRecord], path: str | Path) -> int:
     """Write records in the line-delimited format; returns the line count.
 
     A line is the compact JSON of :meth:`PostRecord.to_json_dict`, its
-    snapshots formatted by one template each. A float that is not finite,
-    which JSON cannot hold, is a :class:`DatasetError` naming the post and
-    the field."""
+    snapshots formatted by one template. A float that is not finite, which
+    JSON cannot hold, is a :class:`DatasetError` naming the post and the
+    field. A write that fails leaves no file at ``path``."""
     category_text = _JsonText()
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            try:
-                line = _dataset_line(record, category_text)
-            except ValueError:  # a float that is not finite
-                found = _first_non_finite(record.to_json_dict())
-                if found is None:
-                    raise
-                raise DatasetError(f"post {record.post_id}: {found[0]} is not a finite number ({found[1]!r})") from None
-            fh.write(line)
-            n += 1
+        try:
+            for record in records:
+                fh.write(_dataset_line(record, category_text))
+                n += 1
+        except BaseException:
+            fh.close()
+            Path(path).unlink(missing_ok=True)
+            raise
     return n
 
 
 def _dataset_line(record: PostRecord, category_text: _JsonText) -> str:
-    head = _encode_json(record._json_head())
-    static = "" if record.static_features is None else ',"static_features":' + _encode_json(record.static_features)
-    return f'{head[:-1]},"snapshots":[{_snapshots_text(record.snapshots, category_text)}]{static}}}\n'
+    try:
+        head = _encode_json(record._json_head())
+        static = "" if record.static_features is None else ',"static_features":' + _encode_json(record.static_features)
+        snapshots = _snapshots_text(record.snapshots, category_text)
+    except ValueError:  # a float that is not finite
+        found = _first_non_finite(record.to_json_dict())
+        if found is None:
+            raise
+        raise DatasetError(f"post {record.post_id}: {found[0]} is not a finite number ({found[1]!r})") from None
+    return f'{head[:-1]},"snapshots":[{snapshots}]{static}}}\n'
 
 
 def _snapshots_text(snaps: Snapshots, category_text: _JsonText) -> str:
     """The JSON text of ``snaps.to_json_list()``'s items, comma-separated."""
     ratios = snaps.upvote_ratio
-    kinds = {*map(type, ratios)}
-    present = ratios if kinds == {float} else [r for r in ratios if r is not None]
-    # the template writes floats as json does only when they are floats and
-    # finite, which their sum is only when every term is
-    if kinds - {float, type(None)} or not math.isfinite(sum(snaps.t_minutes) + sum(present)):
+    # the template writes floats as json does only when every ratio is a float
+    # and every float finite, which their sum is only when every term is
+    if {*map(type, ratios)} - {float} or not math.isfinite(sum(snaps.t_minutes) + sum(ratios)):
         return _encode_json(snaps.to_json_list())[1:-1]
     rows = zip(snaps.t_minutes, snaps.score, snaps.comments, snaps.crossposts, map(category_text.__getitem__, snaps.category), ratios)
-    if kinds == {float}:  # every ratio present: one template for the whole series
-        return ",".join([_SNAPSHOT_TEXT] * len(ratios)) % tuple(chain.from_iterable(rows))
-    return ",".join([_SNAPSHOT_TEXT_NO_RATIO % row[:5] if row[5] is None else _SNAPSHOT_TEXT % row for row in rows])
+    return ",".join([_SNAPSHOT_TEXT] * len(ratios)) % tuple(chain.from_iterable(rows))
 
 
 def _first_non_finite(value: Any, name: str = "") -> tuple[str, float] | None:

@@ -571,6 +571,19 @@ def test_no_line_is_written_with_a_float_json_cannot_hold(tmp_path, record, mess
     with pytest.raises(DatasetError) as caught:
         ingest.write_dataset([make_record(post_id="p6"), record], tmp_path / "d.jsonl")
     assert str(caught.value) == f"post p7: {message}"
+    assert not (tmp_path / "d.jsonl").exists()
+
+
+def test_a_failed_write_leaves_no_partial_file(tmp_path):
+    def records():
+        yield make_record(post_id="p6")
+        raise KeyError("source gone")
+
+    path = tmp_path / "d.jsonl"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(KeyError):
+        ingest.write_dataset(records(), path)
+    assert not path.exists()
 
 
 @settings(max_examples=300, deadline=None)
