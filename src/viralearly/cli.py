@@ -141,6 +141,7 @@ def _list(item=str):
 
 
 _minutes = _checked(float, lambda v: 0 < v < float("inf"), "a positive number of minutes")
+_fraction = _checked(float, lambda v: 0 < v < 1, "a fraction in (0, 1)")
 
 
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -164,7 +165,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     def study(name, handler, help):
         p = command(name, handler, help, seeded=True)
         p.add_argument("--data", type=Path, required=True)
-        p.add_argument("--train-frac", type=float, default=train_frac)
+        p.add_argument("--train-frac", type=_fraction, default=train_frac)
         p.add_argument("--artifacts", type=Path, default=None, help="reuse labeling.json instead of refitting")
         return p
 
@@ -185,8 +186,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = command("label", cmd_label, "fit labeling artifacts on the chronological train split", seeded=True)
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--train-frac", type=float, default=train_frac)
-    p.add_argument("--top-frac", type=float, default=_default(experiments.prepare, "top_frac"))
+    p.add_argument("--train-frac", type=_fraction, default=train_frac)
+    p.add_argument("--top-frac", type=_fraction, default=_default(experiments.prepare, "top_frac"))
     p.add_argument("--weight-windows", type=_list(_minutes), default=DEFAULT_WEIGHT_WINDOWS, help="comma-separated minutes")
 
     p = command("features", cmd_features, "extract a windowed feature matrix")
@@ -255,7 +256,9 @@ def _labels_for(path: Path, row_ids: list[str]) -> np.ndarray:
     return np.array([labels[rid] for rid in row_ids], dtype=np.int8)
 
 
-def _prepare_study(args, records) -> experiments.PreparedData:
+def _prepare_study(args) -> experiments.PreparedData:
+    """The study's dataset split and labeled, with the given labeling artifacts or ones fitted with ``--seed``."""
+    records = list(ingest.parse_dataset(args.data))
     artifacts = None if args.artifacts is None else LabelingArtifacts.load(args.artifacts)
     forest = models.default_config("random_forest", seed=args.seed)
     return experiments.prepare(records, train_frac=args.train_frac, forest_config=forest, artifacts=artifacts)
@@ -434,16 +437,14 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
-    records = list(ingest.parse_dataset(args.data))
     rows = experiments.run_window_sweep(
-        records,
+        _prepare_study(args),
         windows=args.windows,
         model_kinds=args.models,
         seed=args.seed,
         k_folds=args.folds,
         with_cv=args.cv,
         out_dir=out,
-        data=_prepare_study(args, records),
     )
     params = {"data": args.data, "artifacts": args.artifacts, "seed": args.seed, "windows": list(args.windows), "models": list(args.models)}
     _write_run_manifest(out, "sweep", params, "window_sweep")
@@ -453,9 +454,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_ablate(args) -> int:
     out = _out_dir(args)
-    records = list(ingest.parse_dataset(args.data))
-    data = _prepare_study(args, records)
-    rows = experiments.run_ablation(records, window=args.window, seed=args.seed, out_dir=out, data=data)
+    rows = experiments.run_ablation(_prepare_study(args), window=args.window, seed=args.seed, out_dir=out)
     params = {"data": args.data, "artifacts": args.artifacts, "seed": args.seed, "window": args.window}
     _write_run_manifest(out, "ablate", params, "ablation")
     print(f"wrote {len(rows)} rows to {out / f'ablation_{window_name(args.window)}.csv'}")
@@ -464,10 +463,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_importance(args) -> int:
     out = _out_dir(args)
-    records = list(ingest.parse_dataset(args.data))
-    data = _prepare_study(args, records)
     counts, _ = experiments.importance_over_time(
-        records, windows=args.windows, top_k=args.top_k, seed=args.seed, out_dir=out, data=data
+        _prepare_study(args), windows=args.windows, top_k=args.top_k, seed=args.seed, out_dir=out
     )
     params = {"data": args.data, "artifacts": args.artifacts, "seed": args.seed, "windows": list(args.windows), "top_k": args.top_k}
     _write_run_manifest(out, "importance", params, "importance_over_time")

@@ -1,9 +1,10 @@
 """The three studies: window sweep, modality ablation, importance over time.
 
-Every run starts from raw records: chronological split, labeling artifacts
-fitted on the training side only, labels applied everywhere, and per-window
-feature matrices. Reports land as CSV files plus a JSON manifest (seeds,
-config hashes, artifact fingerprints) sufficient to re-run bit-identically.
+Every study runs on :func:`prepare`'s data (a chronological split,
+labeling artifacts fitted on the training side only, labels applied
+everywhere) and builds its per-window feature matrices. Reports land as CSV
+files plus a JSON manifest (seeds, config hashes, artifact fingerprints)
+sufficient to re-run bit-identically.
 """
 
 from __future__ import annotations
@@ -162,20 +163,17 @@ def _evaluate_window(
 
 
 def run_window_sweep(
-    records: Sequence[PostRecord],
+    data: PreparedData,
     windows: Sequence[float] = DEFAULT_WINDOW_SWEEP,
     model_kinds: Sequence[str] = SWEEP_MODELS,
     seed: int = 42,
     k_folds: int = 5,
     with_cv: bool = True,
     out_dir: str | Path | None = None,
-    data: PreparedData | None = None,
 ) -> list[dict]:
     """Per window in ascending order, per model: train on train, score the
     held-out test split, and (optionally) run stratified CV inside the
     training split. Deterministic under fixed seeds."""
-    if data is None:
-        data = prepare(records)
     rows = []
     for wm in build_window_matrices(data, sorted(windows)):
         rows.extend(_evaluate_window(wm, data, model_kinds, seed, k_folds if with_cv else None))
@@ -200,16 +198,13 @@ def run_window_sweep(
 
 
 def run_ablation(
-    records: Sequence[PostRecord],
+    data: PreparedData,
     window: float = ABLATION_WINDOW_MINUTES,
     modalities: Sequence[str] = MODALITIES,
     seed: int = 42,
     out_dir: str | Path | None = None,
-    data: PreparedData | None = None,
 ) -> list[dict]:
     """Baseline (all features) plus one gbt row per excluded modality."""
-    if data is None:
-        data = prepare(records)
     full = build_window_matrices(data, [window])[0]
     scenarios = [("baseline", full)] + [
         (f"exclude_{m}", WindowMatrices(full.window, full.train.without_modality(m), full.test.without_modality(m)))
@@ -233,12 +228,11 @@ def run_ablation(
 
 
 def importance_over_time(
-    records: Sequence[PostRecord],
+    data: PreparedData,
     windows: Sequence[float] = DEFAULT_WINDOW_SWEEP,
     top_k: int = DEFAULT_TOP_K,
     seed: int = 42,
     out_dir: str | Path | None = None,
-    data: PreparedData | None = None,
 ) -> tuple[list[dict], list[dict]]:
     """Per window: gbt gain importances, one-hot columns summed into their
     source feature, top-k membership counted per modality.
@@ -246,8 +240,6 @@ def importance_over_time(
     Returns (modality count rows, per-feature detail rows); both are written
     as plot-ready long-format CSVs when ``out_dir`` is given.
     """
-    if data is None:
-        data = prepare(records)
     count_rows: list[dict] = []
     detail_rows: list[dict] = []
     modality_order = {m: i for i, m in enumerate(MODALITIES)}

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import trajectory
 from .errors import ConfigError, DatasetError, SchemaError
-from .ingest import STATIC_FEATURE_SCHEMA, PostRecord, coerce_static, load_document, read_text
+from .ingest import STATIC_FEATURES, PostRecord, load_document, read_static, read_text
 from .labeling import METRICS, NormalizationCaps
 
 WINDOWED_MODALITIES = ("temporal", "network")
@@ -130,11 +130,8 @@ class NetworkFeatures:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-# Catalog entries: (unprefixed name, kind). The static entries are read from
-# the static_features blob of data/post_record.schema.json, in its order:
-# x-modality names the modality and the JSON type gives the kind.
-_STATIC_KINDS = {"number": "numeric", "integer": "numeric", "boolean": "numeric", "string": "categorical"}
-
+# Catalog entries: (unprefixed name, kind). The static entries are the known
+# keys of ingest.STATIC_FEATURES, in the schema's order, with their kinds.
 TEMPORAL_COLUMNS: tuple[tuple[str, str], ...] = tuple(
     (f.name, "categorical" if f.name == "category_snapshot" else "numeric")
     for f in fields(TemporalFeatures)
@@ -149,11 +146,7 @@ MODALITY_CATALOG: dict[str, tuple[tuple[str, str], ...]] = {
     "temporal": TEMPORAL_COLUMNS,
     "network": NETWORK_COLUMNS,
     **{
-        modality: tuple(
-            (name, _STATIC_KINDS[spec["type"]])
-            for name, spec in STATIC_FEATURE_SCHEMA.items()
-            if spec["x-modality"] == modality
-        )
+        modality: tuple((name, f.kind) for name, f in STATIC_FEATURES.items() if f.modality == modality)
         for modality in STATIC_MODALITIES
     },
 }
@@ -205,10 +198,12 @@ def extract_network(record: PostRecord, w: WindowSpec) -> NetworkFeatures:
 
 
 def extract_static(record: PostRecord) -> dict[str, dict[str, float | str | None]]:
-    """Static blob pass-through per modality catalog, plus local title fallbacks."""
+    """The static blob's values per modality catalog, each read by its schema
+    type (:func:`ingest.read_static`), plus local title fallbacks for missing
+    ones; a value off its type is a DatasetError naming the post and the key."""
     blob = record.static_features or {}
     try:
-        out = {m: {name: coerce_static(blob.get(name), kind, name) for name, kind in MODALITY_CATALOG[m]} for m in STATIC_MODALITIES}
+        out = {m: {name: read_static(blob.get(name), name) for name, _ in MODALITY_CATALOG[m]} for m in STATIC_MODALITIES}
     except DatasetError as exc:
         raise DatasetError(f"post {record.post_id}: {exc}") from None
     textual = out["textual"]
@@ -391,11 +386,7 @@ def assemble_matrix(
     if include & set(STATIC_MODALITIES):
         blobs = [extract_static(record) for record in records]
         for c in columns:
-            if c.modality in STATIC_MODALITIES:
+            if c.modality in STATIC_MODALITIES:  # floats or strings, None (NaN in a float column) where missing
                 cells = [blob[c.modality][c.base_name] for blob in blobs]
-                data[c.name] = (
-                    np.array([np.nan if v is None else float(v) for v in cells], dtype=np.float64)
-                    if c.kind == "numeric"
-                    else np.array([None if v is None else str(v) for v in cells], dtype=object)
-                )
+                data[c.name] = np.array(cells, dtype=np.float64 if c.kind == "numeric" else object)
     return FeatureMatrix([r.post_id for r in records], columns, {c.name: data[c.name] for c in columns})

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NoReturn
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -554,9 +554,9 @@ def validate_record(record: PostRecord) -> ValidationReport:
     if i is not None:
         v.append(f"unknown category {snaps.category[i]!r} at index {i}")
     blob = record.static_features or {}
-    for name in NUMERIC_STATIC_FIELDS:
+    for name in STATIC_FEATURES:
         try:
-            coerce_static(blob.get(name), "numeric", name)
+            read_static(blob.get(name), name)
         except DatasetError as exc:
             v.append(str(exc))
     return report
@@ -565,26 +565,6 @@ def validate_record(record: PostRecord) -> ValidationReport:
 def _first(flags: np.ndarray) -> int | None:
     """The index of the first true entry of ``flags``, or None."""
     return int(flags.argmax()) if flags.any() else None
-
-
-def coerce_static(value: Any, kind: str, name: str) -> float | str | None:
-    """A static-feature value as read downstream: a number (unreadable ones
-    are missing) or a category string; None stays missing. A number that is
-    not finite (NaN, infinity, an integer beyond the float range) is a
-    DatasetError naming the field."""
-    if value is None:
-        return None
-    if kind != "numeric":
-        return str(value)
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        return None
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf if value > 0 else -math.inf
-    if not math.isfinite(x):
-        raise DatasetError(f"static feature {name!r} is not finite ({x})")
-    return x
 
 
 def dataset_schema() -> dict[str, Any]:
@@ -633,16 +613,44 @@ def load_document(path: str | Path, what: str, version: int | None) -> _Document
     return _Document(doc, source)
 
 
-#: The known static-feature keys in schema order, each with its JSON type and ``x-modality``.
-STATIC_FEATURE_SCHEMA: dict[str, dict] = dataset_schema()["properties"]["static_features"]["properties"]
-# Static features read as numbers: those the schema types as number, integer or boolean.
-NUMERIC_STATIC_FIELDS = tuple(
-    name for name, spec in STATIC_FEATURE_SCHEMA.items() if spec["type"] in ("number", "integer", "boolean")
-)
+class StaticFeature(NamedTuple):
+    """A known static-feature key's modality, the reader of its values and its feature kind."""
+
+    modality: str
+    read: Callable
+    kind: str
+
+
+# The reader and the feature kind of each JSON type the schema gives a static feature.
+_STATIC_TYPES = {
+    "number": (read_number, "numeric"),
+    "integer": (read_int, "numeric"),
+    "boolean": (read_flag, "numeric"),
+    "string": (read_text, "categorical"),
+}
+
+#: Each known static-feature key in schema order, from its ``x-modality`` and JSON type.
+STATIC_FEATURES: dict[str, StaticFeature] = {
+    name: StaticFeature(spec["x-modality"], *_STATIC_TYPES[spec["type"]])
+    for name, spec in dataset_schema()["properties"]["static_features"]["properties"].items()
+}
+
+
+def read_static(value: Any, name: str) -> float | str | None:
+    """The value of the known static feature ``name`` read by its schema
+    type: None when missing or null, a number, integer or boolean as a float,
+    a string unchanged. Any other value (a wrong JSON type, a number that is
+    not finite or past the float range, a fraction in an integer key) is a
+    :class:`DatasetError` naming the key."""
+    if value is None:
+        return None
+    feature = STATIC_FEATURES[name]
+    value = feature.read(value, f"static_features.{name}")
+    return value if feature.kind == "categorical" else float(value)
 
 
 # Each known static-feature key as one string, so that parsed blobs share their keys.
-_STATIC_KEYS = {name: name for name in STATIC_FEATURE_SCHEMA}
+_STATIC_KEYS = {name: name for name in STATIC_FEATURES}
 
 
 def _shared_keys(blob: dict) -> dict:

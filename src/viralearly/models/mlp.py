@@ -32,20 +32,6 @@ class MLPParams:
     def copy(self) -> "MLPParams":
         return MLPParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
-    def flatten(self) -> np.ndarray:
-        parts = [w.ravel() for w in self.weights] + [b.ravel() for b in self.biases]
-        return np.concatenate(parts)
-
-    def with_flat(self, vec: np.ndarray) -> "MLPParams":
-        weights, biases, k = [], [], 0
-        for w in self.weights:
-            weights.append(vec[k : k + w.size].reshape(w.shape).copy())
-            k += w.size
-        for b in self.biases:
-            biases.append(vec[k : k + b.size].reshape(b.shape).copy())
-            k += b.size
-        return MLPParams(weights, biases)
-
 
 def init_params(n_features: int, hidden: tuple[int, ...], rng: np.random.Generator) -> MLPParams:
     """Scaled uniform init: limit sqrt(6 / (fan_in + fan_out)), zero biases."""

@@ -1,9 +1,11 @@
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from viralearly import experiments, synth
 from viralearly.ingest import AuthorInfo, PostRecord, Snapshots, SubredditInfo
+from viralearly.models.mlp import MLPParams
 
 BASE_TIME = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
@@ -52,6 +54,21 @@ def make_record(
         snapshots=make_snapshots(times, scores, comments, crossposts, categories),
         static_features=static_features,
     )
+
+
+def flatten_params(params: MLPParams) -> np.ndarray:
+    """An MLP's weights then biases as one vector, for the gradient checks."""
+    return np.concatenate([a.ravel() for a in (*params.weights, *params.biases)])
+
+
+def params_from_flat(params: MLPParams, vec: np.ndarray) -> MLPParams:
+    """Arrays shaped as ``params``' weights and biases, read in order from ``vec``."""
+    arrays, k = [], 0
+    for a in (*params.weights, *params.biases):
+        arrays.append(vec[k : k + a.size].reshape(a.shape).copy())
+        k += a.size
+    n = len(params.weights)
+    return MLPParams(arrays[:n], arrays[n:])
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from viralearly.labeling import fit_p99_caps, fit_threshold, learn_hybrid_weight
 from viralearly.models import ModelConfig, default_config, init_params, loss_and_gradients, train
 from viralearly.synth import SynthConfig, generate, mock_static_extractor
 
-from conftest import make_record
+from conftest import flatten_params, make_record, params_from_flat
 from oracles import brute_force_average_precision, pairwise_roc_auc
 
 
@@ -163,14 +163,14 @@ class TestAcceptance:
         sg = np.array([1.0, 2.0, 1.0, 1.5, 0.5])
         params = init_params(4, (6, 3), rng)
         _, grads = loss_and_gradients(params, Xg, yg, sg)
-        flat, analytic = params.flatten(), grads.flatten()
+        flat, analytic = flatten_params(params), flatten_params(grads)
         h, worst = 1e-6, 0.0
         for i in range(len(flat)):
             up, down = flat.copy(), flat.copy()
             up[i] += h
             down[i] -= h
-            lu, _ = loss_and_gradients(params.with_flat(up), Xg, yg, sg)
-            ld, _ = loss_and_gradients(params.with_flat(down), Xg, yg, sg)
+            lu, _ = loss_and_gradients(params_from_flat(params, up), Xg, yg, sg)
+            ld, _ = loss_and_gradients(params_from_flat(params, down), Xg, yg, sg)
             numeric = (lu - ld) / (2 * h)
             worst = max(worst, abs(numeric - analytic[i]) / max(abs(numeric), abs(analytic[i]), 1e-8))
         grad_ok = worst < 1e-4
@@ -216,7 +216,7 @@ class TestAcceptance:
     def test_07b_full_sweep_runtime(self, tmp_path):
         records, _ = generate(SynthConfig(n_posts=5000, viral_frac=0.05, seed=42))
         start = time.perf_counter()
-        rows = experiments.run_window_sweep(records, seed=42, out_dir=tmp_path)
+        rows = experiments.run_window_sweep(experiments.prepare(records), seed=42, out_dir=tmp_path)
         elapsed = time.perf_counter() - start
         passed = elapsed < 600.0 and len(rows) == 24
         _report(
@@ -233,7 +233,7 @@ class TestAcceptance:
                 takeoff_median_minutes=12.0, takeoff_log_sd=0.3, false_start_frac=0.1,
             )
         )
-        rows = experiments.run_ablation(records, window=120.0, seed=1)
+        rows = experiments.run_ablation(experiments.prepare(records), window=120.0, seed=1)
         by_name = {r["scenario"]: r["pr_auc"] for r in rows}
         baseline = by_name["baseline"]
         temporal_drop_ok = by_name["exclude_temporal"] <= baseline - 0.3
@@ -258,7 +258,7 @@ class TestAcceptance:
                 takeoff_median_minutes=12.0, takeoff_log_sd=0.3, false_start_frac=0.1,
             )
         )
-        counts, details = experiments.importance_over_time(records, top_k=30, seed=1)
+        counts, details = experiments.importance_over_time(experiments.prepare(records), top_k=30, seed=1)
         windows = sorted({c["window"] for c in counts})
         partition_ok = True
         temporal_max_ok = True

@@ -77,8 +77,34 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["validate", "--data", str(path)]) == 2
         out = capsys.readouterr().out
-        assert "p000005: static feature 'controversy_score' is not finite (inf)" in out
+        assert "p000005: static_features.controversy_score is not an integer ('inf')" in out
         assert "invalid_records=1 " in out
+
+    def test_static_value_off_its_schema_type_is_data_error(self, tmp_path, capsys):
+        assert main(["synth", "--n", "40", "--seed", "3", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "posts.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        docs = [json.loads(line) for line in lines[:2]]
+        docs[0]["static_features"]["primary_topic"] = "<inf>"
+        docs[1]["static_features"].update(template_name=[1, 2], image_width="640.5", title_word_count="n/a")
+        lines[:2] = [json.dumps(doc).replace('"<inf>"', "1e400") for doc in docs]  # json reads 1e400 as inf
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", "--data", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "p000000: static_features.primary_topic is not a string",
+            "p000001: static_features.title_word_count is not an integer ('n/a')",
+            "p000001: static_features.image_width is not a finite number ('640.5')",
+            "p000001: static_features.template_name is not a string",
+            "records=40 malformed_lines=0 invalid_records=2 filter_kept=40 (removed=0 no_media=0 short=0 gap=0)",
+        ]
+        # labeling reads no static value; feature extraction reads them all
+        assert main(["label", "--data", str(path), "--out", str(tmp_path / "lab")]) == 0
+        argv = ["features", "--data", str(path), "--artifacts", str(tmp_path / "lab" / "labeling.json")]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "feat")]) == 2
+        assert capsys.readouterr().err == "error: post p000000: static_features.primary_topic is not a string\n"
+        assert not (tmp_path / "feat").exists()
 
     @pytest.mark.parametrize(
         "value, message",
@@ -835,11 +861,20 @@ class TestConfigFile:
             ("sweep", [], "models = gbt,svm"),
             ("importance", [], "top_k = 0"),
             ("ablate", [], "window = -30"),
+            ("label", ["--train-frac", "1.5"], ""),
+            ("label", ["--top-frac", "1.5"], ""),
+            ("label", [], "top_frac = 0"),
+            ("sweep", [], "train_frac = 0"),
+            ("ablate", ["--train-frac", "1"], ""),
+            ("importance", [], "train_frac = -0.2"),
+            ("sweep", ["--train-frac", "nan"], ""),
         ],
         ids=[
             "flag-windows", "flag-weight_windows", "config-windows", "config-weight_windows", "config-cv", "config-folds",
             "flag-unknown-model", "flag-no-windows", "flag-negative-top_k", "flag-one-fold", "flag-zero-window",
             "flag-negative-weight_window", "config-unknown-model", "config-zero-top_k", "config-negative-window",
+            "flag-train_frac-above-1", "flag-top_frac-above-1", "config-zero-top_frac", "config-zero-train_frac",
+            "flag-train_frac-of-1", "config-negative-train_frac", "flag-nan-train_frac",
         ],
     )
     def test_bad_value_from_flag_or_config_is_usage_error(self, synth_dir, tmp_path, capsys, command, flags, section):

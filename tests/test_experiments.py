@@ -33,10 +33,10 @@ def data(corpus):
 
 
 class TestWindowSweep:
-    def test_single_cell_row_fully_populated(self, corpus, data, tmp_path):
+    def test_single_cell_row_fully_populated(self, data, tmp_path):
         rows = run_window_sweep(
-            corpus, windows=(60.0,), model_kinds=("gbt",), k_folds=3, seed=1,
-            out_dir=tmp_path, data=data,
+            data, windows=(60.0,), model_kinds=("gbt",), k_folds=3, seed=1,
+            out_dir=tmp_path,
         )
         assert len(rows) == 1
         row = rows[0]
@@ -52,39 +52,39 @@ class TestWindowSweep:
         assert manifest["n_train"] == data.n_train
         assert "labeling_artifacts_sha256" in manifest
 
-    def test_seeded_repeat_gives_identical_rows(self, corpus, data):
-        kwargs = dict(windows=(30.0, 60.0), model_kinds=("logreg", "gbt"), k_folds=3, seed=3, data=data)
-        first = run_window_sweep(corpus, **kwargs)
-        second = run_window_sweep(corpus, **kwargs)
+    def test_seeded_repeat_gives_identical_rows(self, data):
+        kwargs = dict(windows=(30.0, 60.0), model_kinds=("logreg", "gbt"), k_folds=3, seed=3)
+        first = run_window_sweep(data, **kwargs)
+        second = run_window_sweep(data, **kwargs)
         assert without_duration(first) == without_duration(second)
 
-    def test_matches_per_cell_reference(self, corpus, data):
+    def test_matches_per_cell_reference(self, data):
         # shared per-window preprocessing and folds must reproduce the
         # per-cell path exactly: same keys, same order, same floats
         windows, kinds = (120.0, 30.0), ("logreg", "gbt", "mlp")
-        rows = run_window_sweep(corpus, windows=windows, model_kinds=kinds, k_folds=3, seed=5, data=data)
+        rows = run_window_sweep(data, windows=windows, model_kinds=kinds, k_folds=3, seed=5)
         reference = reference_window_sweep(data, windows, kinds, seed=5, k_folds=3)
         assert [list(r) for r in rows] == [list(r) for r in reference]
         assert without_duration(rows) == without_duration(reference)
 
-        baseline = run_ablation(corpus, window=120.0, modalities=(), seed=5, data=data)
+        baseline = run_ablation(data, window=120.0, modalities=(), seed=5)
         gbt_cell = next(r for r in reference if r["window"] == 120.0 and r["model"] == "gbt")
         assert baseline == [
             {"scenario": "baseline", "window": 120.0, "pr_auc": gbt_cell["pr_auc"], "roc_auc": gbt_cell["roc_auc"]}
         ]
 
-    def test_rows_ordered_by_window_then_model(self, corpus, data):
+    def test_rows_ordered_by_window_then_model(self, data):
         rows = run_window_sweep(
-            corpus, windows=(60.0, 30.0), model_kinds=("logreg", "gbt"), with_cv=False, seed=3, data=data
+            data, windows=(60.0, 30.0), model_kinds=("logreg", "gbt"), with_cv=False, seed=3
         )
         assert [(r["window"], r["model"]) for r in rows] == [
             (30.0, "logreg"), (30.0, "gbt"), (60.0, "logreg"), (60.0, "gbt"),
         ]
 
-    def test_csv_leads_with_report_layout(self, corpus, data, tmp_path):
+    def test_csv_leads_with_report_layout(self, data, tmp_path):
         run_window_sweep(
-            corpus, windows=(30.0,), model_kinds=("logreg",), k_folds=3, seed=1,
-            out_dir=tmp_path, data=data,
+            data, windows=(30.0,), model_kinds=("logreg",), k_folds=3, seed=1,
+            out_dir=tmp_path,
         )
         header = (tmp_path / "window_sweep.csv").read_text().splitlines()[0]
         assert header.split(",")[:6] == [
@@ -93,25 +93,25 @@ class TestWindowSweep:
 
 
 class TestAblation:
-    def test_baseline_matches_sweep_gbt_cell(self, corpus, data):
+    def test_baseline_matches_sweep_gbt_cell(self, data):
         sweep = run_window_sweep(
-            corpus, windows=(120.0,), model_kinds=("gbt",), with_cv=False, seed=42, data=data
+            data, windows=(120.0,), model_kinds=("gbt",), with_cv=False, seed=42
         )
-        ablation = run_ablation(corpus, window=120.0, seed=42, data=data)
+        ablation = run_ablation(data, window=120.0, seed=42)
         baseline = next(r for r in ablation if r["scenario"] == "baseline")
         assert baseline["pr_auc"] == sweep[0]["pr_auc"]
         assert baseline["roc_auc"] == sweep[0]["roc_auc"]
 
-    def test_all_scenarios_present(self, corpus, data, tmp_path):
-        rows = run_ablation(corpus, window=120.0, seed=1, out_dir=tmp_path, data=data)
+    def test_all_scenarios_present(self, data, tmp_path):
+        rows = run_ablation(data, window=120.0, seed=1, out_dir=tmp_path)
         names = [r["scenario"] for r in rows]
         assert names[0] == "baseline"
         assert set(names[1:]) == {f"exclude_{m}" for m in MODALITY_CATALOG}
         assert (tmp_path / "ablation_120.csv").exists()
 
-    def test_unknown_modality_rejected(self, corpus, data):
+    def test_unknown_modality_rejected(self, data):
         with pytest.raises(ConfigError, match="audio"):
-            run_ablation(corpus, window=120.0, modalities=("audio",), data=data)
+            run_ablation(data, window=120.0, modalities=("audio",))
 
     def test_informationless_modality_equals_baseline(self):
         # no static blobs: visual columns exist but are all-missing, so
@@ -131,16 +131,16 @@ class TestAblation:
                     static_features=None,
                 )
             )
-        rows = run_ablation(records, window=120.0, seed=2, modalities=("visual",))
+        rows = run_ablation(prepare(records), window=120.0, seed=2, modalities=("visual",))
         baseline = rows[0]["pr_auc"]
         excluded = rows[1]["pr_auc"]
         assert abs(baseline - excluded) < 1e-12
 
 
 class TestImportanceOverTime:
-    def test_counts_partition_top_k(self, corpus, data, tmp_path):
+    def test_counts_partition_top_k(self, data, tmp_path):
         counts, details = importance_over_time(
-            corpus, windows=(30.0, 120.0), top_k=30, seed=1, out_dir=tmp_path, data=data
+            data, windows=(30.0, 120.0), top_k=30, seed=1, out_dir=tmp_path
         )
         for window in (30.0, 120.0):
             at_w = [c for c in counts if c["window"] == window]
@@ -149,14 +149,14 @@ class TestImportanceOverTime:
         assert (tmp_path / "modality_importance.csv").exists()
         assert (tmp_path / "importance_features.csv").exists()
 
-    def test_one_hot_importance_aggregates_to_parent(self, corpus, data):
-        _, details = importance_over_time(corpus, windows=(120.0,), top_k=10, seed=1, data=data)
+    def test_one_hot_importance_aggregates_to_parent(self, data):
+        _, details = importance_over_time(data, windows=(120.0,), top_k=10, seed=1)
         names = {d["feature"] for d in details}
         # parents are original matrix columns, never one-hot expansions
         assert not any("=" in name for name in names)
 
-    def test_small_top_k(self, corpus, data):
-        counts, _ = importance_over_time(corpus, windows=(60.0,), top_k=3, seed=1, data=data)
+    def test_small_top_k(self, data):
+        counts, _ = importance_over_time(data, windows=(60.0,), top_k=3, seed=1)
         assert sum(c["count"] for c in counts) == 3
 
 

@@ -170,12 +170,13 @@ class TestExtractStatic:
 
 def test_static_catalogs_agree_with_schema():
     # the static catalog is read from the schema, so it is checked against
-    # the pinned hand-written one; the validator's numeric fields come from
-    # the same schema and must name the same columns
+    # the pinned hand-written one; the readers' table comes from the same
+    # schema and must give each key the same modality and kind
     derived = tuple((name, m, kind) for m in features.STATIC_MODALITIES for name, kind in features.MODALITY_CATALOG[m])
     assert derived == STATIC_CATALOG
     assert len(derived) == 46
-    assert set(ingest.NUMERIC_STATIC_FIELDS) == {name for name, _, kind in STATIC_CATALOG if kind == "numeric"}
+    table = {(name, f.modality, f.kind) for name, f in ingest.STATIC_FEATURES.items()}
+    assert table == set(STATIC_CATALOG)
 
 
 def assert_same_windowed_rows(records, cut_records, w):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from viralearly import ingest, synth
 from viralearly.errors import DatasetError
+from viralearly.features import extract_static
 
 from conftest import make_record, make_snapshots
 from oracles import (
@@ -174,14 +175,27 @@ class TestValidateRecord:
 
     def test_non_finite_static_number_flagged(self):
         # the values extract_static would reject, caught before any sweep
-        for bad, shown in (("inf", "inf"), ("-Infinity", "-inf"), (float("nan"), "nan"), (10**400, "inf"), (-(10**400), "-inf")):
-            record = make_record(static_features={"controversy_score": bad, "template_name": "inf"})
-            assert ingest.validate_record(record).violations == [
-                f"static feature 'controversy_score' is not finite ({shown})"
-            ]
+        cases = (
+            ("controversy_score", "inf", "is not an integer ('inf')"),
+            ("controversy_score", float("nan"), "is not an integer (nan)"),
+            ("controversy_score", 10**400, "is too large for a float"),
+            ("image_width", "-Infinity", "is not a finite number ('-Infinity')"),
+            ("image_width", float("inf"), "is not a finite number (inf)"),
+            ("image_width", -(10**400), "is too large for a float"),
+            ("image_width", "640.5", "is not a finite number ('640.5')"),
+            ("title_word_count", "n/a", "is not an integer ('n/a')"),
+            ("controversy_score", 2.5, "is not an integer (2.5)"),
+            ("is_offensive", 1, "is not true or false"),
+            ("template_name", [1, 2], "is not a string"),
+        )
+        for name, bad, message in cases:
+            record = make_record(static_features={"template_name": "inf", name: bad})
+            assert ingest.validate_record(record).violations == [f"static_features.{name} {message}"]
 
     def test_readable_static_values_pass(self):
-        blob = {"controversy_score": 3, "image_width": "640.5", "is_offensive": True, "title_word_count": "n/a", "template_name": "inf"}
+        # an int in a number key, an integral float in an integer key, a
+        # boolean in a boolean key, any string in a string key, null as missing
+        blob = {"controversy_score": 3, "image_width": 640, "is_offensive": True, "title_word_count": 12.0, "template_name": "inf", "panels": None}
         assert ingest.validate_record(make_record(static_features=blob)).ok
 
 
@@ -257,6 +271,43 @@ def test_a_non_finite_leaf_never_yields_a_clean_record(case):
             return
     (record,) = records
     assert not ingest.validate_record(record).ok
+
+
+# For each JSON type of a static feature: values of the other JSON types,
+# numbers that are not finite or past the float range (a bare NaN or Infinity
+# token and an integer of over 4300 digits fail parsing), and fractions in
+# an integer key; null is a missing value
+NOT_A_STATIC_NUMBER_JSON = tuple(t for t in NOT_A_NUMBER_JSON if t != "null")
+NOT_OF_STATIC_TYPE_JSON = {
+    "number": NOT_A_STATIC_NUMBER_JSON,
+    "integer": NOT_A_STATIC_NUMBER_JSON + FRACTION_JSON,
+    "boolean": tuple(t for t in NOT_A_FLAG_JSON if t != "null") + ("0.5", "[true]", "{}", '"x"'),
+    "string": ("0", "12", "0.5", "1e400", "NaN", str(10**400), "true", "false", "[1, 2]", '["x"]', "{}"),
+}
+STATIC_CASES = tuple(
+    (name, text)
+    for name, spec in ingest.dataset_schema()["properties"]["static_features"]["properties"].items()
+    for text in NOT_OF_STATIC_TYPE_JSON[spec["type"]]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(STATIC_CASES))
+def test_a_static_value_off_its_schema_type_never_yields_a_clean_record(case):
+    name, text = case
+    doc = json.loads(json.dumps(SYNTH_DOC))
+    doc["static_features"][name] = "<leaf>"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        path.write_text(json.dumps(doc).replace('"<leaf>"', text) + "\n", encoding="utf-8")
+        try:
+            records = list(ingest.parse_dataset(path))
+        except DatasetError:
+            return
+    (record,) = records
+    assert [v.split(" is ")[0] for v in ingest.validate_record(record).violations] == [f"static_features.{name}"]
+    with pytest.raises(DatasetError, match=rf"^post {record.post_id}: static_features\.{name} is "):
+        extract_static(record)
 
 
 @pytest.mark.parametrize(

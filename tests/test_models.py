@@ -16,6 +16,8 @@ from viralearly.models import (
     train,
 )
 
+from conftest import flatten_params, params_from_flat
+
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
 
@@ -217,16 +219,16 @@ class TestMlp:
         s = np.array([1.0, 2.0, 1.0, 1.5, 0.5])
         params = init_params(4, (6, 3), rng)
         loss, grads = loss_and_gradients(params, X, y, s)
-        flat = params.flatten()
-        analytic = grads.flatten()
+        flat = flatten_params(params)
+        analytic = flatten_params(grads)
         h = 1e-6
         worst = 0.0
         for i in range(len(flat)):
             up, down = flat.copy(), flat.copy()
             up[i] += h
             down[i] -= h
-            lu, _ = loss_and_gradients(params.with_flat(up), X, y, s)
-            ld, _ = loss_and_gradients(params.with_flat(down), X, y, s)
+            lu, _ = loss_and_gradients(params_from_flat(params, up), X, y, s)
+            ld, _ = loss_and_gradients(params_from_flat(params, down), X, y, s)
             numeric = (lu - ld) / (2 * h)
             denom = max(abs(numeric), abs(analytic[i]), 1e-8)
             worst = max(worst, abs(numeric - analytic[i]) / denom)
