@@ -142,10 +142,11 @@ class TestExtractNetwork:
 
 class TestExtractStatic:
     def test_blob_passthrough_with_modality(self):
-        r = make_record(static_features={"template_name": "stonks", "relatability_score": 7})
+        r = make_record(static_features={"template_name": "stonks", "relatability_score": 7, "is_offensive": True})
         static = extract_static(r)
         assert static["visual"]["template_name"] == "stonks"
         assert static["contextual"]["relatability_score"] == 7.0
+        assert type(static["contextual"]["is_offensive"]) is float
 
     def test_title_fallbacks(self):
         r = make_record(title="three word title", static_features={})
