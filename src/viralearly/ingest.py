@@ -614,11 +614,13 @@ def load_document(path: str | Path, what: str, version: int | None) -> _Document
 
 
 class StaticFeature(NamedTuple):
-    """A known static-feature key's modality, the reader of its values and its feature kind."""
+    """A known static-feature key's modality, the reader of its values, its
+    feature kind and the name its reader's messages give it."""
 
     modality: str
     read: Callable
     kind: str
+    where: str
 
 
 # The reader and the feature kind of each JSON type the schema gives a static feature.
@@ -631,7 +633,7 @@ _STATIC_TYPES = {
 
 #: Each known static-feature key in schema order, from its ``x-modality`` and JSON type.
 STATIC_FEATURES: dict[str, StaticFeature] = {
-    name: StaticFeature(spec["x-modality"], *_STATIC_TYPES[spec["type"]])
+    name: StaticFeature(spec["x-modality"], *_STATIC_TYPES[spec["type"]], f"static_features.{name}")
     for name, spec in dataset_schema()["properties"]["static_features"]["properties"].items()
 }
 
@@ -645,7 +647,7 @@ def read_static(value: Any, name: str) -> float | str | None:
     if value is None:
         return None
     feature = STATIC_FEATURES[name]
-    value = feature.read(value, f"static_features.{name}")
+    value = feature.read(value, feature.where)
     return value if feature.kind == "categorical" else float(value)
 
 

@@ -21,9 +21,11 @@ feature dataclasses.
 The tree references are the two tree learners as they were before both came
 to build the shared flat-array tree: the random forest with its linked
 ``_Node`` objects, recursive build and stack-based prediction, and the GBT
-growing five parallel lists per tree. They reuse the package's input checks,
-binning and sigmoid; the GBT one also builds the package's tree and model
-types, so its payloads compare directly. It still accumulates the gain, cover
+growing five parallel lists per tree. They reuse the package's input checks
+and sigmoid; the GBT one bins each column on its own
+(``reference_bin_columns``, as the package did before it sorted all columns
+at once) and builds the package's tree and model types, so its payloads
+compare directly. It still accumulates the gain, cover
 and frequency importances the GBT once saved; the model keeps the gain.
 
 ``reference_hybrid_score`` is the scalar hybrid score of one post that the
@@ -72,7 +74,7 @@ from viralearly.features import (
 from viralearly.ingest import MAX_SNAPSHOT_GAP_MINUTES, MIN_TRACKING_MINUTES, Snapshots, read_engagement, read_list, read_number, read_object
 from viralearly.labeling import LABELING_FEATURES, normalize_metric
 from viralearly.models._common import _Tree, check_training_data, sigmoid
-from viralearly.models.gbt import _GAIN_EPS, GBTModel, _bin_columns
+from viralearly.models.gbt import _GAIN_EPS, GBTModel
 from viralearly.trajectory import (
     ENTROPY_BINS,
     MOMENTUM_EPS,
@@ -854,6 +856,28 @@ def _reference_build_node(Xn, yn, rng, mtry, min_samples_split, depth_cap, depth
     return node
 
 
+def reference_bin_columns(X, max_bins):
+    """Each column binned on its own: its distinct values, their midpoints as
+    thresholds when there are at most ``max_bins`` of them (else the distinct
+    values of its quantile grid), and its codes by ``searchsorted``."""
+    n, d = X.shape
+    codes = np.empty((n, d), dtype=np.int32)
+    thresholds = []
+    grid = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+    for j in range(d):
+        col = X[:, j]
+        uniq = np.unique(col)
+        if len(uniq) <= 1:
+            thr = np.empty(0)
+        elif len(uniq) <= max_bins:
+            thr = (uniq[:-1] + uniq[1:]) / 2.0
+        else:
+            thr = np.unique(np.quantile(col, grid))
+        codes[:, j] = np.searchsorted(thr, col, side="right")
+        thresholds.append(thr)
+    return codes, thresholds
+
+
 def reference_fit_gbt(
     X, y, n_rounds=100, learning_rate=0.3, max_depth=6, min_child_weight=1.0, reg_lambda=1.0,
     max_bins=64, scale_pos_weight="auto",
@@ -871,7 +895,7 @@ def reference_fit_gbt(
     base_rate = min(max(base_rate, 1e-12), 1.0 - 1e-12)
     base_logit = float(np.log(base_rate / (1.0 - base_rate)))
 
-    codes, thresholds = _bin_columns(X, max_bins)
+    codes, thresholds = reference_bin_columns(X, max_bins)
     n_bins = max(int(codes.max()) + 1, 2) if d else 2
     feat_offsets = (np.arange(d, dtype=np.int64) * n_bins)[None, :]
     codes64 = codes.astype(np.int64) + feat_offsets

@@ -129,6 +129,31 @@ class TestLogreg:
 
 
 class TestGbt:
+    # One hyperparameter the fit cannot honour per case; before, each fitted a
+    # broken model (e.g. scale_pos_weight -2 gave every probability 0).
+    @pytest.mark.parametrize(
+        "name, values",
+        [
+            ("min_child_weight", [-1.0, np.inf, np.nan]),
+            ("scale_pos_weight", [-2.0, 0.0, np.inf, np.nan, "half"]),
+            ("learning_rate", [np.nan, np.inf, -np.inf]),
+            ("reg_lambda", [-0.5, np.inf, np.nan]),
+            ("max_bins", [1, 0, -3]),
+            ("max_depth", [-1]),
+        ],
+    )
+    def test_hyperparameter_it_cannot_honour_rejected(self, name, values):
+        X, y = separable_1d()
+        for value in values:
+            with pytest.raises(ConfigError, match=f"gbt {name} must be"):
+                train(ModelConfig("gbt", {name: value, "n_rounds": 2}), X, y)
+
+    def test_hyperparameters_at_their_limits_accepted(self):
+        X, y = separable_1d()
+        limits = {"min_child_weight": 0.0, "reg_lambda": 0.0, "max_bins": 2, "max_depth": 0, "learning_rate": -0.1}
+        model = train(ModelConfig("gbt", {**limits, "scale_pos_weight": 1e-3, "n_rounds": 2}), X, y)
+        assert np.isfinite(model.predict_proba(X)).all()
+
     def test_xor_solved_exactly(self):
         # 4-point hessians are 0.25 each, so the hessian floor must be lifted
         config = ModelConfig("gbt", {"min_child_weight": 0.0, "max_depth": 2, "n_rounds": 50})

@@ -10,12 +10,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viralearly import evaluation, experiments, ingest, labeling, models, preprocess, synth
-from viralearly.models import fit_gbt, fit_random_forest, forest
+from viralearly.models import fit_gbt, fit_random_forest, forest, gbt
 from viralearly.models._common import _Tree
 
 from oracles import (
+    reference_bin_columns,
     reference_fit_gbt,
     reference_fit_random_forest,
     reference_forest_predict_proba,
@@ -213,6 +216,48 @@ def sweep_shaped_data(seed, n=300):
     return X, y
 
 
+def exactly_twice_mcw_data():
+    """16 balanced rows: with scale_pos_weight 1 the first round has p = 0.5
+    and h = 0.25 everywhere, so the root's H is 4.0, and only the 8/8 split
+    of column 0 leaves H = 2.0 on each side."""
+    x0 = np.repeat([0.0, 1.0], 8)
+    x1 = np.tile([0.0, 1.0, 2.0, 3.0], 4)
+    y = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0])
+    return np.column_stack([x0, x1]), y
+
+
+def separable_data(n=200):
+    """One column separates the classes by a wide margin, so the hessians
+    collapse after a few rounds and most levels cannot split."""
+    rng = np.random.default_rng(12)
+    y = (rng.random(n) < 0.3).astype(int)
+    X = np.column_stack([np.where(y == 1, 5.0, -5.0) + rng.normal(size=n), rng.normal(size=(n, 2))])
+    return X, y
+
+
+def tied_counts_data(n=64):
+    """A column that halves the rows and one that alternates, so many splits
+    leave two children with the same row count."""
+    rng = np.random.default_rng(0)
+    half = np.repeat([0.0, 1.0], n // 2)
+    rng.shuffle(half)
+    X = np.column_stack([half, np.tile([0.0, 1.0], n // 2), rng.normal(size=n)])
+    y = ((half + rng.normal(size=n) * 0.8) > 0.5).astype(int)
+    return X, y
+
+
+def many_counts_data(n=400):
+    """Wide columns with 2 to 40 distinct values each (1 to 39 thresholds),
+    a few continuous ones and a one-hot pair."""
+    rng = np.random.default_rng(14)
+    levels = [2, 3, 4, 5, 7, 9, 12, 16, 21, 27, 33, 40]
+    counted = np.column_stack([rng.integers(0, k, size=n) for k in levels]).astype(float)
+    onehot = np.eye(2)[rng.integers(0, 2, size=n)]
+    X = np.hstack([rng.normal(size=(n, 3)), counted, onehot])
+    y = ((X[:, 0] + X[:, 5] / 4 - onehot[:, 0] > 0.5) ^ (rng.random(n) < 0.1)).astype(int)
+    return X, y
+
+
 def gbt_cases():
     X, y = tricky_data(7)
     yield "tricky", X, y, {"n_rounds": 25}
@@ -237,6 +282,20 @@ def gbt_cases():
     yield "full_depth", Xs, ys, {"n_rounds": 10, "max_depth": 3, "min_child_weight": 0.5}
     yield "min_child_weight_0", Xs, ys, {"n_rounds": 15, "min_child_weight": 0.0}
     yield "max_bins_2", Xs, ys, {"n_rounds": 15, "max_bins": 2}
+    # Live and dead nodes, and the count plane only where mcw needs it.
+    yield "hessian_exactly_2mcw", *exactly_twice_mcw_data(), {"n_rounds": 1, "scale_pos_weight": 1.0, "min_child_weight": 2.0}
+    yield "root_never_splits", X, y, {"n_rounds": 5, "min_child_weight": 1e6}
+    yield "tiny_min_child_weight", Xs, ys, {"n_rounds": 15, "min_child_weight": 1e-12}
+    # On XOR a split that leaves one side empty can pass HL >= 1e-15 on a
+    # rounding residual: only the row counts rule it out.
+    yield "xor_min_child_weight_below_residual", *xor_data(), {"n_rounds": 20, "min_child_weight": 1e-15}
+    yield "hessians_collapse", *separable_data(), {"n_rounds": 100}
+    # Children with equal row counts: the left one is summed, the right derived.
+    yield "tied_children", *tied_counts_data(), {"n_rounds": 10, "max_depth": 3}
+    # Wide-block layout: many threshold counts, and one shared count.
+    Xm, ym = many_counts_data()
+    yield "many_threshold_counts", Xm, ym, {"n_rounds": 15}
+    yield "max_bins_3", Xm, ym, {"n_rounds": 15, "max_bins": 3}
 
 
 def parent_gbt_payload(model):
@@ -258,15 +317,87 @@ def parent_gbt_payload(model):
     }
 
 
-@pytest.mark.parametrize("name,X,y,params", list(gbt_cases()), ids=[c[0] for c in gbt_cases()])
-def test_gbt_matches_parallel_list_reference(name, X, y, params):
+def assert_gbt_matches_reference(X, y, **params):
+    """Fit both GBTs; every tree, the gains and the probabilities must agree bit for bit."""
     model = fit_gbt(X, y, **params)
     ref = reference_fit_gbt(X, y, **params)
     assert model.to_payload() == parent_gbt_payload(ref)
     for tree, ref_tree in zip(model.trees, ref.trees):
         for field in _Tree.__slots__:
             assert getattr(tree, field).tobytes() == getattr(ref_tree, field).tobytes()
+    assert model.importances.tobytes() == ref.importances.tobytes()
     assert model.predict_proba(X).tobytes() == ref.predict_proba(X).tobytes()
+    return model
+
+
+@pytest.mark.parametrize("name,X,y,params", list(gbt_cases()), ids=[c[0] for c in gbt_cases()])
+def test_gbt_matches_parallel_list_reference(name, X, y, params):
+    assert_gbt_matches_reference(X, y, **params)
+
+
+def test_gbt_splits_a_node_whose_hessian_is_exactly_twice_min_child_weight():
+    """H = 2 * min_child_weight can still split, into two sides of exactly
+    min_child_weight; those children cannot split again."""
+    X, y = exactly_twice_mcw_data()
+    model = assert_gbt_matches_reference(X, y, n_rounds=1, scale_pos_weight=1.0, min_child_weight=2.0)
+    (tree,) = model.trees
+    assert tree.feature.tolist() == [0, -1, -1]
+
+
+def test_gbt_root_too_light_to_split_is_one_leaf():
+    X, y = tricky_data(7)
+    model = assert_gbt_matches_reference(X, y, n_rounds=3, min_child_weight=1e6)
+    assert all(tree.feature.tolist() == [-1] for tree in model.trees)
+
+
+def test_gbt_is_the_same_with_one_wide_block_per_threshold_count(monkeypatch):
+    """Blocks that cost nothing extra give one block per threshold count;
+    the candidates keep their feature-major order, so the trees are the same."""
+    X, y = many_counts_data()
+    monkeypatch.setattr(gbt, "_BLOCK_CELLS", 0)
+    sizes = np.array([len(t) for t in gbt._bin_columns(X, 64)[1]])
+    assert len(gbt._wide_blocks(sizes)) == len(np.unique(sizes[sizes >= 2])) >= 10
+    assert_gbt_matches_reference(X, y, n_rounds=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    min_child_weight=st.sampled_from([0.0, 1e-12, 0.5, 1.0, 3.0]),
+    max_bins=st.sampled_from([2, 3, 8, 64]),
+    max_depth=st.integers(1, 4),
+    scale_pos_weight=st.sampled_from(["auto", 1.0]),
+)
+def test_gbt_matches_reference_on_small_random_matrices(data, min_child_weight, max_bins, max_depth, scale_pos_weight):
+    """Columns of 1 to 80 distinct values (constant, binary, few-valued,
+    nearly continuous) with ties, on 4 to 60 rows of both classes."""
+    n = data.draw(st.integers(4, 60), label="rows")
+    levels = data.draw(st.lists(st.integers(1, 80), min_size=1, max_size=5), label="distinct values per column")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    X = np.column_stack([rng.choice(rng.normal(size=k), size=n) for k in levels])
+    y = (rng.random(n) < data.draw(st.sampled_from([0.2, 0.5]), label="positive rate")).astype(int)
+    y[:2] = [0, 1]
+    assert_gbt_matches_reference(
+        X, y, n_rounds=4, min_child_weight=min_child_weight, max_bins=max_bins, max_depth=max_depth,
+        scale_pos_weight=scale_pos_weight,
+    )
+
+
+@pytest.mark.parametrize("max_bins", [2, 3, 8, 64])
+def test_gbt_bins_as_the_column_by_column_reference(max_bins):
+    """Codes and thresholds, to the bit, on columns with signed zeros,
+    subnormals, few values, many values and constants."""
+    rng = np.random.default_rng(3)
+    mixed = rng.choice([-0.0, 0.0, -1.0, 2.5], size=(300, 2))
+    zeros_in_many = rng.normal(size=300)
+    zeros_in_many[rng.random(300) < 0.3] = -0.0
+    zeros_in_many[rng.random(300) < 0.3] = 0.0
+    matrices = [tricky_data(1)[0], signed_zero_data(2)[0], many_counts_data()[0], np.column_stack([mixed, zeros_in_many])]
+    for X in matrices:
+        codes, thresholds = gbt._bin_columns(X, max_bins)
+        ref_codes, ref_thresholds = reference_bin_columns(X, max_bins)
+        assert codes.dtype == ref_codes.dtype and codes.tobytes() == ref_codes.tobytes()
+        assert [t.tobytes() for t in thresholds] == [t.tobytes() for t in ref_thresholds]
 
 
 def test_gbt_matches_reference_on_a_window_matrix():
