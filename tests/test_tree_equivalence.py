@@ -218,8 +218,8 @@ def sweep_shaped_data(seed, n=300):
 
 def exactly_twice_mcw_data():
     """16 balanced rows: with scale_pos_weight 1 the first round has p = 0.5
-    and h = 0.25 everywhere, so the root's H is 4.0, and only the 8/8 split
-    of column 0 leaves H = 2.0 on each side."""
+    and h = 0.25 everywhere, so the root's H is 4.0 and only an 8/8 split
+    leaves H = 2.0 on each side; column 0's has the larger gain."""
     x0 = np.repeat([0.0, 1.0], 8)
     x1 = np.tile([0.0, 1.0, 2.0, 3.0], 4)
     y = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0])
