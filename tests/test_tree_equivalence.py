@@ -247,8 +247,8 @@ def tied_counts_data(n=64):
 
 
 def many_counts_data(n=400):
-    """Wide columns with 2 to 40 distinct values each (1 to 39 thresholds),
-    a few continuous ones and a one-hot pair."""
+    """Columns with 2 to 40 distinct values each (1 to 39 thresholds, so
+    many threshold counts), a few continuous ones and a one-hot pair."""
     rng = np.random.default_rng(14)
     levels = [2, 3, 4, 5, 7, 9, 12, 16, 21, 27, 33, 40]
     counted = np.column_stack([rng.integers(0, k, size=n) for k in levels]).astype(float)
@@ -337,16 +337,15 @@ def test_gbt_matches_parallel_list_reference(name, X, y, params):
 
 def test_gbt_splits_a_node_whose_hessian_is_exactly_twice_min_child_weight():
     """H = 2 * min_child_weight can still split, into two sides of exactly
-    min_child_weight; those children cannot split again."""
-    X, y = exactly_twice_mcw_data()
-    model = assert_gbt_matches_reference(X, y, n_rounds=1, scale_pos_weight=1.0, min_child_weight=2.0)
-    (tree,) = model.trees
+    min_child_weight; those children cannot split again. The gbt_cases
+    entry ``hessian_exactly_2mcw`` compares the fit with the reference."""
+    (tree,) = fit_gbt(*exactly_twice_mcw_data(), n_rounds=1, scale_pos_weight=1.0, min_child_weight=2.0).trees
     assert tree.feature.tolist() == [0, -1, -1]
 
 
 def test_gbt_root_too_light_to_split_is_one_leaf():
-    X, y = tricky_data(7)
-    model = assert_gbt_matches_reference(X, y, n_rounds=3, min_child_weight=1e6)
+    """As the gbt_cases entry ``root_never_splits``."""
+    model = fit_gbt(*tricky_data(7), n_rounds=5, min_child_weight=1e6)
     assert all(tree.feature.tolist() == [-1] for tree in model.trees)
 
 
