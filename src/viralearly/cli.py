@@ -141,6 +141,7 @@ def _list(item=str):
 
 
 _minutes = _checked(float, lambda v: 0 < v < float("inf"), "a positive number of minutes")
+_age = _checked(float, lambda v: 0 <= v < float("inf"), "a finite number of minutes >= 0")
 _fraction = _checked(float, lambda v: 0 < v < 1, "a fraction in (0, 1)")
 
 
@@ -182,7 +183,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--base-url", default=None, help="HTTP post-state endpoint base URL")
     p.add_argument("--auth-header", default=None)
     p.add_argument("--post-ids", type=_list(), default=None, help="comma-separated ids (default: all replay posts)")
-    p.add_argument("--until", type=float, default=1440.0, help="track until this post age in minutes")
+    p.add_argument("--until", type=_age, default=1440.0, help="track until this post age in minutes")
 
     p = command("label", cmd_label, "fit labeling artifacts on the chronological train split", seeded=True)
     p.add_argument("--data", type=Path, required=True)
@@ -228,17 +229,21 @@ def _out_dir(args) -> Path:
     return args.out
 
 
-def _write_run_manifest(
-    out: Path, command: str, params: dict, study: str | None = None, outcome: dict | None = None
-) -> None:
-    """``run_manifest.json``, or for a study the command and params added to
-    its own manifest; ``outcome`` holds what the run counted, if anything."""
-    path = out / (f"{study}_manifest.json" if study else "run_manifest.json")
-    doc = ingest.load_document(path, "study manifest", None) if study else {"package_version": __version__}
-    doc.update(command=command, params=params)
+def _write_run_manifest(out: Path, command: str, params: dict, outcome: dict | None = None) -> None:
+    """``run_manifest.json``; ``outcome`` holds what the run counted, if anything."""
+    doc = {"package_version": __version__, "command": command, "params": params}
     if outcome is not None:
         doc["outcome"] = outcome
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=str), encoding="utf-8")
+    (out / "run_manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True, default=str), encoding="utf-8")
+
+
+def _write_study_manifest(out: Path, args, study: str, data: experiments.PreparedData, params: dict, **settings) -> None:
+    """The study's one manifest: what :func:`experiments.write_manifest`
+    records, the study's ``params`` and other ``settings``, and the command
+    with the run's params."""
+    run = {"data": args.data, "artifacts": args.artifacts, "seed": args.seed, **params}
+    extra = {**params, **settings, "command": args.command, "params": run}
+    experiments.write_manifest(out, study, data, seed=args.seed, extra=extra)
 
 
 def _labels_for(path: Path, row_ids: list[str]) -> np.ndarray:
@@ -260,8 +265,7 @@ def _prepare_study(args) -> experiments.PreparedData:
     """The study's dataset split and labeled, with the given labeling artifacts or ones fitted with ``--seed``."""
     records = list(ingest.parse_dataset(args.data))
     artifacts = None if args.artifacts is None else LabelingArtifacts.load(args.artifacts)
-    forest = models.default_config("random_forest", seed=args.seed)
-    return experiments.prepare(records, train_frac=args.train_frac, forest_config=forest, artifacts=artifacts)
+    return experiments.prepare(records, train_frac=args.train_frac, seed=args.seed, artifacts=artifacts)
 
 
 # -- subcommand handlers -------------------------------------------------
@@ -351,7 +355,7 @@ def cmd_label(args) -> int:
         train_frac=args.train_frac,
         weight_windows=args.weight_windows,
         top_frac=args.top_frac,
-        forest_config=models.default_config("random_forest", seed=args.seed),
+        seed=args.seed,
     )
     data.artifacts.save(out / "labeling.json")
 
@@ -437,37 +441,41 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
+    data = _prepare_study(args)
+    windows, kinds = list(args.windows), list(args.models)
     rows = experiments.run_window_sweep(
-        _prepare_study(args),
-        windows=args.windows,
-        model_kinds=args.models,
-        seed=args.seed,
+        data, windows=windows, model_kinds=kinds, seed=args.seed, k_folds=args.folds if args.cv else None
+    )
+    experiments.write_csv(out / "window_sweep.csv", rows)
+    _write_study_manifest(
+        out, args, "window_sweep", data, {"windows": windows, "models": kinds},
         k_folds=args.folds,
         with_cv=args.cv,
-        out_dir=out,
+        model_configs={k: experiments.config_hash(models.default_config(k, seed=args.seed)) for k in kinds},
     )
-    params = {"data": args.data, "artifacts": args.artifacts, "seed": args.seed, "windows": list(args.windows), "models": list(args.models)}
-    _write_run_manifest(out, "sweep", params, "window_sweep")
     print(f"wrote {len(rows)} rows to {out / 'window_sweep.csv'}")
     return 0
 
 
 def cmd_ablate(args) -> int:
     out = _out_dir(args)
-    rows = experiments.run_ablation(_prepare_study(args), window=args.window, seed=args.seed, out_dir=out)
-    params = {"data": args.data, "artifacts": args.artifacts, "seed": args.seed, "window": args.window}
-    _write_run_manifest(out, "ablate", params, "ablation")
-    print(f"wrote {len(rows)} rows to {out / f'ablation_{window_name(args.window)}.csv'}")
+    data = _prepare_study(args)
+    rows = experiments.run_ablation(data, window=args.window, modalities=MODALITIES, seed=args.seed)
+    path = out / f"ablation_{window_name(args.window)}.csv"
+    experiments.write_csv(path, rows)
+    _write_study_manifest(out, args, "ablation", data, {"window": args.window}, modalities=list(MODALITIES))
+    print(f"wrote {len(rows)} rows to {path}")
     return 0
 
 
 def cmd_importance(args) -> int:
     out = _out_dir(args)
-    counts, _ = experiments.importance_over_time(
-        _prepare_study(args), windows=args.windows, top_k=args.top_k, seed=args.seed, out_dir=out
-    )
-    params = {"data": args.data, "artifacts": args.artifacts, "seed": args.seed, "windows": list(args.windows), "top_k": args.top_k}
-    _write_run_manifest(out, "importance", params, "importance_over_time")
+    data = _prepare_study(args)
+    windows = list(args.windows)
+    counts, details = experiments.importance_over_time(data, windows=windows, top_k=args.top_k, seed=args.seed)
+    experiments.write_csv(out / "modality_importance.csv", counts)
+    experiments.write_csv(out / "importance_features.csv", details)
+    _write_study_manifest(out, args, "importance_over_time", data, {"windows": windows, "top_k": args.top_k})
     print(f"wrote {len(counts)} rows to {out / 'modality_importance.csv'}")
     return 0
 

@@ -10,6 +10,7 @@ time in tests and wall-clock time in production.
 from __future__ import annotations
 
 import email.utils
+import math
 import time as _time
 import urllib.error
 import urllib.request
@@ -146,8 +147,11 @@ def track_post(
     ``MAX_POLL_RETRIES`` retries); a poll whose retries are exhausted is skipped,
     never fabricated. Tracking stops early when the transport reports the
     post removed or permanently unavailable, returning the partial series
-    with that reason.
+    with that reason. An ``until_minutes`` that is negative or not finite is
+    a :class:`ConfigError`.
     """
+    if not 0.0 <= until_minutes < math.inf:
+        raise ConfigError(f"until_minutes must be a finite number >= 0, got {until_minutes!r}")
     clock = clock or SimulatedClock()
     start = clock.now_minutes()
     times, kept = [], []  # each kept snapshot's time and poll result

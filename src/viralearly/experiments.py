@@ -2,9 +2,10 @@
 
 Every study runs on :func:`prepare`'s data (a chronological split,
 labeling artifacts fitted on the training side only, labels applied
-everywhere) and builds its per-window feature matrices. Reports land as CSV
-files plus a JSON manifest (seeds, config hashes, artifact fingerprints)
-sufficient to re-run bit-identically.
+everywhere), builds its per-window feature matrices and returns its rows.
+The caller writes them with :func:`write_csv` and the study's JSON manifest
+(seeds, config hashes, artifact fingerprints), sufficient to re-run
+bit-identically, with :func:`write_manifest`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .features import (
     FeatureMatrix,
     WindowSpec,
     assemble_matrix,
-    window_name,
 )
 from .ingest import PostRecord
 from .labeling import DEFAULT_WEIGHT_WINDOWS, LabelingArtifacts, assign_labels, score_records
@@ -65,7 +65,7 @@ def prepare(
     train_frac: float = 0.8,
     weight_windows: Sequence[float] = DEFAULT_WEIGHT_WINDOWS,
     top_frac: float = 0.05,
-    forest_config: models.ModelConfig | None = None,
+    seed: int = 42,
     artifacts: LabelingArtifacts | None = None,
 ) -> PreparedData:
     """Split chronologically and label both sides with train-only artifacts."""
@@ -75,7 +75,7 @@ def prepare(
     test = [by_id[i] for i in split.test_ids]
     fitted = artifacts is None
     if fitted:
-        artifacts = LabelingArtifacts.fit(train, windows=weight_windows, top_frac=top_frac, forest_config=forest_config)
+        artifacts = LabelingArtifacts.fit(train, windows=weight_windows, top_frac=top_frac, seed=seed)
     scores_train = artifacts.train_scores if fitted else score_records(train, artifacts.caps, artifacts.weights)
     y_train = assign_labels(scores_train, artifacts.threshold.tau)
     scores_test, y_test = artifacts.label_records(test)
@@ -167,33 +167,14 @@ def run_window_sweep(
     windows: Sequence[float] = DEFAULT_WINDOW_SWEEP,
     model_kinds: Sequence[str] = SWEEP_MODELS,
     seed: int = 42,
-    k_folds: int = 5,
-    with_cv: bool = True,
-    out_dir: str | Path | None = None,
+    k_folds: int | None = 5,
 ) -> list[dict]:
     """Per window in ascending order, per model: train on train, score the
-    held-out test split, and (optionally) run stratified CV inside the
-    training split. Deterministic under fixed seeds."""
+    held-out test split, and run ``k_folds``-fold stratified CV inside the
+    training split unless ``k_folds`` is None. Deterministic under fixed seeds."""
     rows = []
     for wm in build_window_matrices(data, sorted(windows)):
-        rows.extend(_evaluate_window(wm, data, model_kinds, seed, k_folds if with_cv else None))
-
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        write_csv(out_dir / "window_sweep.csv", rows)
-        write_manifest(
-            out_dir,
-            "window_sweep",
-            data,
-            seed=seed,
-            extra={
-                "windows": list(windows),
-                "models": list(model_kinds),
-                "k_folds": k_folds,
-                "with_cv": with_cv,
-                "model_configs": {k: _config_hash(models.default_config(k, seed=seed)) for k in model_kinds},
-            },
-        )
+        rows.extend(_evaluate_window(wm, data, model_kinds, seed, k_folds))
     return rows
 
 
@@ -202,7 +183,6 @@ def run_ablation(
     window: float = ABLATION_WINDOW_MINUTES,
     modalities: Sequence[str] = MODALITIES,
     seed: int = 42,
-    out_dir: str | Path | None = None,
 ) -> list[dict]:
     """Baseline (all features) plus one gbt row per excluded modality."""
     full = build_window_matrices(data, [window])[0]
@@ -214,16 +194,6 @@ def run_ablation(
     for name, matrices in scenarios:
         cell = _evaluate_window(matrices, data, ("gbt",), seed, k_folds=None)[0]
         rows.append({"scenario": name, "window": window, "pr_auc": cell["pr_auc"], "roc_auc": cell["roc_auc"]})
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        write_csv(out_dir / f"ablation_{window_name(window)}.csv", rows)
-        write_manifest(
-            out_dir,
-            "ablation",
-            data,
-            seed=seed,
-            extra={"window": window, "modalities": list(modalities)},
-        )
     return rows
 
 
@@ -232,13 +202,12 @@ def importance_over_time(
     windows: Sequence[float] = DEFAULT_WINDOW_SWEEP,
     top_k: int = DEFAULT_TOP_K,
     seed: int = 42,
-    out_dir: str | Path | None = None,
 ) -> tuple[list[dict], list[dict]]:
     """Per window: gbt gain importances, one-hot columns summed into their
     source feature, top-k membership counted per modality.
 
-    Returns (modality count rows, per-feature detail rows); both are written
-    as plot-ready long-format CSVs when ``out_dir`` is given.
+    Returns (modality count rows, per-feature detail rows), both plot-ready
+    long-format tables.
     """
     count_rows: list[dict] = []
     detail_rows: list[dict] = []
@@ -274,17 +243,6 @@ def importance_over_time(
         for m in MODALITIES:
             count_rows.append({"window": wm.window, "modality": m, "count": counts[m]})
 
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        write_csv(out_dir / "modality_importance.csv", count_rows)
-        write_csv(out_dir / "importance_features.csv", detail_rows)
-        write_manifest(
-            out_dir,
-            "importance_over_time",
-            data,
-            seed=seed,
-            extra={"windows": list(windows), "top_k": top_k},
-        )
     return count_rows, detail_rows
 
 
@@ -305,7 +263,7 @@ def read_csv(path: str | Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def _config_hash(config: models.ModelConfig) -> str:
+def config_hash(config: models.ModelConfig) -> str:
     payload = json.dumps({"kind": config.kind, "seed": config.seed, "params": config.resolved_params()}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -335,5 +293,5 @@ def write_manifest(
     if extra:
         doc.update(extra)
     path = out_dir / f"{study}_manifest.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=str), encoding="utf-8")
     return path

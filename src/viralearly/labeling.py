@@ -165,14 +165,14 @@ def learn_hybrid_weights(
     prelim: np.ndarray,
     caps: NormalizationCaps,
     windows: Sequence[float] = DEFAULT_WEIGHT_WINDOWS,
-    forest_config: models.ModelConfig | None = None,
+    seed: int = 42,
 ) -> HybridWeights:
     """Average auxiliary-forest importances over early windows.
 
-    One random forest per window is fit on the windowed labeling features
-    against the preliminary target; the per-window importance vectors (each
-    summing to one) are averaged and then scaled so the strongest feature
-    gets weight 1.0.
+    One random forest per window, seeded with ``seed``, is fit on the
+    windowed labeling features against the preliminary target; the
+    per-window importance vectors (each summing to one) are averaged and
+    then scaled so the strongest feature gets weight 1.0.
     """
     if not windows:
         raise FitError("need at least one window to learn weights")
@@ -181,7 +181,7 @@ def learn_hybrid_weights(
         raise FitError("prelim labels are not aligned to the training records")
     if len(np.unique(prelim)) < 2:
         raise FitError("preliminary target is constant")
-    config = forest_config or models.default_config("random_forest")
+    config = models.default_config("random_forest", seed=seed)
 
     acc = np.zeros(len(LABELING_FEATURES))
     for X in labeling_feature_matrices(train, caps, [float(w) for w in windows]):
@@ -290,11 +290,11 @@ class LabelingArtifacts:
         train: Sequence[PostRecord],
         windows: Sequence[float] = DEFAULT_WEIGHT_WINDOWS,
         top_frac: float = 0.05,
-        forest_config: models.ModelConfig | None = None,
+        seed: int = 42,
     ) -> "LabelingArtifacts":
         caps = fit_p99_caps(train)
         prelim = make_preliminary_target(train, caps, top_frac=top_frac)
-        weights = learn_hybrid_weights(train, prelim, caps, windows=windows, forest_config=forest_config)
+        weights = learn_hybrid_weights(train, prelim, caps, windows=windows, seed=seed)
         scores = score_records(train, caps, weights)
         threshold = fit_threshold(scores, fingerprint=training_fingerprint(train))
         return cls(caps=caps, weights=weights, threshold=threshold, train_scores=scores)

@@ -13,9 +13,11 @@ imbalance is handled through ``scale_pos_weight`` (positive-example weight,
 ``"auto"`` = #neg/#pos). The zero-round model is the constant weighted
 base-rate logit. Everything is deterministic: no row or column sampling. A
 hyperparameter the fit cannot honour (a negative or non-finite
-``min_child_weight`` or ``reg_lambda``, a ``scale_pos_weight`` that is not a
+``min_child_weight``, a ``reg_lambda`` or ``scale_pos_weight`` that is not a
 finite positive number, a non-finite ``learning_rate``, ``max_bins`` < 2 or
-``max_depth`` < 0) is a :class:`ConfigError` naming it.
+``max_depth`` < 0) is a :class:`ConfigError` naming it. A zero
+``reg_lambda`` would divide by zero at a leaf or side whose rows all have p
+exactly 0 or 1.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ from ._common import _Tree, check_training_data, sigmoid
 # A mathematically-zero gain can round to a tiny negative; still split there
 # so symmetric targets (XOR-like) are not stuck at the constant predictor.
 _GAIN_EPS = 1e-12
-
-# One wide block's cumulative-sum call per searched level costs about as much
-# as summing this many more cells of it.
-_BLOCK_CELLS = 256
 
 
 class GBTModel:
@@ -127,7 +125,7 @@ def fit_gbt(
     _check("learning_rate", learning_rate, "a finite number", math.isfinite)
     _check("max_depth", max_depth, ">= 0", lambda v: v >= 0)
     _check("min_child_weight", min_child_weight, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0)
-    _check("reg_lambda", reg_lambda, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0)
+    _check("reg_lambda", reg_lambda, "a finite number > 0", lambda v: math.isfinite(v) and v > 0)
     _check("max_bins", max_bins, ">= 2", lambda v: v >= 2)
     if scale_pos_weight != "auto":
         _check("scale_pos_weight", scale_pos_weight, '"auto" or a finite number > 0', lambda v: math.isfinite(v) and v > 0)
@@ -189,9 +187,10 @@ class _HistogramGrower:
     its own, because the node totals G and H are the sum of its bins. Other
     columns store only the bins left of a threshold: the last bin never lies
     left of a split, so its rows go to the trash cell, which nothing reads.
-    Wide columns are grouped by threshold count, each block padded to its
-    own largest count, so that one cumulative sum per block covers few
-    cells no candidate reads. Split candidates are the (column j, bin
+    Wide columns are grouped by the power of two at or above their
+    threshold count, each block padded to its own largest count, so that
+    one cumulative sum per block covers fewer than twice the cells its
+    candidates read. Split candidates are the (column j, bin
     b < len(thresholds[j])) pairs in feature-major order, so the first
     maximum is the one a scan of the full (column, bin) grid finds.
 
@@ -435,22 +434,8 @@ class _HistogramGrower:
 
 
 def _wide_blocks(sizes: np.ndarray) -> list[np.ndarray]:
-    """The wide columns (two thresholds or more) grouped by threshold count,
-    each block in ascending column order. Over the counts in ascending order,
-    the blocks are the runs that minimise the cells padded to each block's
-    largest count, plus _BLOCK_CELLS per block."""
+    """The wide columns (two thresholds or more) grouped by the power of two
+    at or above their threshold count, each block in ascending column order."""
     wide = np.nonzero(sizes >= 2)[0]
-    counts, per_count = np.unique(sizes[wide], return_counts=True)
-    columns_below = np.concatenate([[0], np.cumsum(per_count)])  # columns with a count below counts[i]
-    cost, run_start = [0], [0]  # per i: the best cost of blocks over counts[:i], and where its last block starts
-    for i in range(1, len(counts) + 1):
-        options = [cost[j] + _BLOCK_CELLS + int(counts[i - 1]) * int(columns_below[i] - columns_below[j]) for j in range(i)]
-        j = int(np.argmin(options))
-        cost.append(options[j])
-        run_start.append(j)
-    blocks, i = [], len(counts)
-    while i:
-        j = run_start[i]
-        blocks.append(wide[(sizes[wide] >= counts[j]) & (sizes[wide] <= counts[i - 1])])
-        i = j
-    return blocks[::-1]
+    exponent = np.frexp(sizes[wide] - 1)[1]  # 2**exponent is that power of two
+    return [wide[exponent == e] for e in np.unique(exponent)]

@@ -138,10 +138,7 @@ class TestAcceptance:
         for seed in range(5):
             records, prelim = _score_only_corpus(seed)
             caps = fit_p99_caps(records)
-            weights = learn_hybrid_weights(
-                records, prelim, caps,
-                forest_config=default_config("random_forest", seed=seed),
-            )
+            weights = learn_hybrid_weights(records, prelim, caps, seed=seed)
             noise = {k: v for k, v in weights.weights.items() if k != "norm_score"}
             ok = weights.weights["norm_score"] == 1.0 and all(v < 0.2 for v in noise.values())
             all_ok &= ok
@@ -213,10 +210,10 @@ class TestAcceptance:
         assert trend_ok
         assert vs_logreg_ok
 
-    def test_07b_full_sweep_runtime(self, tmp_path):
+    def test_07b_full_sweep_runtime(self):
         records, _ = generate(SynthConfig(n_posts=5000, viral_frac=0.05, seed=42))
         start = time.perf_counter()
-        rows = experiments.run_window_sweep(experiments.prepare(records), seed=42, out_dir=tmp_path)
+        rows = experiments.run_window_sweep(experiments.prepare(records), seed=42)
         elapsed = time.perf_counter() - start
         passed = elapsed < 600.0 and len(rows) == 24
         _report(

@@ -1,11 +1,12 @@
 import ast
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from viralearly import cli, experiments, ingest, models
+from viralearly import cli, experiments, ingest
 from viralearly.cli import main
 from viralearly.labeling import LabelingArtifacts
 
@@ -429,7 +430,7 @@ class TestLabelAndSweep:
         assert main(["label", "--data", str(synth_dir / "posts.jsonl"), "--out", str(lab)]) == 0
         # rescored with the in-memory artifacts
         records = list(ingest.parse_dataset(synth_dir / "posts.jsonl"))
-        data = experiments.prepare(records, forest_config=models.default_config("random_forest", seed=42))
+        data = experiments.prepare(records, seed=42)
         rows = experiments.read_csv(lab / "labels.csv")
         recs = data.train_records + data.test_records
         scores, labels = data.artifacts.label_records(recs)
@@ -448,18 +449,34 @@ class TestLabelAndSweep:
 
     def test_each_study_writes_one_manifest(self, synth_dir, tmp_path):
         data = str(synth_dir / "posts.jsonl")
-        runs = {
-            "ablate": (["--window", "30"], "ablation_manifest.json"),
-            "importance": (["--windows", "30", "--top-k", "5"], "importance_over_time_manifest.json"),
-        }
-        for command, (flags, name) in runs.items():
-            out = tmp_path / command
+        prepared = experiments.prepare(list(ingest.parse_dataset(data)), seed=4)
+        artifacts_sha256 = hashlib.sha256(prepared.artifacts.to_json().encode()).hexdigest()
+        runs = [
+            ("sweep", ["--windows", "30", "--models", "gbt", "--folds", "2"], ["window_sweep.csv"], "window_sweep_manifest.json"),
+            ("sweep", ["--windows", "30", "--models", "gbt", "--no-cv"], ["window_sweep.csv"], "window_sweep_manifest.json"),
+            ("ablate", [], ["ablation_120.csv"], "ablation_manifest.json"),
+            (
+                "importance",
+                ["--windows", "30", "--top-k", "5"],
+                ["importance_features.csv", "modality_importance.csv"],
+                "importance_over_time_manifest.json",
+            ),
+        ]
+        for i, (command, flags, tables, name) in enumerate(runs):
+            out = tmp_path / f"{command}{i}"
             assert main([command, "--data", data, "--out", str(out), "--seed", "4"] + flags) == 0
-            assert sorted(p.name for p in out.glob("*.json")) == [name]
+            assert sorted(p.name for p in out.iterdir()) == sorted(tables + [name])
+            assert all(experiments.read_csv(out / table) for table in tables)
             manifest = json.loads((out / name).read_text())
             assert manifest["command"] == command
             assert manifest["params"]["data"] == data
             assert manifest["params"]["seed"] == manifest["seed"] == 4
+            assert manifest["n_train"] == prepared.n_train
+            assert manifest["labeling_artifacts_sha256"] == artifacts_sha256
+            if command == "sweep":
+                header = (out / "window_sweep.csv").read_text().splitlines()[0].split(",")
+                assert header[:6] == ["window", "model", "pr_auc", "roc_auc", "f1", "duration_seconds"]
+                assert any(c.startswith("cv_") for c in header) == ("--no-cv" not in flags)
 
     def test_sweep_row_count(self, synth_dir, tmp_path):
         out = tmp_path / "sweep"
@@ -733,6 +750,15 @@ class TestCollectCommand:
         assert [(d["post_id"], d["reason"], len(d["snapshots"])) for d in lines] == [
             ("a", "completed", 3), ("b", "unavailable", 1), ("c", "unreachable", 0)
         ]
+
+    @pytest.mark.parametrize("until", ["inf", "nan", "-5"])
+    def test_until_that_is_negative_or_not_finite_is_usage_error(self, tmp_path, until, capsys):
+        data = tmp_path / "replay.jsonl"
+        ingest.write_dataset([make_record(post_id="p0", times=[0, 5, 10], scores=[1, 2, 3])], data)
+        out = tmp_path / "collected"
+        assert main(["collect", "--replay", str(data), "--until", until, "--out", str(out)]) == 1
+        assert "--until" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_needs_exactly_one_source(self, tmp_path):
         assert main(["collect", "--out", str(tmp_path / "x")]) == 1

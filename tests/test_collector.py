@@ -17,6 +17,7 @@ from viralearly.collector import (
     schedule_next_poll,
     track_post,
 )
+from viralearly.errors import ConfigError
 
 from conftest import make_record
 from oracles import reference_replay_index
@@ -73,6 +74,15 @@ class TestSchedule:
 
 
 class TestTrackPost:
+    # inf never ended the polling loop; nan and -5 polled nothing and called every post unreachable
+    @pytest.mark.parametrize("until", [float("inf"), float("nan"), -5.0], ids=["inf", "nan", "negative"])
+    def test_until_that_is_negative_or_not_finite_rejected(self, until):
+        clock = SimulatedClock()
+        source = ScriptedSource(clock)
+        with pytest.raises(ConfigError, match="until_minutes must be"):
+            track_post(source, "p1", until_minutes=until, clock=clock)
+        assert source.calls == 0
+
     def test_happy_path_seven_snapshots(self):
         clock = SimulatedClock()
         result = track_post(ScriptedSource(clock), "p1", until_minutes=30.0, clock=clock)

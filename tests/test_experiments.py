@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -33,11 +31,8 @@ def data(corpus):
 
 
 class TestWindowSweep:
-    def test_single_cell_row_fully_populated(self, data, tmp_path):
-        rows = run_window_sweep(
-            data, windows=(60.0,), model_kinds=("gbt",), k_folds=3, seed=1,
-            out_dir=tmp_path,
-        )
+    def test_single_cell_row_fully_populated(self, data):
+        rows = run_window_sweep(data, windows=(60.0,), model_kinds=("gbt",), k_folds=3, seed=1)
         assert len(rows) == 1
         row = rows[0]
         for key in ("window", "model", "pr_auc", "roc_auc", "f1", "duration_seconds",
@@ -46,11 +41,6 @@ class TestWindowSweep:
         assert row["window"] == 60.0
         assert row["model"] == "gbt"
         assert 0.0 <= row["pr_auc"] <= 1.0
-        assert (tmp_path / "window_sweep.csv").exists()
-        manifest = json.loads((tmp_path / "window_sweep_manifest.json").read_text())
-        assert manifest["seed"] == 1
-        assert manifest["n_train"] == data.n_train
-        assert "labeling_artifacts_sha256" in manifest
 
     def test_seeded_repeat_gives_identical_rows(self, data):
         kwargs = dict(windows=(30.0, 60.0), model_kinds=("logreg", "gbt"), k_folds=3, seed=3)
@@ -75,39 +65,33 @@ class TestWindowSweep:
 
     def test_rows_ordered_by_window_then_model(self, data):
         rows = run_window_sweep(
-            data, windows=(60.0, 30.0), model_kinds=("logreg", "gbt"), with_cv=False, seed=3
+            data, windows=(60.0, 30.0), model_kinds=("logreg", "gbt"), k_folds=None, seed=3
         )
         assert [(r["window"], r["model"]) for r in rows] == [
             (30.0, "logreg"), (30.0, "gbt"), (60.0, "logreg"), (60.0, "gbt"),
         ]
 
-    def test_csv_leads_with_report_layout(self, data, tmp_path):
-        run_window_sweep(
-            data, windows=(30.0,), model_kinds=("logreg",), k_folds=3, seed=1,
-            out_dir=tmp_path,
-        )
-        header = (tmp_path / "window_sweep.csv").read_text().splitlines()[0]
-        assert header.split(",")[:6] == [
-            "window", "model", "pr_auc", "roc_auc", "f1", "duration_seconds",
-        ]
+    def test_no_folds_gives_rows_without_cv_keys(self, data):
+        rows = run_window_sweep(data, windows=(30.0,), model_kinds=("logreg", "gbt"), k_folds=None, seed=3)
+        assert len(rows) == 2
+        assert [k for row in rows for k in row if k.startswith("cv_")] == []
 
 
 class TestAblation:
     def test_baseline_matches_sweep_gbt_cell(self, data):
         sweep = run_window_sweep(
-            data, windows=(120.0,), model_kinds=("gbt",), with_cv=False, seed=42
+            data, windows=(120.0,), model_kinds=("gbt",), k_folds=None, seed=42
         )
         ablation = run_ablation(data, window=120.0, seed=42)
         baseline = next(r for r in ablation if r["scenario"] == "baseline")
         assert baseline["pr_auc"] == sweep[0]["pr_auc"]
         assert baseline["roc_auc"] == sweep[0]["roc_auc"]
 
-    def test_all_scenarios_present(self, data, tmp_path):
-        rows = run_ablation(data, window=120.0, seed=1, out_dir=tmp_path)
+    def test_all_scenarios_present(self, data):
+        rows = run_ablation(data, window=120.0, seed=1)
         names = [r["scenario"] for r in rows]
         assert names[0] == "baseline"
         assert set(names[1:]) == {f"exclude_{m}" for m in MODALITY_CATALOG}
-        assert (tmp_path / "ablation_120.csv").exists()
 
     def test_unknown_modality_rejected(self, data):
         with pytest.raises(ConfigError, match="audio"):
@@ -138,16 +122,12 @@ class TestAblation:
 
 
 class TestImportanceOverTime:
-    def test_counts_partition_top_k(self, data, tmp_path):
-        counts, details = importance_over_time(
-            data, windows=(30.0, 120.0), top_k=30, seed=1, out_dir=tmp_path
-        )
+    def test_counts_partition_top_k(self, data):
+        counts, details = importance_over_time(data, windows=(30.0, 120.0), top_k=30, seed=1)
         for window in (30.0, 120.0):
             at_w = [c for c in counts if c["window"] == window]
             n_parents = len({d["feature"] for d in details if d["window"] == window})
             assert sum(c["count"] for c in at_w) == min(30, n_parents)
-        assert (tmp_path / "modality_importance.csv").exists()
-        assert (tmp_path / "importance_features.csv").exists()
 
     def test_one_hot_importance_aggregates_to_parent(self, data):
         _, details = importance_over_time(data, windows=(120.0,), top_k=10, seed=1)

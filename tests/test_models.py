@@ -81,7 +81,7 @@ class TestCommon:
     )
     def test_default_settings_are_pinned(self, kind, params, digest):
         assert default_config(kind).resolved_params() == params
-        assert experiments._config_hash(default_config(kind, seed=7)) == digest
+        assert experiments.config_hash(default_config(kind, seed=7)) == digest
 
     def test_predict_column_mismatch(self):
         X, y = separable_1d()
@@ -137,7 +137,7 @@ class TestGbt:
             ("min_child_weight", [-1.0, np.inf, np.nan]),
             ("scale_pos_weight", [-2.0, 0.0, np.inf, np.nan, "half"]),
             ("learning_rate", [np.nan, np.inf, -np.inf]),
-            ("reg_lambda", [-0.5, np.inf, np.nan]),
+            ("reg_lambda", [-0.5, 0.0, np.inf, np.nan]),
             ("max_bins", [1, 0, -3]),
             ("max_depth", [-1]),
         ],
@@ -150,8 +150,21 @@ class TestGbt:
 
     def test_hyperparameters_at_their_limits_accepted(self):
         X, y = separable_1d()
-        limits = {"min_child_weight": 0.0, "reg_lambda": 0.0, "max_bins": 2, "max_depth": 0, "learning_rate": -0.1}
+        limits = {"min_child_weight": 0.0, "reg_lambda": 1e-12, "max_bins": 2, "max_depth": 0, "learning_rate": -0.1}
         model = train(ModelConfig("gbt", {**limits, "scale_pos_weight": 1e-3, "n_rounds": 2}), X, y)
+        assert np.isfinite(model.predict_proba(X)).all()
+
+    def test_zero_reg_lambda_rejected_where_it_would_divide_by_zero(self):
+        # Once p is exactly 0 or 1 on every row of a side or leaf, its H is 0:
+        # with reg_lambda 0 that is 0/0 or x/0, and such rounds were single
+        # leaves. Any positive reg_lambda keeps every tree finite and split.
+        X = np.random.default_rng(0).normal(size=(40, 3))
+        y = (X[:, 0] > 0).astype(int)
+        params = {"min_child_weight": 0.0, "learning_rate": 5.0, "n_rounds": 10}
+        with pytest.raises(ConfigError, match="gbt reg_lambda must be"):
+            train(ModelConfig("gbt", {**params, "reg_lambda": 0.0}), X, y)
+        model = train(ModelConfig("gbt", {**params, "reg_lambda": 1e-12}), X, y)
+        assert all(len(tree.feature) > 1 for tree in model.inner.trees)
         assert np.isfinite(model.predict_proba(X)).all()
 
     def test_xor_solved_exactly(self):

@@ -349,13 +349,15 @@ def test_gbt_root_too_light_to_split_is_one_leaf():
     assert all(tree.feature.tolist() == [-1] for tree in model.trees)
 
 
-def test_gbt_is_the_same_with_one_wide_block_per_threshold_count(monkeypatch):
-    """Blocks that cost nothing extra give one block per threshold count;
-    the candidates keep their feature-major order, so the trees are the same."""
+def test_gbt_wide_columns_span_several_blocks_and_match_the_reference():
+    """Wide columns are grouped by the power of two at or above their
+    threshold count; the candidates keep their feature-major order, so the
+    trees are the same whatever the blocks."""
     X, y = many_counts_data()
-    monkeypatch.setattr(gbt, "_BLOCK_CELLS", 0)
     sizes = np.array([len(t) for t in gbt._bin_columns(X, 64)[1]])
-    assert len(gbt._wide_blocks(sizes)) == len(np.unique(sizes[sizes >= 2])) >= 10
+    blocks = gbt._wide_blocks(sizes)
+    assert len(blocks) >= 3
+    assert sorted(np.concatenate(blocks).tolist()) == np.nonzero(sizes >= 2)[0].tolist()
     assert_gbt_matches_reference(X, y, n_rounds=10)
 
 
