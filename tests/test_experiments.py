@@ -8,6 +8,7 @@ from viralearly.experiments import (
     prepare,
     run_ablation,
     run_window_sweep,
+    write_csv,
 )
 from viralearly.features import MODALITY_CATALOG
 
@@ -69,6 +70,14 @@ class TestWindowSweep:
         )
         assert [(r["window"], r["model"]) for r in rows] == [
             (30.0, "logreg"), (30.0, "gbt"), (60.0, "logreg"), (60.0, "gbt"),
+        ]
+
+    def test_csv_leads_with_report_layout(self, data, tmp_path):
+        rows = run_window_sweep(data, windows=(30.0,), model_kinds=("logreg",), k_folds=3, seed=1)
+        write_csv(tmp_path / "window_sweep.csv", rows)
+        header = (tmp_path / "window_sweep.csv").read_text().splitlines()[0]
+        assert header.split(",")[:6] == [
+            "window", "model", "pr_auc", "roc_auc", "f1", "duration_seconds",
         ]
 
     def test_no_folds_gives_rows_without_cv_keys(self, data):
