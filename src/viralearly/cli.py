@@ -17,7 +17,6 @@ import inspect
 import json
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +29,11 @@ from .labeling import DEFAULT_WEIGHT_WINDOWS, LabelingArtifacts
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
-# Destinations the config file never sets: the parser's own, the config file
-# itself, labeling artifacts to reuse and the collector's credentials.
-_FLAG_ONLY = frozenset({"command", "handler", "config", "artifacts", "auth_header"})
+# Destinations no manifest records: the parser's own and the collector's credentials.
+_UNRECORDED = frozenset({"command", "handler", "auth_header"})
+# Destinations the config file never sets: those, the config file itself and
+# labeling artifacts to reuse.
+_FLAG_ONLY = _UNRECORDED | {"config", "artifacts"}
 
 
 class _UsageError(Exception):
@@ -229,21 +230,26 @@ def _out_dir(args) -> Path:
     return args.out
 
 
-def _write_run_manifest(out: Path, command: str, params: dict, outcome: dict | None = None) -> None:
-    """``run_manifest.json``; ``outcome`` holds what the run counted, if anything."""
-    doc = {"package_version": __version__, "command": command, "params": params}
+def _params(args) -> dict:
+    """Every setting of the run: each destination the subcommand parsed, from
+    a flag, the config file or a default, but those in ``_UNRECORDED``."""
+    return {key: value for key, value in vars(args).items() if key not in _UNRECORDED}
+
+
+def _write_run_manifest(args, outcome: dict | None = None) -> None:
+    """``run_manifest.json``: the command, its ``params`` and, if the run
+    computed anything, that as ``outcome``."""
+    doc = {"package_version": __version__, "command": args.command, "params": _params(args)}
     if outcome is not None:
         doc["outcome"] = outcome
-    (out / "run_manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True, default=str), encoding="utf-8")
+    (args.out / "run_manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True, default=str), encoding="utf-8")
 
 
-def _write_study_manifest(out: Path, args, study: str, data: experiments.PreparedData, params: dict, **settings) -> None:
+def _write_study_manifest(args, study: str, data: experiments.PreparedData, **derived) -> None:
     """The study's one manifest: what :func:`experiments.write_manifest`
-    records, the study's ``params`` and other ``settings``, and the command
-    with the run's params."""
-    run = {"data": args.data, "artifacts": args.artifacts, "seed": args.seed, **params}
-    extra = {**params, **settings, "command": args.command, "params": run}
-    experiments.write_manifest(out, study, data, seed=args.seed, extra=extra)
+    records, the values ``derived`` from the settings, the command and its ``params``."""
+    extra = {**derived, "command": args.command, "params": _params(args)}
+    experiments.write_manifest(args.out, study, data, seed=args.seed, extra=extra)
 
 
 def _labels_for(path: Path, row_ids: list[str]) -> np.ndarray:
@@ -309,7 +315,7 @@ def cmd_synth(args) -> int:
         out / "planted_labels.csv",
         [{"post_id": r.post_id, "label": int(v)} for r, v in zip(records, planted)],
     )
-    _write_run_manifest(out, "synth", asdict(config))
+    _write_run_manifest(args)
     print(f"wrote {len(records)} posts ({int(planted.sum())} viral) to {out / 'posts.jsonl'}")
     return 0
 
@@ -340,9 +346,7 @@ def cmd_collect(args) -> int:
             for key in ("polls", "retries", "skipped_polls", "rate_limit_wait_minutes"):
                 outcome[key] += getattr(res, key)
             outcome["reasons"][res.reason] = outcome["reasons"].get(res.reason, 0) + 1
-    _write_run_manifest(
-        out, "collect", {"until": args.until, "n_posts": len(ids), "source": str(args.replay or args.base_url)}, outcome=outcome
-    )
+    _write_run_manifest(args, outcome)
     print(f"tracked {len(ids)} posts to {out / 'tracked.jsonl'}")
     return 0
 
@@ -368,16 +372,8 @@ def cmd_label(args) -> int:
         )
     experiments.write_csv(out / "labels.csv", rows)
     _write_run_manifest(
-        out,
-        "label",
-        {
-            "data": str(args.data),
-            "seed": args.seed,
-            "tau": data.artifacts.threshold.tau,
-            "weights": data.artifacts.weights.weights,
-            "n_train": data.n_train,
-            "n_test": data.n_test,
-        },
+        args,
+        {"tau": data.artifacts.threshold.tau, "weights": data.artifacts.weights.weights, "n_train": data.n_train, "n_test": data.n_test},
     )
     pos = sum(r["label"] for r in rows)
     print(
@@ -394,11 +390,7 @@ def cmd_features(args) -> int:
     matrix = assemble_matrix(records, WindowSpec(args.window), artifacts.caps, args.modalities)
     path = out / f"features_{window_name(args.window)}.csv"
     matrix.to_csv(path)
-    _write_run_manifest(
-        out,
-        "features",
-        {"data": str(args.data), "window": args.window, "modalities": list(args.modalities), "n_rows": matrix.n_rows},
-    )
+    _write_run_manifest(args, {"n_rows": matrix.n_rows})
     print(f"wrote {matrix.n_rows}x{len(matrix.columns)} matrix to {path}")
     return 0
 
@@ -415,11 +407,7 @@ def cmd_train(args) -> int:
     duration = time.perf_counter() - start
     prep.save(out / "preprocess.json")
     models.save_model(model, out / "model.json")
-    _write_run_manifest(
-        out,
-        "train",
-        {"matrix": str(args.matrix), "model": args.model, "seed": args.seed, "duration_seconds": duration},
-    )
+    _write_run_manifest(args, {"duration_seconds": duration})
     print(f"trained {args.model} on {matrix.n_rows} rows in {duration:.2f}s -> {out / 'model.json'}")
     return 0
 
@@ -434,7 +422,7 @@ def cmd_evaluate(args) -> int:
     report = evaluation.evaluate_predictions(y, probs)
     doc = {**report.as_row(), "n_pos": report.n_pos, "n_neg": report.n_neg}
     (out / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
-    _write_run_manifest(out, "evaluate", {"model": str(args.model), "matrix": str(args.matrix)})
+    _write_run_manifest(args)
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -442,17 +430,11 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
     data = _prepare_study(args)
-    windows, kinds = list(args.windows), list(args.models)
-    rows = experiments.run_window_sweep(
-        data, windows=windows, model_kinds=kinds, seed=args.seed, k_folds=args.folds if args.cv else None
-    )
+    k_folds = args.folds if args.cv else None
+    rows = experiments.run_window_sweep(data, windows=args.windows, model_kinds=args.models, seed=args.seed, k_folds=k_folds)
     experiments.write_csv(out / "window_sweep.csv", rows)
-    _write_study_manifest(
-        out, args, "window_sweep", data, {"windows": windows, "models": kinds},
-        k_folds=args.folds,
-        with_cv=args.cv,
-        model_configs={k: experiments.config_hash(models.default_config(k, seed=args.seed)) for k in kinds},
-    )
+    configs = {k: experiments.config_hash(models.default_config(k, seed=args.seed)) for k in args.models}
+    _write_study_manifest(args, "window_sweep", data, model_configs=configs)
     print(f"wrote {len(rows)} rows to {out / 'window_sweep.csv'}")
     return 0
 
@@ -463,7 +445,7 @@ def cmd_ablate(args) -> int:
     rows = experiments.run_ablation(data, window=args.window, modalities=MODALITIES, seed=args.seed)
     path = out / f"ablation_{window_name(args.window)}.csv"
     experiments.write_csv(path, rows)
-    _write_study_manifest(out, args, "ablation", data, {"window": args.window}, modalities=list(MODALITIES))
+    _write_study_manifest(args, "ablation", data, modalities=list(MODALITIES))
     print(f"wrote {len(rows)} rows to {path}")
     return 0
 
@@ -471,11 +453,10 @@ def cmd_ablate(args) -> int:
 def cmd_importance(args) -> int:
     out = _out_dir(args)
     data = _prepare_study(args)
-    windows = list(args.windows)
-    counts, details = experiments.importance_over_time(data, windows=windows, top_k=args.top_k, seed=args.seed)
+    counts, details = experiments.importance_over_time(data, windows=args.windows, top_k=args.top_k, seed=args.seed)
     experiments.write_csv(out / "modality_importance.csv", counts)
     experiments.write_csv(out / "importance_features.csv", details)
-    _write_study_manifest(out, args, "importance_over_time", data, {"windows": windows, "top_k": args.top_k})
+    _write_study_manifest(args, "importance_over_time", data)
     print(f"wrote {len(counts)} rows to {out / 'modality_importance.csv'}")
     return 0
 

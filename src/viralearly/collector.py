@@ -58,6 +58,18 @@ def schedule_next_poll(post_age_minutes: float, schedule: PollSchedule) -> float
     return schedule.tiers[-1][1]
 
 
+def poll_times(until_minutes: float) -> list[float]:
+    """The default schedule's poll ages from 0 through ``until_minutes``
+    (inclusive); ConfigError when ``until_minutes`` is negative or not finite."""
+    if not 0.0 <= until_minutes < math.inf:
+        raise ConfigError(f"until_minutes must be a finite number >= 0, got {until_minutes!r}")
+    times, t = [], 0.0
+    while t <= until_minutes:
+        times.append(t)
+        t += schedule_next_poll(t, DEFAULT_POLL_SCHEDULE)
+    return times
+
+
 class PollResult(NamedTuple):
     """One transport answer about a post's current state (a tuple, cheap to
     build once per fetch)."""
@@ -140,8 +152,7 @@ def track_post(
     until_minutes: float,
     clock: Clock | None = None,
 ) -> TrackResult:
-    """Poll one post on the default schedule from age zero until
-    ``until_minutes`` (inclusive).
+    """Poll one post at each age that :func:`poll_times` gives for ``until_minutes``.
 
     Transient failures are retried with exponential backoff (base 2, up to
     ``MAX_POLL_RETRIES`` retries); a poll whose retries are exhausted is skipped,
@@ -150,17 +161,14 @@ def track_post(
     with that reason. An ``until_minutes`` that is negative or not finite is
     a :class:`ConfigError`.
     """
-    if not 0.0 <= until_minutes < math.inf:
-        raise ConfigError(f"until_minutes must be a finite number >= 0, got {until_minutes!r}")
     clock = clock or SimulatedClock()
     start = clock.now_minutes()
     times, kept = [], []  # each kept snapshot's time and poll result
-    next_t = 0.0
     polls = retries = skipped = 0
     rate_wait = 0.0
     reason = None
 
-    while next_t <= until_minutes:
+    for next_t in poll_times(until_minutes):
         clock.sleep_minutes(next_t - (clock.now_minutes() - start))
         outcome, poll_retries, poll_wait = _fetch_with_backoff(transport, post_id, clock)
         polls += 1
@@ -179,7 +187,6 @@ def track_post(
             if not times or t > times[-1]:
                 times.append(t)
                 kept.append(outcome)
-        next_t += schedule_next_poll(next_t, DEFAULT_POLL_SCHEDULE)
 
     if reason is None:
         reason = "completed" if times else "unreachable"
@@ -303,7 +310,10 @@ def _retry_after_minutes(value: str | None) -> float | None:
         return None
     value = value.strip()
     if value.isascii() and value.isdigit():
-        return int(value) / 60.0
+        try:
+            return int(value) / 60.0
+        except (OverflowError, ValueError):  # too large for a float, or past the int string-length limit
+            return None
     try:
         when = email.utils.parsedate_to_datetime(value)
     except (TypeError, ValueError):

@@ -318,14 +318,20 @@ class LabelingArtifacts:
 
     @classmethod
     def load(cls, path: str | Path) -> "LabelingArtifacts":
+        """The artifacts saved at ``path``: a positive cap for every metric of
+        ``METRICS``, as a fit writes; else a SchemaError naming the file and the key."""
         doc = load_document(path, "labeling file", ARTIFACTS_FORMAT_VERSION)
         caps, hw, th = doc.object("caps"), doc.object("hybrid_weights"), doc.object("threshold")
         weights = hw.object("weights")
         unknown = set(weights) - set(LABELING_FEATURES)
         if unknown:
             raise SchemaError(f"unknown labeling features {sorted(unknown)} in artifacts")
+        cap = {m: caps.read(m, read_number) for m in METRICS}
+        for m, value in cap.items():
+            if value <= 0.0:
+                raise SchemaError(f"{doc.source}: the cap of {m!r} is not positive ({value})")
         return cls(
-            caps=NormalizationCaps({k: caps.read(k, read_number) for k in caps}),
+            caps=NormalizationCaps(cap),
             weights=HybridWeights(
                 # LABELING_FEATURES order, as a fit has it: the scores sum in key order
                 weights={k: weights.read(k, read_number) for k in LABELING_FEATURES if k in weights},

@@ -130,21 +130,19 @@ class TransformedMatrix:
 def transform(model: PreprocessModel, matrix: FeatureMatrix) -> TransformedMatrix:
     """Apply the fitted model; output is fully numeric with no missing values.
 
-    The matrix may use a subset of the fitted columns but nothing unknown;
+    The matrix must hold exactly the fitted columns, in any order;
     transforming never mutates the model.
     """
-    fitted_names = {c.name for c in model.fitted_columns}
-    unknown = set(matrix.column_names) - fitted_names
-    if unknown:
-        raise SchemaError(f"columns not present at fit time: {sorted(unknown)}")
+    fitted, given = {c.name for c in model.fitted_columns}, set(matrix.column_names)
+    if given - fitted:
+        raise SchemaError(f"columns not present at fit time: {sorted(given - fitted)}")
+    if fitted - given:
+        raise SchemaError(f"fitted columns absent from the matrix: {sorted(fitted - given)}")
 
-    present = set(matrix.column_names)
     blocks: list[np.ndarray] = []
     names: list[str] = []
     parents: list[str] = []
     for col in model.fitted_columns:
-        if col.name not in present:
-            continue
         values = matrix.column(col.name)
         if col.kind == "numeric":
             stats = model.numeric[col.name]

@@ -21,13 +21,14 @@ categorical distributions keyed on the post id.
 from __future__ import annotations
 
 import hashlib
+import math
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .collector import DEFAULT_POLL_SCHEDULE, schedule_next_poll
+from .collector import poll_times
 from .errors import ConfigError
 from .ingest import AuthorInfo, PostRecord, Snapshots, SubredditInfo
 
@@ -62,6 +63,8 @@ class SynthConfig:
             raise ConfigError("viral_frac must be in (0, 1)")
         if self.signal not in SIGNAL_PLACEMENTS:
             raise ConfigError(f"signal must be one of {SIGNAL_PLACEMENTS}")
+        if not 0.0 <= self.horizon_minutes < math.inf:
+            raise ConfigError(f"horizon_minutes must be a finite number >= 0, got {self.horizon_minutes!r}")
 
 
 _LANGUAGE_POOL = (
@@ -134,13 +137,7 @@ def generate(config: SynthConfig) -> tuple[list[PostRecord], np.ndarray]:
 
 def poll_grid(horizon_minutes: float) -> np.ndarray:
     """Snapshot times following the collector's default poll schedule."""
-    times = [0.0]
-    while times[-1] < horizon_minutes:
-        step = schedule_next_poll(times[-1], DEFAULT_POLL_SCHEDULE)
-        if times[-1] + step > horizon_minutes:
-            break
-        times.append(times[-1] + step)
-    return np.array(times)
+    return np.array(poll_times(horizon_minutes))
 
 
 def _subreddit_pool(rng: np.random.Generator) -> list[SubredditInfo]:

@@ -803,7 +803,7 @@ class TestConfigFile:
             ("collect", lambda d: ["--replay", str(d["posts"]), "--post-ids", "p000000"], "until = 5", ["--until", "10"],
              lambda out: _params(out)["until"], 5.0, 10.0),
             ("label", lambda d: ["--data", str(d["posts"])], "train_frac = 0.5", ["--train-frac", "0.75"],
-             lambda out: _params(out)["n_train"], 120, 180),
+             lambda out: _params(out)["train_frac"], 0.5, 0.75),
             ("features", lambda d: ["--data", str(d["posts"]), "--artifacts", str(d["lab"] / "labeling.json")],
              "window = 60", ["--window", "30"], lambda out: _params(out)["window"], 60.0, 30.0),
             ("train", lambda d: ["--matrix", str(d["feats"] / "features_120.csv"), "--labels", str(d["lab"] / "labels.csv")],
@@ -815,7 +815,7 @@ class TestConfigFile:
             ("sweep", lambda d: ["--data", str(d["posts"]), "--windows", "120", "--models", "gbt", "--no-cv"],
              "train_frac = 0.5", ["--train-frac", "0.75"], lambda out: _manifest(out, "window_sweep")["n_train"], 120, 180),
             ("sweep", lambda d: ["--data", str(d["posts"]), "--windows", "120", "--models", "gbt"], "cv = on",
-             ["--no-cv"], lambda out: _manifest(out, "window_sweep")["with_cv"], True, False),
+             ["--no-cv"], lambda out: _params(out, "window_sweep")["cv"], True, False),
             ("ablate", lambda d: ["--data", str(d["posts"])], "window = 60", ["--window", "30"],
              lambda out: _params(out, "ablation")["window"], 60.0, 30.0),
             ("importance", lambda d: ["--data", str(d["posts"]), "--windows", "120"], "top_k = 3", ["--top-k", "5"],
@@ -847,7 +847,7 @@ class TestConfigFile:
         assert main(argv + ["--out", str(out)]) == 0
         header = (out / "window_sweep.csv").read_text(encoding="utf-8").splitlines()[0].split(",")
         assert [c for c in header if c.startswith("cv_")] == []
-        assert _manifest(out, "window_sweep")["with_cv"] is False
+        assert _params(out, "window_sweep")["cv"] is False
 
     def test_keys_that_name_no_setting_are_ignored(self, synth_dir, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -858,9 +858,9 @@ class TestConfigFile:
         out = tmp_path / "sweep"
         argv = ["sweep", "--config", str(cfg), "--data", str(synth_dir / "posts.jsonl"), "--windows", "120", "--models", "gbt"]
         assert main(argv + ["--out", str(out)]) == 0
-        manifest = _manifest(out, "window_sweep")
-        assert manifest["with_cv"] is True
-        assert manifest["params"]["artifacts"] is None
+        params = _params(out, "window_sweep")
+        assert params["cv"] is True
+        assert params["artifacts"] is None
 
     def test_validate_ignores_seed_and_out_keys(self, synth_dir, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -920,6 +920,49 @@ class TestConfigFile:
             cfg.write_text(contents, encoding="utf-8")
         assert main(["synth", "--config", str(cfg), "--n", "20", "--out", str(tmp_path / "o")]) == 1
         assert not (tmp_path / "o").exists()
+
+
+SECRET = "Bearer not-for-any-file"
+
+
+class TestRunManifest:
+    @pytest.mark.parametrize(
+        "command, argv, study, outcome",
+        [
+            ("synth", lambda d: ["--n", "60"], None, None),
+            ("collect", lambda d: ["--base-url", "https://api.example/posts", "--post-ids", "a", "--until", "0", "--auth-header", SECRET],
+             None, {"polls", "retries", "skipped_polls", "rate_limit_wait_minutes", "reasons"}),
+            ("label", lambda d: ["--data", str(d["posts"]), "--train-frac", "0.5"], None, {"tau", "weights", "n_train", "n_test"}),
+            ("features", lambda d: ["--data", str(d["posts"]), "--artifacts", str(d["lab"] / "labeling.json")], None, {"n_rows"}),
+            ("train", lambda d: ["--matrix", str(d["feats"] / "features_120.csv"), "--labels", str(d["lab"] / "labels.csv")],
+             None, {"duration_seconds"}),
+            ("evaluate", lambda d: evaluate_argv(d["feats"], d["trained"], d["lab"] / "labels.csv", "-")[1:-2], None, None),
+            ("sweep", lambda d: ["--data", str(d["posts"]), "--windows", "120", "--models", "gbt", "--no-cv"], "window_sweep", None),
+            ("ablate", lambda d: ["--data", str(d["posts"]), "--window", "30"], "ablation", None),
+            ("importance", lambda d: ["--data", str(d["posts"]), "--windows", "120"], "importance_over_time", None),
+        ],
+        ids=["synth", "collect", "label", "features", "train", "evaluate", "sweep", "ablate", "importance"],
+    )
+    def test_params_are_every_parsed_setting_but_credentials(
+        self, synth_dir, trained_flow, tmp_path, monkeypatch, command, argv, study, outcome
+    ):
+        monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout: FakeResponse({"score": 1, "comments": 0, "crossposts": 0}))
+        lab, feats, trained = trained_flow
+        paths = {"posts": synth_dir / "posts.jsonl", "lab": lab, "feats": feats, "trained": trained}
+        out = tmp_path / command
+        assert main([command] + argv(paths) + ["--out", str(out)]) == 0
+
+        parser = cli._build_parser()[1][command]
+        parsed = {a.dest for a in parser._actions if a.dest != "help"} | set(parser._defaults)
+        manifest = _manifest(out, study)
+        assert manifest["command"] == command
+        assert set(manifest["params"]) == parsed - {"command", "handler", "auth_header"}
+        assert manifest["params"]["out"] == str(out)
+        assert (set(manifest["outcome"]) if "outcome" in manifest else None) == outcome
+        for path in out.iterdir():
+            assert SECRET.encode() not in path.read_bytes()
+        if command == "label":
+            assert manifest["params"]["train_frac"] == 0.5
 
 
 def _manifest(out, study=None):

@@ -14,6 +14,7 @@ from viralearly.collector import (
     RateLimitedError,
     SimulatedClock,
     TransientSourceError,
+    poll_times,
     schedule_next_poll,
     track_post,
 )
@@ -58,6 +59,11 @@ class TestSchedule:
 
     def test_tier_boundary_moves_to_next(self):
         assert schedule_next_poll(120.0, PollSchedule()) == 15.0
+
+    def test_poll_times_walk_the_tiers_through_until(self):
+        assert poll_times(0.0) == [0.0]
+        assert poll_times(130.0) == [5.0 * i for i in range(25)]  # 120 + 15 passes 130
+        assert poll_times(135.0)[-2:] == [120.0, 135.0]
 
     # the schedule is a constant, so its invariants are checked here, not at construction
     def test_default_tiers_nonempty(self):
@@ -262,13 +268,17 @@ class TestHttpPollingSource:
     def test_unreadable_retry_after_falls_back_to_backoff(self, monkeypatch):
         import urllib.error
 
-        def fake_urlopen(request, timeout):
-            raise urllib.error.HTTPError(request.full_url, 429, "slow", {"Retry-After": "soon"}, None)
+        # 400 digits overflowed a float (a traceback); 5000 passed the int
+        # string-length limit (exit 2): each ended a collection run
+        for value in ("soon", "9" * 400, "9" * 5000):
 
-        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-        with pytest.raises(RateLimitedError) as err:
-            HttpPollingSource("https://api.example/posts").fetch("p1")
-        assert err.value.retry_after_minutes is None
+            def fake_urlopen(request, timeout):
+                raise urllib.error.HTTPError(request.full_url, 429, "slow", {"Retry-After": value}, None)
+
+            monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+            with pytest.raises(RateLimitedError) as err:
+                HttpPollingSource("https://api.example/posts").fetch("p1")
+            assert err.value.retry_after_minutes is None
 
     @pytest.mark.parametrize(
         "body",

@@ -258,6 +258,20 @@ class TestArtifacts:
         with pytest.raises(SchemaError, match="norm_upvotes"):
             LabelingArtifacts.load(path)
 
+    # a cap of -5 made features exit 0 with every normalized score -5.0
+    @pytest.mark.parametrize("cap", [0.0, -5.0, None], ids=["zero", "negative", "missing"])
+    def test_cap_that_is_not_positive_or_missing_rejected(self, tmp_path, prepared, cap):
+        path = tmp_path / "labeling.json"
+        doc = json.loads(prepared.artifacts.to_json())
+        if cap is None:
+            del doc["caps"]["score"]
+        else:
+            doc["caps"]["score"] = cap
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        message = "lacks the key 'score'" if cap is None else f"the cap of 'score' is not positive \\({cap}\\)"
+        with pytest.raises(SchemaError, match=f"{re.escape(str(path))}.*{message}"):
+            LabelingArtifacts.load(path)
+
     def test_weights_normalized_to_max_one(self, prepared):
         weights = prepared.artifacts.weights.weights
         assert max(weights.values()) == pytest.approx(1.0)

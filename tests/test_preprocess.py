@@ -93,6 +93,10 @@ class TestTransform:
         test = matrix_from([("y", "numeric")], [{"y": 1}])
         with pytest.raises(SchemaError):
             preprocess.transform(model, test)
+        # a fitted column the matrix lacks, as a temporal-only matrix lacks the static ones
+        two = preprocess.fit(matrix_from([("x", "numeric"), ("z", "numeric")], [{"x": 1, "z": 3}, {"x": 2, "z": 4}]))
+        with pytest.raises(SchemaError, match=r"absent from the matrix: \['z'\]"):
+            preprocess.transform(two, train)
 
     def test_parents_track_source_columns(self):
         m = matrix_from(

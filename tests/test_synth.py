@@ -24,6 +24,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SynthConfig(n_posts=100, signal="vibes")
 
+    # an infinite horizon never ended the poll-grid walk
+    @pytest.mark.parametrize("horizon", [-1.0, float("inf"), float("nan")], ids=["negative", "inf", "nan"])
+    def test_horizon_that_is_negative_or_not_finite_rejected(self, horizon):
+        with pytest.raises(ConfigError, match="horizon_minutes must be"):
+            SynthConfig(n_posts=100, horizon_minutes=horizon)
+
 
 class TestGenerate:
     def test_exact_positive_count(self):
