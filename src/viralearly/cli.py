@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, collector, evaluation, experiments, ingest, models, preprocess, synth
 from .errors import ConfigError
 from .features import DEFAULT_WINDOW_SWEEP, MODALITIES, FeatureMatrix, WindowSpec, assemble_matrix, window_name
-from .labeling import DEFAULT_WEIGHT_WINDOWS, LabelingArtifacts
+from .labeling import LabelingArtifacts
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -137,11 +137,15 @@ def _one_of(choices: tuple[str, ...]):
 
 
 def _list(item=str):
-    """An argparse type: a non-empty comma-separated list of ``item`` values."""
-    return _checked(lambda text: tuple(item(v.strip()) for v in text.split(",") if v.strip()), bool, "a non-empty list")
+    """An argparse type: a non-empty comma-separated list of ``item`` values, none repeated once converted."""
+    return _checked(
+        lambda text: tuple(item(v.strip()) for v in text.split(",") if v.strip()),
+        lambda values: values and len(set(values)) == len(values),
+        "a non-empty list without repeats",
+    )
 
 
-_minutes = _checked(float, lambda v: 0 < v < float("inf"), "a positive number of minutes")
+_minutes = _checked(lambda text: WindowSpec(float(text)).minutes, lambda v: True, "a positive, finite number of minutes")
 _age = _checked(float, lambda v: 0 <= v < float("inf"), "a finite number of minutes >= 0")
 _fraction = _checked(float, lambda v: 0 < v < 1, "a fraction in (0, 1)")
 
@@ -190,7 +194,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--train-frac", type=_fraction, default=train_frac)
     p.add_argument("--top-frac", type=_fraction, default=_default(experiments.prepare, "top_frac"))
-    p.add_argument("--weight-windows", type=_list(_minutes), default=DEFAULT_WEIGHT_WINDOWS, help="comma-separated minutes")
+    p.add_argument("--weight-windows", type=_list(_minutes), default=_default(experiments.prepare, "weight_windows"), help="comma-separated minutes")
 
     p = command("features", cmd_features, "extract a windowed feature matrix")
     p.add_argument("--data", type=Path, required=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import email.utils
 import math
+import threading
 import time as _time
 import urllib.error
 import urllib.request
@@ -305,19 +306,19 @@ class HttpPollingSource:
 
 def _retry_after_minutes(value: str | None) -> float | None:
     """A Retry-After header in minutes: delay-seconds or an HTTP-date
-    (RFC 9110, 10.2.3); None when absent or unreadable."""
+    (RFC 9110, 10.2.3); None when absent, unreadable or longer than a sleep
+    can wait (``threading.TIMEOUT_MAX`` seconds)."""
     if not value:
         return None
     value = value.strip()
     if value.isascii() and value.isdigit():
+        seconds = float(value)  # inf past the float range
+    else:
         try:
-            return int(value) / 60.0
-        except (OverflowError, ValueError):  # too large for a float, or past the int string-length limit
+            when = email.utils.parsedate_to_datetime(value)
+        except (TypeError, ValueError):
             return None
-    try:
-        when = email.utils.parsedate_to_datetime(value)
-    except (TypeError, ValueError):
-        return None
-    if when.tzinfo is None:  # "-0000": a UTC time from an unknown zone
-        when = when.replace(tzinfo=timezone.utc)
-    return max((when - datetime.now(timezone.utc)).total_seconds(), 0.0) / 60.0
+        if when.tzinfo is None:  # "-0000": a UTC time from an unknown zone
+            when = when.replace(tzinfo=timezone.utc)
+        seconds = max((when - datetime.now(timezone.utc)).total_seconds(), 0.0)
+    return seconds / 60.0 if seconds <= threading.TIMEOUT_MAX else None

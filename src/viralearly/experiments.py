@@ -4,8 +4,8 @@ Every study runs on :func:`prepare`'s data (a chronological split,
 labeling artifacts fitted on the training side only, labels applied
 everywhere), builds its per-window feature matrices and returns its rows.
 The caller writes them with :func:`write_csv` and the study's JSON manifest
-(seeds, config hashes, artifact fingerprints), sufficient to re-run
-bit-identically, with :func:`write_manifest`.
+(seeds, config hashes, artifact fingerprints; no input hash and no BLAS
+thread count, on which logreg depends) with :func:`write_manifest`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .features import (
     assemble_matrix,
 )
 from .ingest import PostRecord
-from .labeling import DEFAULT_WEIGHT_WINDOWS, LabelingArtifacts, assign_labels, score_records
+from .labeling import LabelingArtifacts, assign_labels, score_records
 
 SWEEP_MODELS = ("logreg", "gbt", "mlp")
 ABLATION_WINDOW_MINUTES = 120.0
@@ -63,19 +63,20 @@ class PreparedData:
 def prepare(
     records: Sequence[PostRecord],
     train_frac: float = 0.8,
-    weight_windows: Sequence[float] = DEFAULT_WEIGHT_WINDOWS,
+    weight_windows: Sequence[float] = (30.0, 60.0, 120.0),
     top_frac: float = 0.05,
     seed: int = 42,
     artifacts: LabelingArtifacts | None = None,
 ) -> PreparedData:
-    """Split chronologically and label both sides with train-only artifacts."""
+    """Split chronologically and label both sides with ``artifacts``, or with
+    ones fitted on train; the labeling settings' only defaults are here."""
     split = evaluation.chronological_split(records, train_frac=train_frac)
     by_id = {r.post_id: r for r in records}
     train = [by_id[i] for i in split.train_ids]
     test = [by_id[i] for i in split.test_ids]
     fitted = artifacts is None
     if fitted:
-        artifacts = LabelingArtifacts.fit(train, windows=weight_windows, top_frac=top_frac, seed=seed)
+        artifacts = LabelingArtifacts.fit(train, weight_windows, top_frac, seed)
     scores_train = artifacts.train_scores if fitted else score_records(train, artifacts.caps, artifacts.weights)
     y_train = assign_labels(scores_train, artifacts.threshold.tau)
     scores_test, y_test = artifacts.label_records(test)

@@ -37,6 +37,7 @@ from . import trajectory
 from .errors import ConfigError, DatasetError, SchemaError
 from .ingest import STATIC_FEATURES, PostRecord, load_document, read_static, read_text
 from .labeling import METRICS, NormalizationCaps
+from .trajectory import WindowSpec
 
 WINDOWED_MODALITIES = ("temporal", "network")
 STATIC_MODALITIES = ("visual", "textual", "contextual")
@@ -46,17 +47,6 @@ DEFAULT_WINDOW_SWEEP = (30.0, 60.0, 120.0, 180.0, 240.0, 300.0, 360.0, 420.0)
 
 # Network columns do not read the normalized volumes, so no caps bound them.
 _UNCAPPED = NormalizationCaps({m: math.inf for m in METRICS})
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Observation window: all features use only the first `minutes` of data."""
-
-    minutes: float
-
-    def __post_init__(self):
-        if self.minutes <= 0:
-            raise ConfigError("window minutes must be positive")
 
 
 def window_name(minutes: float) -> str:

@@ -33,19 +33,6 @@ import numpy as np
 
 from .errors import DatasetError, SchemaError
 
-CATEGORIES = ("new", "rising", "hot", "top", "unknown")
-MEDIA_TYPES = ("image", "video", "gif", "text", "audio")
-LANGUAGE_GROUPS = (
-    "english",
-    "german",
-    "turkish",
-    "nordic",
-    "french",
-    "spanish",
-    "portuguese",
-    "italian",
-)
-
 # Keep records only when tracked for a full day with no observation gap wider
 # than six hours (2x the coarsest default polling interval).
 MIN_TRACKING_MINUTES = 1440.0
@@ -56,8 +43,6 @@ MAX_SNAPSHOT_GAP_MINUTES = 360.0
 #: reads the same codes): times in doubles, counts in 64-bit integers.
 COLUMN_TYPECODES = {"t_minutes": "d", "score": "q", "comments": "q", "crossposts": "q"}
 _COUNT_RANGE = (-(2**63), 2**63)  # what a 64-bit column holds: [low, high)
-# Each known category name as one string, so that series share their names.
-_CATEGORY_NAMES = {name: name for name in CATEGORIES}
 # The types of the values a number column and the ratio column may hold (exact: a bool is neither).
 _NUMBER_TYPES = {float, int}
 _RATIO_TYPES = {float, int, type(None)}
@@ -631,10 +616,20 @@ _STATIC_TYPES = {
     "string": (read_text, "categorical"),
 }
 
+_SCHEMA_FIELDS = dataset_schema()["properties"]
+
+#: The values the schema allows a snapshot's category, a post's media type
+#: and its subreddit's language group, in schema order.
+CATEGORIES = tuple(_SCHEMA_FIELDS["snapshots"]["items"]["properties"]["category"]["enum"])
+MEDIA_TYPES = tuple(_SCHEMA_FIELDS["media_type"]["enum"])
+LANGUAGE_GROUPS = tuple(_SCHEMA_FIELDS["subreddit"]["properties"]["language_group"]["enum"])
+# Each known category name as one string, so that series share their names.
+_CATEGORY_NAMES = {name: name for name in CATEGORIES}
+
 #: Each known static-feature key in schema order, from its ``x-modality`` and JSON type.
 STATIC_FEATURES: dict[str, StaticFeature] = {
     name: StaticFeature(spec["x-modality"], *_STATIC_TYPES[spec["type"]], f"static_features.{name}")
-    for name, spec in dataset_schema()["properties"]["static_features"]["properties"].items()
+    for name, spec in _SCHEMA_FIELDS["static_features"]["properties"].items()
 }
 
 

@@ -19,7 +19,9 @@ them to a versioned file so labeling runs are auditable and reusable.
 The labeling features of step 2 (windowed) and step 3 (over each post's
 full horizon) are read from the batched trajectory kernel
 (:func:`trajectory.labeling_columns`), the same one that yields the temporal
-features, with the window rule of :func:`ingest.observed_count`.
+features, with the window rule of :func:`ingest.observed_count`. A fit pads
+its training posts once, for the weight windows' matrices and the
+full-horizon one that gives the preliminary target and the training scores.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from . import models, trajectory
 from .errors import DatasetError, DegenerateDistributionError, FitError, SchemaError
 from .ingest import PostRecord, load_document, read_list, read_number, read_text
-from .trajectory import PER_SUBSCRIBER_SCALE
+from .trajectory import PER_SUBSCRIBER_SCALE, WindowSpec
 
 METRICS = trajectory.VOLUME_METRICS
 
@@ -51,7 +53,6 @@ LABELING_FEATURES = (
     "time_to_takeoff",
 )
 
-DEFAULT_WEIGHT_WINDOWS = (30.0, 60.0, 120.0)
 ARTIFACTS_FORMAT_VERSION = 1
 
 # Floor for a percentile cap of zero (e.g. crossposts absent corpus-wide):
@@ -96,7 +97,7 @@ def fit_p99_caps(train: Sequence[PostRecord]) -> NormalizationCaps:
         raise FitError("cannot fit caps on an empty training set")
     caps: dict[str, float] = {}
     for metric in METRICS:
-        vals = np.array([_final_volume(r, metric, math.inf) for r in train], dtype=np.float64)
+        vals = np.array([_final_volume(r, metric) for r in train], dtype=np.float64)
         cap = float(np.percentile(vals, 99.0))
         if not np.isfinite(cap):
             raise FitError(f"non-finite {metric} values in training data")
@@ -104,32 +105,29 @@ def fit_p99_caps(train: Sequence[PostRecord]) -> NormalizationCaps:
     return NormalizationCaps(caps)
 
 
-def _final_volume(record: PostRecord, metric: str, cap: float) -> float:
-    """The record's last ``metric`` count per 100k subscribers, capped at ``cap``."""
+def _final_volume(record: PostRecord, metric: str) -> float:
+    """The record's last ``metric`` count per 100k subscribers, uncapped."""
     if record.subreddit.subscribers < 1:
         raise DatasetError(f"post {record.post_id}: subscribers must be >= 1")
     if not record.snapshots:
         raise DatasetError(f"post {record.post_id} has no snapshots")
-    return normalize_metric(getattr(record.snapshots, metric)[-1], record.subreddit.subscribers, cap)
+    return normalize_metric(getattr(record.snapshots, metric)[-1], record.subreddit.subscribers, math.inf)
 
 
-def make_preliminary_target(
-    train: Sequence[PostRecord], caps: NormalizationCaps, top_frac: float = 0.05
-) -> np.ndarray:
-    """Top fraction by unweighted sum of the normalized final volume metrics.
+def make_preliminary_target(volumes: np.ndarray, post_ids: Sequence[str], top_frac: float) -> np.ndarray:
+    """Top fraction by unweighted sum of the normalized final volume metrics,
+    ``volumes`` (posts x :data:`METRICS`, as the first columns of a
+    full-horizon labeling matrix hold them).
 
     Exactly ``ceil(top_frac * n)`` positives; ties are broken by ascending
     post id so the target is deterministic.
     """
     if not 0.0 < top_frac < 1.0:
         raise FitError("top_frac must be in (0, 1)")
-    n = len(train)
-    sums = np.array([sum(_final_volume(r, m, caps.cap_for(m)) for m in METRICS) for r in train])
-    ids = np.array([r.post_id for r in train])
-    order = np.lexsort((ids, -sums))
-    n_pos = math.ceil(top_frac * n)
-    labels = np.zeros(n, dtype=np.int8)
-    labels[order[:n_pos]] = 1
+    sums = sum(volumes[:, j] for j in range(len(METRICS)))
+    order = np.lexsort((np.array(post_ids), -sums))
+    labels = np.zeros(len(post_ids), dtype=np.int8)
+    labels[order[: math.ceil(top_frac * len(post_ids))]] = 1
     return labels
 
 
@@ -161,30 +159,27 @@ class HybridWeights:
 
 
 def learn_hybrid_weights(
-    train: Sequence[PostRecord],
-    prelim: np.ndarray,
-    caps: NormalizationCaps,
-    windows: Sequence[float] = DEFAULT_WEIGHT_WINDOWS,
-    seed: int = 42,
+    matrices: Sequence[np.ndarray], prelim: np.ndarray, windows: Sequence[float], seed: int
 ) -> HybridWeights:
     """Average auxiliary-forest importances over early windows.
 
-    One random forest per window, seeded with ``seed``, is fit on the
-    windowed labeling features against the preliminary target; the
-    per-window importance vectors (each summing to one) are averaged and
-    then scaled so the strongest feature gets weight 1.0.
+    One random forest per window, seeded with ``seed``, is fit on that
+    window's labeling design matrix (``matrices[i]`` at ``windows[i]``)
+    against the preliminary target; the per-window importance vectors (each
+    summing to one) are averaged and then scaled so the strongest feature
+    gets weight 1.0.
     """
-    if not windows:
-        raise FitError("need at least one window to learn weights")
+    if not windows or len(matrices) != len(windows):
+        raise FitError("need one labeling matrix per window, and at least one window")
     prelim = np.asarray(prelim).ravel()
-    if len(prelim) != len(train):
-        raise FitError("prelim labels are not aligned to the training records")
+    if any(len(X) != len(prelim) for X in matrices):
+        raise FitError("prelim labels are not aligned to the labeling matrices")
     if len(np.unique(prelim)) < 2:
         raise FitError("preliminary target is constant")
     config = models.default_config("random_forest", seed=seed)
 
     acc = np.zeros(len(LABELING_FEATURES))
-    for X in labeling_feature_matrices(train, caps, [float(w) for w in windows]):
+    for X in matrices:
         forest = models.train(config, X, prelim, feature_names=list(LABELING_FEATURES))
         acc += forest.importances
     acc /= len(windows)
@@ -203,6 +198,11 @@ def score_records(
     records: Sequence[PostRecord], caps: NormalizationCaps, weights: HybridWeights
 ) -> np.ndarray:
     """Hybrid scores over the full tracked horizon for each record."""
+    return _score_matrix(labeling_feature_matrices(records, caps, [None])[0], weights)
+
+
+def _score_matrix(X: np.ndarray, weights: HybridWeights) -> np.ndarray:
+    """Hybrid score of each row of a labeling design matrix ``X``."""
     keys = list(weights.weights)
     unknown = set(keys) - set(LABELING_FEATURES)
     if unknown:
@@ -210,9 +210,8 @@ def score_records(
     # Columns in the weights' key order, C-ordered: the summation order of
     # the product, and so every score bit, depends on the memory layout.
     order = [LABELING_FEATURES.index(k) for k in keys]
-    X = np.ascontiguousarray(labeling_feature_matrices(records, caps, [None])[0][:, order])
     beta = np.array([weights.weights[k] for k in keys])
-    return X @ beta
+    return np.ascontiguousarray(X[:, order]) @ beta
 
 
 @dataclass(frozen=True)
@@ -286,16 +285,14 @@ class LabelingArtifacts:
 
     @classmethod
     def fit(
-        cls,
-        train: Sequence[PostRecord],
-        windows: Sequence[float] = DEFAULT_WEIGHT_WINDOWS,
-        top_frac: float = 0.05,
-        seed: int = 42,
+        cls, train: Sequence[PostRecord], windows: Sequence[float], top_frac: float, seed: int
     ) -> "LabelingArtifacts":
+        windows = [WindowSpec(float(w)).minutes for w in windows]
         caps = fit_p99_caps(train)
-        prelim = make_preliminary_target(train, caps, top_frac=top_frac)
-        weights = learn_hybrid_weights(train, prelim, caps, windows=windows, seed=seed)
-        scores = score_records(train, caps, weights)
+        *windowed, full = labeling_feature_matrices(train, caps, [*windows, None])
+        prelim = make_preliminary_target(full[:, : len(METRICS)], [r.post_id for r in train], top_frac)
+        weights = learn_hybrid_weights(windowed, prelim, windows, seed)
+        scores = _score_matrix(full, weights)
         threshold = fit_threshold(scores, fingerprint=training_fingerprint(train))
         return cls(caps=caps, weights=weights, threshold=threshold, train_scores=scores)
 

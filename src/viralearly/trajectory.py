@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import ConfigError, DatasetError
 from .ingest import COLUMN_TYPECODES, PostRecord, observed_count
 
 TAKEOFF_VELOCITY_FRACTION = 0.1
@@ -38,6 +38,17 @@ SLOPE_LONG_MINUTES = 10.0
 RANKED_CATEGORIES = ("new", "rising", "hot", "top")
 VOLUME_METRICS = ("score", "comments", "crossposts")
 PATH_LENGTH = 4  # categories a progression pattern spells out
+
+
+@dataclass(frozen=True)
+class WindowSpec:
+    """Observation window: features use only the first ``minutes`` (0 < minutes < inf) of data."""
+
+    minutes: float
+
+    def __post_init__(self):
+        if not 0.0 < self.minutes < np.inf:
+            raise ConfigError(f"window minutes must be positive and finite ({self.minutes!r})")
 
 
 @dataclass(frozen=True)

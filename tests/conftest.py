@@ -1,3 +1,4 @@
+import inspect
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -8,6 +9,11 @@ from viralearly.ingest import AuthorInfo, PostRecord, Snapshots, SubredditInfo
 from viralearly.models.mlp import MLPParams
 
 BASE_TIME = datetime(2024, 1, 1, tzinfo=timezone.utc)
+
+# The labeling settings' one declaration: the defaults of ``experiments.prepare``.
+_PREPARE = inspect.signature(experiments.prepare).parameters
+WEIGHT_WINDOWS = _PREPARE["weight_windows"].default
+TOP_FRAC = _PREPARE["top_frac"].default
 
 
 def make_snapshots(times, scores, comments=None, crossposts=None, categories=None, ratios=None):

@@ -29,8 +29,9 @@ compare directly. It still accumulates the gain, cover
 and frequency importances the GBT once saved; the model keeps the gain.
 
 ``reference_hybrid_score`` is the scalar hybrid score of one post that the
-batched ``labeling.score_records`` replaced, and ``truncate_record`` cuts a
-record's snapshots after a window for the causality checks.
+batched ``labeling.score_records`` replaced, ``reference_preliminary_target``
+the labeling fit's per-record preliminary target, and ``truncate_record``
+cuts a record's snapshots after a window for the causality checks.
 
 ``reference_replay_index`` is the linear scan that replay fetches made
 before they bisected a running maximum of times.
@@ -72,7 +73,7 @@ from viralearly.features import (
     extract_static,
 )
 from viralearly.ingest import MAX_SNAPSHOT_GAP_MINUTES, MIN_TRACKING_MINUTES, Snapshots, read_engagement, read_list, read_number, read_object
-from viralearly.labeling import LABELING_FEATURES, normalize_metric
+from viralearly.labeling import LABELING_FEATURES, METRICS, normalize_metric
 from viralearly.models._common import _Tree, check_training_data, sigmoid
 from viralearly.models.gbt import _GAIN_EPS, GBTModel
 from viralearly.trajectory import (
@@ -473,6 +474,19 @@ def reference_score_records(records, caps, weights):
     keys = list(weights.weights)
     X = reference_labeling_feature_matrix(records, caps, window_minutes=None, keys=keys)
     return X @ np.array([weights.weights[k] for k in keys])
+
+
+def reference_preliminary_target(train, caps, top_frac):
+    """The preliminary target from each record's capped final volumes, read
+    one record and one metric at a time, as the labeling fit did before it
+    read them from its full-horizon matrix."""
+    sums = np.array(
+        [sum(normalize_metric(getattr(r.snapshots, m)[-1], r.subreddit.subscribers, caps.cap_for(m)) for m in METRICS) for r in train]
+    )
+    order = np.lexsort((np.array([r.post_id for r in train]), -sums))
+    labels = np.zeros(len(train), dtype=np.int8)
+    labels[order[: math.ceil(top_frac * len(train))]] = 1
+    return labels
 
 
 def truncate_record(record, minutes):

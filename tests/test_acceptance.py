@@ -15,11 +15,11 @@ import pytest
 from viralearly import evaluation, experiments, ingest, preprocess
 from viralearly.errors import DegenerateDistributionError
 from viralearly.features import WindowSpec, assemble_matrix
-from viralearly.labeling import fit_p99_caps, fit_threshold, learn_hybrid_weights
+from viralearly.labeling import fit_p99_caps, fit_threshold, labeling_feature_matrices, learn_hybrid_weights
 from viralearly.models import ModelConfig, default_config, init_params, loss_and_gradients, train
 from viralearly.synth import SynthConfig, generate, mock_static_extractor
 
-from conftest import flatten_params, make_record, params_from_flat
+from conftest import WEIGHT_WINDOWS, flatten_params, make_record, params_from_flat
 from oracles import brute_force_average_precision, pairwise_roc_auc
 
 
@@ -138,7 +138,8 @@ class TestAcceptance:
         for seed in range(5):
             records, prelim = _score_only_corpus(seed)
             caps = fit_p99_caps(records)
-            weights = learn_hybrid_weights(records, prelim, caps, seed=seed)
+            matrices = labeling_feature_matrices(records, caps, WEIGHT_WINDOWS)
+            weights = learn_hybrid_weights(matrices, prelim, WEIGHT_WINDOWS, seed)
             noise = {k: v for k, v in weights.weights.items() if k != "norm_score"}
             ok = weights.weights["norm_score"] == 1.0 and all(v < 0.2 for v in noise.values())
             all_ok &= ok

@@ -894,13 +894,17 @@ class TestConfigFile:
             ("ablate", ["--train-frac", "1"], ""),
             ("importance", [], "train_frac = -0.2"),
             ("sweep", ["--train-frac", "nan"], ""),
+            ("ablate", ["--window", "inf"], ""),
+            ("sweep", ["--windows", "30,nan"], ""),
+            ("label", [], "weight_windows = 30,inf"),
         ],
         ids=[
             "flag-windows", "flag-weight_windows", "config-windows", "config-weight_windows", "config-cv", "config-folds",
             "flag-unknown-model", "flag-no-windows", "flag-negative-top_k", "flag-one-fold", "flag-zero-window",
             "flag-negative-weight_window", "config-unknown-model", "config-zero-top_k", "config-negative-window",
             "flag-train_frac-above-1", "flag-top_frac-above-1", "config-zero-top_frac", "config-zero-train_frac",
-            "flag-train_frac-of-1", "config-negative-train_frac", "flag-nan-train_frac",
+            "flag-train_frac-of-1", "config-negative-train_frac", "flag-nan-train_frac", "flag-inf-window",
+            "flag-nan-window", "config-inf-weight_window",
         ],
     )
     def test_bad_value_from_flag_or_config_is_usage_error(self, synth_dir, tmp_path, capsys, command, flags, section):
@@ -909,6 +913,27 @@ class TestConfigFile:
         argv = [command, "--config", str(cfg), "--data", str(synth_dir / "posts.jsonl"), "--out", str(tmp_path / "o")]
         assert main(argv + flags) == 1
         assert f"usage: viralearly {command}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # each repeat ran: 4 identical sweep rows for one cell, a second track of
+    # p000001 that went on from where the first stopped, a forest counted twice
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("sweep", "--windows", "30,120,30.0"),
+            ("sweep", "--models", "gbt,gbt"),
+            ("label", "--weight-windows", "30,30"),
+            ("features", "--modalities", "temporal, visual,temporal"),
+            ("collect", "--post-ids", "p000001,p000001"),
+        ],
+        ids=["windows", "models", "weight_windows", "modalities", "post_ids"],
+    )
+    def test_repeated_list_item_is_usage_error(self, synth_dir, trained_flow, tmp_path, capsys, command, flag, value):
+        data = ["--replay" if command == "collect" else "--data", str(synth_dir / "posts.jsonl")]
+        artifacts = ["--artifacts", str(trained_flow[0] / "labeling.json")] if command == "features" else []
+        assert main([command, *data, *artifacts, flag, value, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {value!r} is not a non-empty list without repeats" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("contents", ["windows = 30\n", None], ids=["not-ini", "a-directory"])

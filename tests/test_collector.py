@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from viralearly.collector import (
     TransientSourceError,
     poll_times,
     schedule_next_poll,
+    _retry_after_minutes,
     track_post,
 )
 from viralearly.errors import ConfigError
@@ -279,6 +281,20 @@ class TestHttpPollingSource:
             with pytest.raises(RateLimitedError) as err:
                 HttpPollingSource("https://api.example/posts").fetch("p1")
             assert err.value.retry_after_minutes is None
+
+    # each was read as a delay that time.sleep cannot wait, so an HTTP
+    # collection ended in an OverflowError traceback
+    @pytest.mark.parametrize(
+        "value",
+        ["1" * 30, str(int(threading.TIMEOUT_MAX) + 1), "Fri, 31 Dec 9999 23:59:59 GMT"],
+        ids=["30-digit-seconds", "past-timeout-max", "year-9999-date"],
+    )
+    def test_retry_after_longer_than_a_sleep_can_wait_reads_as_absent(self, value):
+        assert _retry_after_minutes(value) is None
+
+    def test_retry_after_up_to_the_longest_sleep_is_read(self):
+        seconds = int(threading.TIMEOUT_MAX)
+        assert _retry_after_minutes(str(seconds)) == seconds / 60.0
 
     @pytest.mark.parametrize(
         "body",

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viralearly import models
+from viralearly import models, trajectory
 from viralearly.errors import DegenerateDistributionError, FitError, SchemaError
 from viralearly.labeling import (
     LABELING_FEATURES,
+    METRICS,
     HybridWeights,
     LabelingArtifacts,
     NormalizationCaps,
@@ -25,9 +26,10 @@ from viralearly.labeling import (
     normalize_metric,
     score_records,
 )
+from viralearly.trajectory import pad_snapshots
 
-from conftest import make_record
-from oracles import interpolated_percentile, reference_hybrid_score
+from conftest import TOP_FRAC, WEIGHT_WINDOWS, make_record
+from oracles import interpolated_percentile, reference_hybrid_score, reference_preliminary_target
 
 WIDE_CAPS = NormalizationCaps({"score": 1e12, "comments": 1e12, "crossposts": 1e12})
 
@@ -90,30 +92,61 @@ class TestFitCaps:
         assert a == b
 
 
+def preliminary_target(records, caps, top_frac=TOP_FRAC):
+    """The target a fit derives: from the full-horizon matrix's volume columns."""
+    (full,) = labeling_feature_matrices(records, caps, [None])
+    return make_preliminary_target(full[:, : len(METRICS)], [r.post_id for r in records], top_frac)
+
+
 class TestPreliminaryTarget:
     def test_distinct_sums_exact_top(self):
         records = [flat_record(f"p{i:03d}", i + 1) for i in range(100)]
         caps = NormalizationCaps({"score": 1e9, "comments": 1e9, "crossposts": 1e9})
-        labels = make_preliminary_target(records, caps)
+        labels = preliminary_target(records, caps)
         assert labels.sum() == 5
         assert all(labels[i] == 1 for i in range(95, 100))
 
     def test_all_equal_breaks_ties_by_post_id(self):
         records = [flat_record(f"p{i:03d}", 10) for i in range(100)]
         caps = fit_p99_caps(records)
-        labels = make_preliminary_target(records, caps)
+        labels = preliminary_target(records, caps)
         assert labels.sum() == 5
         assert all(labels[i] == 1 for i in range(5))  # lowest ids win
 
     def test_half_of_two(self):
         records = [flat_record("a", 5), flat_record("b", 1)]
         caps = fit_p99_caps(records)
-        labels = make_preliminary_target(records, caps, top_frac=0.5)
+        labels = preliminary_target(records, caps, top_frac=0.5)
         assert labels.tolist() == [1, 0]
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(FitError):
-            make_preliminary_target([flat_record("a", 1)], WIDE_CAPS, top_frac=1.0)
+            make_preliminary_target(np.zeros((1, len(METRICS))), ["a"], top_frac=1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        finals=st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(0, 1), st.sampled_from([1, 3, 100_000])),
+            min_size=1,
+            max_size=40,
+        ),
+        top_frac=st.sampled_from([0.05, 0.3, 0.5, 0.9]),
+        capped=st.booleans(),
+    )
+    def test_matrix_target_is_the_per_record_reference(self, finals, top_frac, capped):
+        # few distinct final counts: tied sums, negative scores, unequal subscribers
+        records = [
+            make_record(post_id=f"p{(7 * i) % 41:02d}-{i}", times=[0, 10], scores=[0, s], comments=[0, c], crossposts=[0, x], subscribers=subs)
+            for i, (s, c, x, subs) in enumerate(finals)
+        ]
+        caps = fit_p99_caps(records) if capped else WIDE_CAPS
+        expected = reference_preliminary_target(records, caps, top_frac)
+        assert preliminary_target(records, caps, top_frac).tobytes() == expected.tobytes()
+
+    def test_matrix_target_is_the_per_record_reference_on_a_split(self, prepared):
+        train, caps = prepared.train_records, prepared.artifacts.caps
+        expected = reference_preliminary_target(train, caps, TOP_FRAC)
+        assert preliminary_target(train, caps).tobytes() == expected.tobytes()
 
 
 class TestLearnWeights:
@@ -132,8 +165,8 @@ class TestLearnWeights:
                 )
             )
             prelim.append(1 if hot else 0)
-        caps = fit_p99_caps(records)
-        weights = learn_hybrid_weights(records, np.array(prelim), caps)
+        matrices = labeling_feature_matrices(records, fit_p99_caps(records), WEIGHT_WINDOWS)
+        weights = learn_hybrid_weights(matrices, np.array(prelim), WEIGHT_WINDOWS, 42)
         assert weights.weights["norm_score"] == 1.0
         for name, value in weights.weights.items():
             if name != "norm_score":
@@ -141,8 +174,18 @@ class TestLearnWeights:
 
     def test_constant_prelim_rejected(self):
         records = [flat_record(f"p{i}", i + 1) for i in range(30)]
+        matrices = labeling_feature_matrices(records, fit_p99_caps(records), WEIGHT_WINDOWS)
         with pytest.raises(FitError):
-            learn_hybrid_weights(records, np.zeros(30), fit_p99_caps(records))
+            learn_hybrid_weights(matrices, np.zeros(30), WEIGHT_WINDOWS, 42)
+
+    def test_matrices_not_one_per_window_rejected(self):
+        records = [flat_record(f"p{i}", i + 1) for i in range(30)]
+        matrices = labeling_feature_matrices(records, fit_p99_caps(records), WEIGHT_WINDOWS)
+        prelim = np.arange(30) < 3
+        with pytest.raises(FitError, match="one labeling matrix per window"):
+            learn_hybrid_weights(matrices[:2], prelim, WEIGHT_WINDOWS, 42)
+        with pytest.raises(FitError, match="aligned"):
+            learn_hybrid_weights([X[:20] for X in matrices], prelim, WEIGHT_WINDOWS, 42)
 
     def test_duplicated_feature_splits_importance(self):
         # the documented mechanism behind averaging: importance mass of a
@@ -271,6 +314,28 @@ class TestArtifacts:
         message = "lacks the key 'score'" if cap is None else f"the cap of 'score' is not positive \\({cap}\\)"
         with pytest.raises(SchemaError, match=f"{re.escape(str(path))}.*{message}"):
             LabelingArtifacts.load(path)
+
+    def test_one_pass_fit_equals_the_separate_steps(self, prepared):
+        # the steps as separate passes: a per-record target, the forests' own
+        # padding, then the training split scored from its records
+        train, fitted = prepared.train_records, prepared.artifacts
+        caps = fit_p99_caps(train)
+        prelim = reference_preliminary_target(train, caps, TOP_FRAC)
+        weights = learn_hybrid_weights(labeling_feature_matrices(train, caps, WEIGHT_WINDOWS), prelim, WEIGHT_WINDOWS, 42)
+        assert (fitted.caps, fitted.weights) == (caps, weights)
+        assert fitted.train_scores.tobytes() == score_records(train, caps, weights).tobytes()
+
+    def test_fit_pads_each_training_post_once(self, monkeypatch, prepared):
+        padded = []
+
+        def counting(records, caps):
+            padded.append(len(records))
+            return pad_snapshots(records, caps)
+
+        monkeypatch.setattr(trajectory, "pad_snapshots", counting)
+        train = prepared.train_records
+        LabelingArtifacts.fit(train, WEIGHT_WINDOWS, TOP_FRAC, 42)
+        assert sum(padded) == len(train)
 
     def test_weights_normalized_to_max_one(self, prepared):
         weights = prepared.artifacts.weights.weights

@@ -17,6 +17,7 @@ from viralearly import evaluation, experiments, ingest, labeling, models, prepro
 from viralearly.models import fit_gbt, fit_random_forest, forest, gbt
 from viralearly.models._common import _Tree
 
+from conftest import TOP_FRAC, WEIGHT_WINDOWS
 from oracles import (
     reference_bin_columns,
     reference_fit_gbt,
@@ -99,11 +100,12 @@ def labeling_matrices():
     by_id = {r.post_id: r for r in records}
     train = [by_id[i] for i in evaluation.chronological_split(records, train_frac=0.8).train_ids]
     caps = labeling.fit_p99_caps(train)
-    prelim = labeling.make_preliminary_target(train, caps)
-    return labeling.labeling_feature_matrices(train, caps, labeling.DEFAULT_WEIGHT_WINDOWS), prelim
+    *matrices, full = labeling.labeling_feature_matrices(train, caps, [*WEIGHT_WINDOWS, None])
+    prelim = labeling.make_preliminary_target(full[:, : len(labeling.METRICS)], [r.post_id for r in train], TOP_FRAC)
+    return matrices, prelim
 
 
-@pytest.mark.parametrize("index", range(3), ids=[f"{w:g}min" for w in labeling.DEFAULT_WEIGHT_WINDOWS])
+@pytest.mark.parametrize("index", range(3), ids=[f"{w:g}min" for w in WEIGHT_WINDOWS])
 def test_forest_matches_reference_on_the_labeling_matrices(labeling_matrices, index):
     matrices, prelim = labeling_matrices
     assert_forest_matches_reference(matrices[index], prelim, seed=42)
