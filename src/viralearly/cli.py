@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, collector, evaluation, experiments, ingest, models, preprocess, synth
+from . import __version__, collector, evaluation, experiments, ingest, models, preprocess, synth, trajectory
 from .errors import ConfigError
 from .features import DEFAULT_WINDOW_SWEEP, MODALITIES, FeatureMatrix, WindowSpec, assemble_matrix, window_name
 from .labeling import LabelingArtifacts
@@ -139,8 +139,8 @@ def _one_of(choices: tuple[str, ...]):
 def _list(item=str):
     """An argparse type: a non-empty comma-separated list of ``item`` values, none repeated once converted."""
     return _checked(
-        lambda text: tuple(item(v.strip()) for v in text.split(",") if v.strip()),
-        lambda values: values and len(set(values)) == len(values),
+        lambda text: tuple(trajectory.distinct((item(v.strip()) for v in text.split(",") if v.strip()), "item")),
+        bool,
         "a non-empty list without repeats",
     )
 
@@ -156,30 +156,29 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser.set_defaults(command=None)
     sub = parser.add_subparsers(dest="command")
 
-    def command(name, handler, help, seeded=False):
+    def command(name, handler, help, seed=None):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", type=Path, default=None, help="INI config file; flags override it")
-        if seeded:
-            p.add_argument("--seed", type=int, default=42)
+        if seed is not None:
+            p.add_argument("--seed", type=int, default=seed)
         if name != "validate":  # validate only reports
             p.add_argument("--out", type=Path, default=Path("runs", name), help="run directory")
         p.set_defaults(handler=handler)
         return p
 
-    train_frac = _default(experiments.prepare, "train_frac")
-
-    def study(name, handler, help):
-        p = command(name, handler, help, seeded=True)
+    def prepared(name, handler, help, artifacts=True):  # a subcommand that splits and labels --data with experiments.prepare
+        p = command(name, handler, help, seed=_default(experiments.prepare, "seed"))
         p.add_argument("--data", type=Path, required=True)
-        p.add_argument("--train-frac", type=_fraction, default=train_frac)
-        p.add_argument("--artifacts", type=Path, default=None, help="reuse labeling.json instead of refitting")
+        p.add_argument("--train-frac", type=_fraction, default=_default(experiments.prepare, "train_frac"))
+        if artifacts:
+            p.add_argument("--artifacts", type=Path, default=None, help="reuse labeling.json instead of refitting")
         return p
 
     p = command("validate", cmd_validate, "check a dataset file against the schema and filters")
     p.add_argument("--data", type=Path, required=True)
 
-    p = command("synth", cmd_synth, "generate a synthetic labeled corpus", seeded=True)
-    p.add_argument("--n", type=int, default=1000)
+    p = command("synth", cmd_synth, "generate a synthetic labeled corpus", seed=_default(synth.SynthConfig, "seed"))
+    p.add_argument("--n", type=int, default=_default(synth.SynthConfig, "n_posts"))
     p.add_argument("--viral-frac", type=float, default=_default(synth.SynthConfig, "viral_frac"))
     p.add_argument("--signal", choices=synth.SIGNAL_PLACEMENTS, default=_default(synth.SynthConfig, "signal"))
 
@@ -188,24 +187,22 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--base-url", default=None, help="HTTP post-state endpoint base URL")
     p.add_argument("--auth-header", default=None)
     p.add_argument("--post-ids", type=_list(), default=None, help="comma-separated ids (default: all replay posts)")
-    p.add_argument("--until", type=_age, default=1440.0, help="track until this post age in minutes")
+    p.add_argument("--until", type=_age, default=ingest.MIN_TRACKING_MINUTES, help="track until this post age in minutes")
 
-    p = command("label", cmd_label, "fit labeling artifacts on the chronological train split", seeded=True)
-    p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--train-frac", type=_fraction, default=train_frac)
+    p = prepared("label", cmd_label, "fit labeling artifacts on the chronological train split", artifacts=False)
     p.add_argument("--top-frac", type=_fraction, default=_default(experiments.prepare, "top_frac"))
     p.add_argument("--weight-windows", type=_list(_minutes), default=_default(experiments.prepare, "weight_windows"), help="comma-separated minutes")
 
     p = command("features", cmd_features, "extract a windowed feature matrix")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--artifacts", type=Path, required=True, help="labeling.json from `label`")
-    p.add_argument("--window", type=_minutes, default=120.0)
+    p.add_argument("--window", type=_minutes, default=experiments.ABLATION_WINDOW_MINUTES)
     p.add_argument("--modalities", type=_list(_one_of(MODALITIES)), default=MODALITIES, help="comma-separated subset")
 
-    p = command("train", cmd_train, "fit preprocessing and one model on a feature matrix", seeded=True)
+    p = command("train", cmd_train, "fit preprocessing and one model on a feature matrix", seed=_default(models.default_config, "seed"))
     p.add_argument("--matrix", type=Path, required=True, help="features CSV (manifest sidecar expected)")
     p.add_argument("--labels", type=Path, required=True, help="labels.csv from `label`")
-    p.add_argument("--model", choices=models.MODEL_KINDS, default="gbt")
+    p.add_argument("--model", choices=models.MODEL_KINDS, default=experiments.SINGLE_MODEL)
 
     p = command("evaluate", cmd_evaluate, "score a trained model on a feature matrix")
     p.add_argument("--model", type=Path, required=True)
@@ -213,16 +210,16 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--matrix", type=Path, required=True)
     p.add_argument("--labels", type=Path, required=True)
 
-    p = study("sweep", cmd_sweep, "window sweep: per (window, model) test and CV metrics")
+    p = prepared("sweep", cmd_sweep, "window sweep: per (window, model) test and CV metrics")
     p.add_argument("--windows", type=_list(_minutes), default=DEFAULT_WINDOW_SWEEP, help="comma-separated minutes")
     p.add_argument("--models", type=_list(_one_of(models.MODEL_KINDS)), default=experiments.SWEEP_MODELS, help="comma-separated model kinds")
     p.add_argument("--folds", type=_checked(int, lambda v: v > 1, "an integer above 1"), default=_default(experiments.run_window_sweep, "k_folds"))
     p.add_argument("--no-cv", dest="cv", action="store_false")
 
-    p = study("ablate", cmd_ablate, "modality ablation at one window (gbt)")
+    p = prepared("ablate", cmd_ablate, "modality ablation at one window (gbt)")
     p.add_argument("--window", type=_minutes, default=experiments.ABLATION_WINDOW_MINUTES)
 
-    p = study("importance", cmd_importance, "modality membership in the top-k features per window")
+    p = prepared("importance", cmd_importance, "modality membership in the top-k features per window")
     p.add_argument("--windows", type=_list(_minutes), default=DEFAULT_WINDOW_SWEEP)
     p.add_argument("--top-k", type=_checked(int, lambda v: v > 0, "a positive integer"), default=experiments.DEFAULT_TOP_K)
 
@@ -258,12 +255,14 @@ def _write_study_manifest(args, study: str, data: experiments.PreparedData, **de
 
 def _labels_for(path: Path, row_ids: list[str]) -> np.ndarray:
     """The 0/1 label of each matrix row from a labels CSV; DatasetError when
-    a row has no label there or a label is not 0 or 1."""
+    a row has no label there, a label is not 0 or 1 or a post is labeled twice."""
     labels = {}
     for row in experiments.read_csv(path):
         label = row.get("label")
         if row.get("post_id") is None or label not in ("0", "1"):
             raise ingest.DatasetError(f"{path}: row without a 0/1 label: {row}")
+        if row["post_id"] in labels:
+            raise ingest.DatasetError(f"{path}: post id {row['post_id']!r} is labeled twice")
         labels[row["post_id"]] = int(label)
     missing = [rid for rid in row_ids if rid not in labels]
     if missing:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import models, preprocess
+from . import models, preprocess, trajectory
 from .errors import MetricError, SplitError
 from .features import FeatureMatrix
 from .ingest import PostRecord
@@ -90,8 +90,9 @@ class SplitAssignment:
     boundary: datetime  # earliest test creation time
 
 
-def chronological_split(records: Sequence[PostRecord], train_frac: float = 0.8) -> SplitAssignment:
-    """Sort by creation time (ties by post id) and cut at ceil(train_frac * n).
+def chronological_split(records: Sequence[PostRecord], train_frac: float) -> SplitAssignment:
+    """Sort by creation time (ties by post id) and cut at ceil(train_frac * n);
+    a post id that repeats is a SplitError.
 
     Ties straddling the cut all go to train, which keeps the strict
     inequality between train and test timestamps.
@@ -99,6 +100,7 @@ def chronological_split(records: Sequence[PostRecord], train_frac: float = 0.8) 
     n = len(records)
     if n < 2:
         raise SplitError("need at least two records to split")
+    trajectory.distinct((r.post_id for r in records), "post id", SplitError)
     if not 0.0 < train_frac < 1.0:
         raise SplitError("train_frac must be in (0, 1)")
     order = sorted(range(n), key=lambda i: (records[i].created_utc, records[i].post_id))
@@ -115,7 +117,7 @@ def chronological_split(records: Sequence[PostRecord], train_frac: float = 0.8) 
     )
 
 
-def stratified_kfold(y, k: int = 5, seed: int = 0) -> list[np.ndarray]:
+def stratified_kfold(y, k: int, seed: int) -> list[np.ndarray]:
     """Seeded stratified partition; per-fold class counts differ by at most one."""
     y = np.asarray(y).astype(np.int8).ravel()
     if k < 2:
@@ -170,7 +172,7 @@ class PreprocessedFold:
     X_held: np.ndarray
 
 
-def preprocessed_folds(matrix: FeatureMatrix, y, k: int = 5, seed: int = 0) -> list[PreprocessedFold]:
+def preprocessed_folds(matrix: FeatureMatrix, y, k: int, seed: int) -> list[PreprocessedFold]:
     """Stratified k folds, each with preprocessing fit on its other k-1 folds.
 
     Held-out rows can never influence a fold's fitted state. The folds depend

@@ -34,6 +34,7 @@ from .ingest import PostRecord
 from .labeling import LabelingArtifacts, assign_labels, score_records
 
 SWEEP_MODELS = ("logreg", "gbt", "mlp")
+SINGLE_MODEL = "gbt"  # the kind the ablation and importance studies fit
 ABLATION_WINDOW_MINUTES = 120.0
 DEFAULT_TOP_K = 30
 
@@ -105,7 +106,7 @@ def build_window_matrices(data: PreparedData, windows: Sequence[float]) -> list[
     depend on the window and are built once per split."""
     caps, splits = data.artifacts.caps, (data.train_records, data.test_records)
     out, static, batches = [], None, None
-    for minutes in windows:
+    for minutes in trajectory.distinct(windows, "window"):
         w = WindowSpec(float(minutes))
         static = static or [assemble_matrix(records, w, caps, STATIC_MODALITIES) for records in splits]
         batches = batches or [trajectory.pad_snapshots(records, caps) for records in splits]
@@ -173,6 +174,7 @@ def run_window_sweep(
     """Per window in ascending order, per model: train on train, score the
     held-out test split, and run ``k_folds``-fold stratified CV inside the
     training split unless ``k_folds`` is None. Deterministic under fixed seeds."""
+    model_kinds = trajectory.distinct(model_kinds, "model kind")
     rows = []
     for wm in build_window_matrices(data, sorted(windows)):
         rows.extend(_evaluate_window(wm, data, model_kinds, seed, k_folds))
@@ -189,11 +191,11 @@ def run_ablation(
     full = build_window_matrices(data, [window])[0]
     scenarios = [("baseline", full)] + [
         (f"exclude_{m}", WindowMatrices(full.window, full.train.without_modality(m), full.test.without_modality(m)))
-        for m in modalities
+        for m in trajectory.distinct(modalities, "modality")
     ]
     rows = []
     for name, matrices in scenarios:
-        cell = _evaluate_window(matrices, data, ("gbt",), seed, k_folds=None)[0]
+        cell = _evaluate_window(matrices, data, (SINGLE_MODEL,), seed, k_folds=None)[0]
         rows.append({"scenario": name, "window": window, "pr_auc": cell["pr_auc"], "roc_auc": cell["roc_auc"]})
     return rows
 
@@ -216,7 +218,7 @@ def importance_over_time(
     for wm in build_window_matrices(data, windows):
         prep = preprocess.fit(wm.train)
         tr = preprocess.transform(prep, wm.train)
-        model = models.train(models.default_config("gbt", seed=seed), tr.X, data.y_train, feature_names=tr.names)
+        model = models.train(models.default_config(SINGLE_MODEL, seed=seed), tr.X, data.y_train, feature_names=tr.names)
         importances = model.importances
         by_parent: dict[str, float] = {}
         for value, parent in zip(importances, tr.parents):

@@ -341,18 +341,22 @@ def parse_dataset(
 ) -> Iterator[PostRecord]:
     """Stream post records from a line-delimited dataset file.
 
-    Malformed lines (a ``NaN`` or ``Infinity`` token or a value of the wrong
-    JSON type included) are routed to ``on_error`` with their line number and
-    parsing continues; without an error channel the first malformed line
-    raises :class:`DatasetError` so nothing is dropped silently. An unreadable
-    file raises ``OSError``.
+    Malformed lines (a ``NaN`` or ``Infinity`` token, a value of the wrong
+    JSON type or a post id that an earlier line holds included) are routed to
+    ``on_error`` with their line number and parsing continues; without an
+    error channel the first malformed line raises :class:`DatasetError` so
+    nothing is dropped silently. An unreadable file raises ``OSError``.
     """
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                yield PostRecord.from_json_dict(read_object(decode_json(line), "record"))
+                record = PostRecord.from_json_dict(read_object(decode_json(line), "record"))
+                if first_line.setdefault(record.post_id, line_no) != line_no:
+                    raise DatasetError(f"post id {record.post_id!r} repeats line {first_line[record.post_id]}")
+                yield record
             except ValueError as exc:  # invalid JSON (an integer of over 4300 digits included) or a bad value
                 diag = ParseDiagnostic(line_no=line_no, message=str(exc))
                 if on_error is None:
@@ -554,7 +558,7 @@ def _first(flags: np.ndarray) -> int | None:
 
 def dataset_schema() -> dict[str, Any]:
     """Return the shipped JSON schema for the dataset line format."""
-    return decode_json(resources.files("viralearly").joinpath("data/post_record.schema.json").read_text("utf-8"))
+    return decode_json(resources.files(__package__).joinpath("data/post_record.schema.json").read_text("utf-8"))
 
 
 class _Document(dict):

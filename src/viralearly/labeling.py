@@ -2,8 +2,9 @@
 
 Five steps, fitted on training records only and then applied everywhere:
 
-1. per-subscriber normalization of the volume metrics, capped at the training
-   99th percentile (:func:`normalize_metric`, :func:`fit_p99_caps`);
+1. the volume metrics per 100k subscribers (:func:`trajectory.per_subscriber`),
+   capped at the training split's 99th percentile of the last counts
+   (:func:`fit_p99_caps`);
 2. an auxiliary random forest trained on early-window engagement features
    against a preliminary top-fraction target, whose averaged importances
    become the hybrid weights (:func:`learn_hybrid_weights`);
@@ -38,7 +39,6 @@ import numpy as np
 from . import models, trajectory
 from .errors import DatasetError, DegenerateDistributionError, FitError, SchemaError
 from .ingest import PostRecord, load_document, read_list, read_number, read_text
-from .trajectory import PER_SUBSCRIBER_SCALE, WindowSpec
 
 METRICS = trajectory.VOLUME_METRICS
 
@@ -64,13 +64,6 @@ _MIN_CAP = 1e-9
 _PAD_CHUNK = 128
 
 
-def normalize_metric(raw: float, subscribers: int, cap: float) -> float:
-    """Engagement per 100k subscribers, clipped at the training cap."""
-    if subscribers < 1:
-        raise ValueError("subscribers must be >= 1")
-    return min(raw / subscribers * PER_SUBSCRIBER_SCALE, cap)
-
-
 @dataclass(frozen=True)
 class NormalizationCaps:
     """Per-metric P99 caps (per-100k-subscriber units), fitted on train."""
@@ -88,30 +81,25 @@ class NormalizationCaps:
 
 
 def fit_p99_caps(train: Sequence[PostRecord]) -> NormalizationCaps:
-    """Cap per metric: the 99th percentile of final per-100k values on train.
+    """Cap per metric: the 99th percentile of the training posts' last counts
+    per 100k subscribers (:func:`trajectory.per_subscriber`).
 
     Uses linear interpolation between order statistics, so the result is a
     deterministic function of the value multiset (input order irrelevant).
     """
     if not train:
         raise FitError("cannot fit caps on an empty training set")
+    for r in train:  # the first post that cannot be normalized
+        if r.subreddit.subscribers < 1 or not r.snapshots:
+            raise DatasetError(f"post {r.post_id}" + (": subscribers must be >= 1" if r.subreddit.subscribers < 1 else " has no snapshots"))
     caps: dict[str, float] = {}
     for metric in METRICS:
-        vals = np.array([_final_volume(r, metric) for r in train], dtype=np.float64)
-        cap = float(np.percentile(vals, 99.0))
+        last = np.array([getattr(r.snapshots, metric)[-1] for r in train], dtype=np.int64)
+        cap = float(np.percentile(trajectory.per_subscriber(last, [r.subreddit.subscribers for r in train]), 99.0))
         if not np.isfinite(cap):
             raise FitError(f"non-finite {metric} values in training data")
         caps[metric] = max(cap, _MIN_CAP)
     return NormalizationCaps(caps)
-
-
-def _final_volume(record: PostRecord, metric: str) -> float:
-    """The record's last ``metric`` count per 100k subscribers, uncapped."""
-    if record.subreddit.subscribers < 1:
-        raise DatasetError(f"post {record.post_id}: subscribers must be >= 1")
-    if not record.snapshots:
-        raise DatasetError(f"post {record.post_id} has no snapshots")
-    return normalize_metric(getattr(record.snapshots, metric)[-1], record.subreddit.subscribers, math.inf)
 
 
 def make_preliminary_target(volumes: np.ndarray, post_ids: Sequence[str], top_frac: float) -> np.ndarray:
@@ -287,7 +275,7 @@ class LabelingArtifacts:
     def fit(
         cls, train: Sequence[PostRecord], windows: Sequence[float], top_frac: float, seed: int
     ) -> "LabelingArtifacts":
-        windows = [WindowSpec(float(w)).minutes for w in windows]
+        windows = trajectory.distinct([trajectory.WindowSpec(float(w)).minutes for w in windows], "weight window")
         caps = fit_p99_caps(train)
         *windowed, full = labeling_feature_matrices(train, caps, [*windows, None])
         prelim = make_preliminary_target(full[:, : len(METRICS)], [r.post_id for r in train], top_frac)

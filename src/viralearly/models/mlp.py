@@ -1,7 +1,7 @@
 """Two-hidden-layer ReLU perceptron trained with Adam on weighted BCE loss.
 
 The loss is the weight-normalized cross entropy sum(s_i * bce_i) / sum(s_i)
-with balanced class weights by default. ``loss_and_gradients`` exposes the
+with balanced class weights. ``loss_and_gradients`` exposes the
 exact analytic gradient of that loss for a parameter vector, which the test
 suite checks against central finite differences.
 
@@ -145,27 +145,20 @@ def fit_mlp(
     learning_rate: float = 1e-3,
     batch_size: int = 256,
     max_epochs: int = 500,
-    early_stopping: bool = True,
     validation_fraction: float = 0.1,
     tol: float = 1e-4,
     patience: int = 10,
-    class_weight: str | None = "balanced",
     seed: int = 42,
 ) -> MLPModel:
     X, y = check_training_data(X, y)
-    n, d = X.shape
-    s = balanced_sample_weights(y) if class_weight == "balanced" else np.ones(n)
+    s = balanced_sample_weights(y)
 
     rng = np.random.default_rng(seed)
-    params = init_params(d, tuple(hidden), rng)
+    params = init_params(X.shape[1], tuple(hidden), rng)
 
-    if early_stopping:
-        tr_idx, val_idx = _stratified_holdout(y, validation_fraction, rng)
-        X_tr, y_tr, s_tr = X[tr_idx], y[tr_idx], s[tr_idx]
-        X_val, y_val, s_val = X[val_idx], y[val_idx], s[val_idx]
-    else:
-        X_tr, y_tr, s_tr = X, y, s
-        X_val = y_val = s_val = None
+    tr_idx, val_idx = _stratified_holdout(y, validation_fraction, rng)
+    X_tr, y_tr, s_tr = X[tr_idx], y[tr_idx], s[tr_idx]
+    X_val, y_val, s_val = X[val_idx], y[val_idx], s[val_idx]
 
     n_tr = len(y_tr)
     bs = min(batch_size, n_tr)
@@ -195,12 +188,8 @@ def fit_mlp(
                 flat_params[i] -= learning_rate * correction * m[i] / (np.sqrt(v[i]) + eps)
         epochs_run = epoch + 1
 
-        if early_stopping:
-            z_val, _ = _forward(params, X_val)
-            monitored = float(np.sum(s_val * logloss_terms(z_val, y_val)) / s_val.sum())
-        else:
-            z_tr, _ = _forward(params, X_tr)
-            monitored = float(np.sum(s_tr * logloss_terms(z_tr, y_tr)) / s_tr.sum())
+        z_val, _ = _forward(params, X_val)
+        monitored = float(np.sum(s_val * logloss_terms(z_val, y_val)) / s_val.sum())
         if monitored < best_loss - tol:
             best_loss = monitored
             best_params = params.copy()
@@ -210,4 +199,4 @@ def fit_mlp(
             if bad_epochs >= patience:
                 break
 
-    return MLPModel(best_params, d, epochs_run)
+    return MLPModel(best_params, X.shape[1], epochs_run)

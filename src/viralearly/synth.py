@@ -47,14 +47,14 @@ class SynthConfig:
     a small ``takeoff_log_sd`` makes virality legible from the start.
     """
 
-    n_posts: int
+    n_posts: int = 1000
     viral_frac: float = 0.05
     signal: str = "temporal"
     takeoff_median_minutes: float = 25.0
     takeoff_log_sd: float = 0.7
     false_start_frac: float = 0.25
     horizon_minutes: float = 1560.0
-    seed: int = 0
+    seed: int = 42
 
     def __post_init__(self):
         if self.n_posts < 20:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,6 +51,16 @@ class WindowSpec:
             raise ConfigError(f"window minutes must be positive and finite ({self.minutes!r})")
 
 
+def distinct(items: Iterable, what: str, error: type[ValueError] = ConfigError) -> list:
+    """``items`` as a list, or an ``error`` naming the first ``what`` that repeats."""
+    seen: dict = {}
+    for item in items:
+        if item in seen:
+            raise error(f"{what} {item!r} repeats")
+        seen[item] = None
+    return list(seen)
+
+
 @dataclass(frozen=True)
 class SnapshotBatch:
     """Padded snapshot arrays of a batch of posts and their window-independent
@@ -75,6 +85,17 @@ class SnapshotBatch:
         return len(self.length)
 
 
+def per_subscriber(counts: np.ndarray, subscribers) -> np.ndarray:
+    """``counts / subscribers * PER_SUBSCRIBER_SCALE`` for int64 ``counts`` and the aligned integer
+    ``subscribers`` (each >= 1, else a ValueError), each quotient rounded as Python's int / int rounds it."""
+    num, den = counts.astype(np.float64), np.asarray(subscribers, dtype=np.float64)
+    if np.any(den < 1):
+        raise ValueError("subscribers must be >= 1")
+    if np.all(np.abs(num) < 2.0**53) and np.all(den < 2.0**53):  # exact float operands: one rounding
+        return np.multiply(np.divide(num, den, out=num), PER_SUBSCRIBER_SCALE, out=num)
+    return (counts.astype(object) / np.asarray(subscribers, dtype=object)).astype(np.float64) * PER_SUBSCRIBER_SCALE
+
+
 def pad_snapshots(records: Sequence[PostRecord], caps) -> SnapshotBatch:
     """The batch of ``records`` normalized with ``caps`` (any object with
     ``cap_for(metric)``). Snapshot times must be non-negative and strictly
@@ -94,15 +115,13 @@ def pad_snapshots(records: Sequence[PostRecord], caps) -> SnapshotBatch:
     def joined(name):
         return chain.from_iterable(getattr(r.snapshots, name) for r in records)
 
-    def field(name):  # an array column of every series as float64; an int64 count rounds as float(int) does
-        return padded(np.frombuffer(b"".join(getattr(r.snapshots, name) for r in records), COLUMN_TYPECODES[name]), 0.0)
+    def column(name):  # every series' values of an array column, one after another
+        return np.frombuffer(b"".join(getattr(r.snapshots, name) for r in records), COLUMN_TYPECODES[name])
 
-    subscribers = np.array([r.subreddit.subscribers for r in records], dtype=np.float64)[:, None]
-    unread = (length > 0) & (subscribers[:, 0] < 1)
-    if unread.any():
-        raise DatasetError(f"post {records[int(np.argmax(unread))].post_id}: subscribers must be >= 1")
-    t = field("t_minutes")
-    t[~filled] = np.inf
+    unread = next((r for r in records if r.snapshots and r.subreddit.subscribers < 1), None)
+    if unread is not None:
+        raise DatasetError(f"post {unread.post_id}: subscribers must be >= 1")
+    t = padded(column("t_minutes"), np.inf)
     with np.errstate(invalid="ignore"):  # inf - inf between pads
         gap = np.diff(t, axis=1)
     bad = np.any(t < 0.0, axis=1) | np.any(gap <= 0.0, axis=1)
@@ -110,15 +129,12 @@ def pad_snapshots(records: Sequence[PostRecord], caps) -> SnapshotBatch:
         raise DatasetError(f"post {records[int(np.argmax(bad))].post_id}: snapshot times are negative or not increasing")
 
     norm, first = {}, {}
+    # each snapshot's subscribers, exact: int64, uint64 or, past 64 bits, Python ints
+    of_snapshot = np.repeat(np.array([r.subreddit.subscribers for r in records if r.snapshots]), length[length > 0])
     for m in VOLUME_METRICS:
-        counts = field(m)
-        first[m] = _first_index(counts > 0)
-        if np.all(np.abs(counts) < 2.0**53) and np.all(subscribers < 2.0**53):
-            with np.errstate(invalid="ignore"):  # 0 / 0 in the pads of a post without snapshots
-                quotient = np.divide(counts, subscribers, out=counts)  # exact operands: rounded as Python's int / int
-        else:
-            quotient = padded([x / r.subreddit.subscribers for r in records for x in getattr(r.snapshots, m)], 0.0)
-        norm[m] = np.minimum(np.multiply(quotient, PER_SUBSCRIBER_SCALE, out=quotient), caps.cap_for(m), out=quotient)
+        counts = column(m)
+        first[m] = _first_index(padded(counts > 0, False, bool))
+        norm[m] = np.minimum(padded(per_subscriber(counts, of_snapshot), 0.0), caps.cap_for(m))
 
     names = list(joined("category"))
     codes = {c: i for i, c in enumerate(dict.fromkeys(RANKED_CATEGORIES + tuple(names)))}

@@ -15,7 +15,7 @@ engagement curve replaced: labeling rows with their own windowing and a
 per-key dispatch, temporal and network extractors that each window,
 normalize and count category transitions themselves, and window matrices
 that extract every modality, static ones included, once per window. They
-reuse the package's trajectory math, normalization, static extraction and
+reuse the package's trajectory math, static extraction and
 feature dataclasses.
 
 The tree references are the two tree learners as they were before both came
@@ -28,7 +28,8 @@ at once) and builds the package's tree and model types, so its payloads
 compare directly. It still accumulates the gain, cover
 and frequency importances the GBT once saved; the model keeps the gain.
 
-``reference_hybrid_score`` is the scalar hybrid score of one post that the
+``normalize_metric`` is the scalar per-subscriber normalization of one
+count. ``reference_hybrid_score`` is the scalar hybrid score of one post that the
 batched ``labeling.score_records`` replaced, ``reference_preliminary_target``
 the labeling fit's per-record preliminary target, and ``truncate_record``
 cuts a record's snapshots after a window for the causality checks.
@@ -73,18 +74,27 @@ from viralearly.features import (
     extract_static,
 )
 from viralearly.ingest import MAX_SNAPSHOT_GAP_MINUTES, MIN_TRACKING_MINUTES, Snapshots, read_engagement, read_list, read_number, read_object
-from viralearly.labeling import LABELING_FEATURES, METRICS, normalize_metric
+from viralearly.labeling import LABELING_FEATURES, METRICS
 from viralearly.models._common import _Tree, check_training_data, sigmoid
 from viralearly.models.gbt import _GAIN_EPS, GBTModel
 from viralearly.trajectory import (
     ENTROPY_BINS,
     MOMENTUM_EPS,
+    PER_SUBSCRIBER_SCALE,
     RANKED_CATEGORIES,
     SLOPE_LONG_MINUTES,
     SLOPE_SHORT_MINUTES,
     TAKEOFF_MIN_LEVEL,
     TAKEOFF_VELOCITY_FRACTION,
 )
+
+
+def normalize_metric(raw, subscribers, cap):
+    """Engagement per 100k subscribers, clipped at the training cap: the
+    scalar that ``trajectory.per_subscriber`` batches."""
+    if subscribers < 1:
+        raise ValueError("subscribers must be >= 1")
+    return min(raw / subscribers * PER_SUBSCRIBER_SCALE, cap)
 
 
 def brute_force_average_precision(y, scores):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from viralearly import cli, experiments, ingest
+from viralearly import cli, experiments, ingest, models, synth
 from viralearly.cli import main
 from viralearly.labeling import LabelingArtifacts
 
@@ -238,6 +238,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: post p000005: subscribers must be >= 1" in err
         assert "Traceback" not in err
+
+    def test_repeated_post_id_is_data_error(self, tmp_path, capsys):
+        # the studies looked posts up by id, so the later record stood in for both
+        assert main(["synth", "--n", "300", "--seed", "7", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "repeated.jsonl"
+        write_edited(tmp_path / "posts.jsonl", path, ("post_id",), "p000005", line=200)
+        capsys.readouterr()
+        assert main(["validate", "--data", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "parse line 201: post id 'p000005' repeats line 6" in out
+        assert "records=299 malformed_lines=1 invalid_records=0" in out
+        for command, source in (("label", "--data"), ("collect", "--replay")):
+            assert main([command, source, str(path), "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert "error: line 201: post id 'p000005' repeats line 6" in err
+            assert "Traceback" not in err
+            assert not (tmp_path / command).exists()
 
     @pytest.mark.parametrize(
         "command, keys, text, message",
@@ -562,7 +579,7 @@ class TestFeatureTrainEvaluate:
         metrics = json.loads((evald / "metrics.json").read_text())
         assert 0.0 <= metrics["pr_auc"] <= 1.0
 
-    @pytest.mark.parametrize("defect", ["missing_row", "text_label", "empty_label", "no_label_column"])
+    @pytest.mark.parametrize("defect", ["missing_row", "text_label", "empty_label", "no_label_column", "repeated_row"])
     def test_bad_labels_are_data_errors(self, trained_flow, tmp_path, defect, capsys):
         lab, feats, trained = trained_flow
         lines = (lab / "labels.csv").read_text(encoding="utf-8").splitlines()
@@ -580,6 +597,8 @@ class TestFeatureTrainEvaluate:
             rows[3] = with_label(rows[3], "viral")
         elif defect == "empty_label":
             rows[3] = with_label(rows[3], "")
+        elif defect == "repeated_row":  # the same label twice: the file names the post twice all the same
+            rows.append(rows[3])
         else:
             header = header.replace("label", "verdict")
         labels = tmp_path / "labels.csv"
@@ -996,6 +1015,37 @@ def _manifest(out, study=None):
 
 def _params(out, study=None):
     return _manifest(out, study)["params"]
+
+
+def test_no_flag_default_is_a_literal():
+    # a flag's default is the library's value, so the CLI and the Python API agree
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    build = next(n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef) and n.name == "_build_parser")
+    literals = []
+    for node in ast.walk(build):
+        if isinstance(node, ast.keyword) and node.arg == "default":
+            value = node.value.operand if isinstance(node.value, ast.UnaryOp) else node.value
+            if isinstance(value, ast.Constant) and type(value.value) in (int, float, str):
+                literals.append(f"line {node.lineno}: default={ast.unparse(node.value)}")
+    assert literals == []
+
+
+@pytest.mark.parametrize(
+    "argv, dest, library",
+    [
+        (["synth"], "seed", lambda: synth.SynthConfig().seed),
+        (["synth"], "n", lambda: synth.SynthConfig().n_posts),
+        (["label", "--data", "x"], "seed", lambda: cli._default(experiments.prepare, "seed")),
+        (["sweep", "--data", "x"], "seed", lambda: cli._default(experiments.prepare, "seed")),
+        (["train", "--matrix", "x", "--labels", "y"], "seed", lambda: models.default_config("gbt").seed),
+        (["collect", "--replay", "x"], "until", lambda: ingest.MIN_TRACKING_MINUTES),
+        (["features", "--data", "x", "--artifacts", "y"], "window", lambda: experiments.ABLATION_WINDOW_MINUTES),
+    ],
+    ids=["synth_seed", "synth_n", "label_seed", "sweep_seed", "train_seed", "collect_until", "features_window"],
+)
+def test_flag_defaults_are_the_library_values(argv, dest, library):
+    parser, _ = cli._build_parser()
+    assert getattr(parser.parse_args(argv), dest) == library()
 
 
 def test_only_the_config_loader_reads_configparser():

@@ -136,7 +136,7 @@ class TestChronologicalSplit:
 
     def test_strict_boundary(self):
         records = [make_record(post_id=f"p{i}", created_minutes=float(i)) for i in range(20)]
-        split = chronological_split(records)
+        split = chronological_split(records, train_frac=0.8)
         by_id = {r.post_id: r for r in records}
         max_train = max(by_id[i].created_utc for i in split.train_ids)
         min_test = min(by_id[i].created_utc for i in split.test_ids)
@@ -153,11 +153,18 @@ class TestChronologicalSplit:
     def test_all_identical_timestamps_rejected(self):
         records = [make_record(post_id=f"p{i}", created_minutes=5.0) for i in range(10)]
         with pytest.raises(SplitError, match="boundary"):
-            chronological_split(records)
+            chronological_split(records, train_frac=0.8)
+
+    def test_repeated_post_id_rejected(self):
+        # an in-memory corpus that names a post twice would hand a study one record for both
+        records = [make_record(post_id=f"p{i}", created_minutes=float(i)) for i in range(10)]
+        records[7] = make_record(post_id="p2", created_minutes=7.0)
+        with pytest.raises(SplitError, match="post id 'p2' repeats"):
+            chronological_split(records, train_frac=0.8)
 
     def test_too_few_records(self):
         with pytest.raises(SplitError):
-            chronological_split([make_record()])
+            chronological_split([make_record()], train_frac=0.8)
 
 
 class TestStratifiedKfold:
@@ -181,13 +188,13 @@ class TestStratifiedKfold:
 
     def test_k_one_rejected(self):
         with pytest.raises(SplitError):
-            stratified_kfold(np.array([0, 1, 0, 1]), k=1)
+            stratified_kfold(np.array([0, 1, 0, 1]), k=1, seed=0)
 
     def test_class_smaller_than_k_rejected(self):
         y = np.zeros(50, dtype=int)
         y[:3] = 1
         with pytest.raises(SplitError):
-            stratified_kfold(y, k=5)
+            stratified_kfold(y, k=5, seed=0)
 
     def test_seeded_determinism(self):
         y = np.arange(40) % 2

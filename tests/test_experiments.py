@@ -164,6 +164,24 @@ class TestImportanceOverTime:
         assert sum(c["count"] for c in counts) == 3
 
 
+# each repeat ran twice: four identical sweep rows for one cell, exclude_visual
+# twice, and the 30-min forest weighted double in the hybrid weights
+@pytest.mark.parametrize(
+    "study, message",
+    [
+        (lambda d, c: run_window_sweep(d, windows=[30, 30.0], model_kinds=("gbt",), k_folds=None), "window 30.0 repeats"),
+        (lambda d, c: run_window_sweep(d, windows=[30], model_kinds=("gbt", "gbt"), k_folds=None), "model kind 'gbt' repeats"),
+        (lambda d, c: run_ablation(d, modalities=("visual", "textual", "visual")), "modality 'visual' repeats"),
+        (lambda d, c: importance_over_time(d, windows=(120.0, 30.0, 120.0)), "window 120.0 repeats"),
+        (lambda d, c: prepare(c, weight_windows=(30, 30, 120)), "weight window 30.0 repeats"),
+    ],
+    ids=["sweep_windows", "sweep_models", "ablation_modalities", "importance_windows", "weight_windows"],
+)
+def test_repeated_item_rejected(data, corpus, study, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        study(data, corpus)
+
+
 class TestPrepare:
     def test_split_sizes(self, corpus, data):
         assert data.n_train + data.n_test == len(corpus)

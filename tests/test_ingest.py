@@ -2,6 +2,10 @@ import ast
 import gc
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from array import array
@@ -57,6 +61,16 @@ class TestParseDataset:
         records = list(ingest.parse_dataset(path, on_error=diags.append))
         assert len(records) == 1
         assert [(d.line_no, d.message) for d in diags] == [(1, "bad post record: static_features is not an object")]
+
+    def test_repeated_post_id_is_a_malformed_line(self, tmp_path):
+        # the studies looked posts up by id, so a repeat silently replaced the first record
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [json.dumps(make_record(post_id=p).to_json_dict()) for p in ("a", "b", "a", "c", "b")])
+        diags = []
+        assert [r.post_id for r in ingest.parse_dataset(path, on_error=diags.append)] == ["a", "b", "c"]
+        assert [str(d) for d in diags] == ["line 3: post id 'a' repeats line 1", "line 5: post id 'b' repeats line 2"]
+        with pytest.raises(DatasetError, match="^line 3: post id 'a' repeats line 1$"):
+            list(ingest.parse_dataset(path))
 
     def test_malformed_raises_without_error_channel(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -206,6 +220,22 @@ def test_dataset_schema_ships():
     assert "template_name" in static
     assert "text_sentiment_overall" in static
     assert "relatability_score" in static
+
+
+def test_a_renamed_copy_of_the_package_reads_its_own_schema(tmp_path):
+    copy = tmp_path / "renamed_viralearly"
+    shutil.copytree(Path(ingest.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    schema_path = copy / "data" / "post_record.schema.json"
+    schema = json.loads(schema_path.read_text(encoding="utf-8"))
+    schema["properties"]["media_type"]["enum"].append("hologram")
+    schema_path.write_text(json.dumps(schema), encoding="utf-8")
+    # viralearly stays importable, so a copy that read viralearly's schema would import and show it
+    path = os.pathsep.join([str(tmp_path), str(Path(ingest.__file__).parents[1])])
+    script = "import renamed_viralearly.ingest as i; print(','.join(i.MEDIA_TYPES))"
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [",".join(ingest.MEDIA_TYPES + ("hologram",))]
+    assert "hologram" not in ingest.MEDIA_TYPES
 
 
 def test_truncate_record():

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viralearly import models, trajectory
-from viralearly.errors import DegenerateDistributionError, FitError, SchemaError
+from viralearly.errors import DatasetError, DegenerateDistributionError, FitError, SchemaError
 from viralearly.labeling import (
     LABELING_FEATURES,
     METRICS,
@@ -23,13 +24,12 @@ from viralearly.labeling import (
     labeling_feature_matrices,
     learn_hybrid_weights,
     make_preliminary_target,
-    normalize_metric,
     score_records,
 )
 from viralearly.trajectory import pad_snapshots
 
 from conftest import TOP_FRAC, WEIGHT_WINDOWS, make_record
-from oracles import interpolated_percentile, reference_hybrid_score, reference_preliminary_target
+from oracles import interpolated_percentile, normalize_metric, reference_hybrid_score, reference_preliminary_target
 
 WIDE_CAPS = NormalizationCaps({"score": 1e12, "comments": 1e12, "crossposts": 1e12})
 
@@ -49,17 +49,45 @@ def flat_record(post_id, level, subscribers=100_000, comments=0, crossposts=0, c
 
 class TestNormalizeMetric:
     def test_zero_raw(self):
-        assert normalize_metric(0, 5_000_000, 100.0) == 0.0
+        assert trajectory.per_subscriber(np.array([0]), [5_000_000]).tolist() == [0.0]
 
     def test_direct_evaluation(self):
-        assert normalize_metric(500, 1_000_000, 1000.0) == pytest.approx(50.0)
+        assert trajectory.per_subscriber(np.array([500]), [1_000_000]).tolist() == [pytest.approx(50.0)]
 
     def test_clamped_at_cap(self):
-        assert normalize_metric(10_000, 10_000, 75.0) == 75.0
+        record = make_record(times=[0, 10], scores=[0, 10_000], subscribers=10_000)
+        caps = NormalizationCaps({"score": 75.0, "comments": 75.0, "crossposts": 75.0})
+        assert pad_snapshots([record], caps).norm["score"][0, 1] == 75.0
 
     def test_subscribers_below_one_rejected(self):
         with pytest.raises(ValueError):
-            normalize_metric(1, 0, 10.0)
+            trajectory.per_subscriber(np.array([1]), [0])
+
+    _EDGES = [0, 1, -1, 2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(_EDGES), st.integers(-(2**63), 2**63 - 1), st.integers(-1000, 1000)),
+                st.one_of(st.sampled_from([1, 3, 2**53 - 1, 2**53, 2**53 + 1, 2**64 + 7, 10**300]), st.integers(1, 2**70)),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_equals_the_scalar_reference(self, pairs):
+        # zero and negative counts, and counts and subscribers at and past 2**53
+        counts, subscribers = zip(*pairs)
+        got = trajectory.per_subscriber(np.array(counts, dtype=np.int64), list(subscribers))
+        want = np.array([normalize_metric(c, s, math.inf) for c, s in pairs])
+        assert got.tobytes() == want.tobytes()
+
+    def test_past_two_to_the_53_rounds_as_python(self):
+        count, subscribers = 2**53 + 1, 3
+        assert float(count) / subscribers != count / subscribers  # the float path would differ
+        got = trajectory.per_subscriber(np.array([count, 7]), [subscribers, 2**53 + 1])
+        assert got.tolist() == [count / subscribers * trajectory.PER_SUBSCRIBER_SCALE, 7 / (2**53 + 1) * trajectory.PER_SUBSCRIBER_SCALE]
 
 
 class TestFitCaps:
@@ -90,6 +118,25 @@ class TestFitCaps:
         a = fit_p99_caps(records)
         b = fit_p99_caps(list(reversed(records)))
         assert a == b
+
+    def test_caps_are_the_percentile_of_the_scalar_reference(self):
+        records = [
+            make_record(post_id=f"p{i}", times=[0, 10], scores=[0, 3 * i - 20], comments=[0, i], crossposts=[0, i % 3], subscribers=1 + 977 * i)
+            for i in range(60)
+        ]
+        caps = fit_p99_caps(records)
+        for m in METRICS:
+            reference = [normalize_metric(getattr(r.snapshots, m)[-1], r.subreddit.subscribers, math.inf) for r in records]
+            assert caps.cap_for(m) == max(float(np.percentile(reference, 99.0)), 1e-9)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(make_record(post_id="p000005", subscribers=0), "post p000005: subscribers must be >= 1"),
+         (make_record(post_id="p000005", times=[], scores=[]), "post p000005 has no snapshots")],
+    )
+    def test_unreadable_post_is_named(self, bad, message):
+        with pytest.raises(DatasetError, match=f"^{message}$"):
+            fit_p99_caps([make_record(), bad, make_record(post_id="p2", subscribers=0)])
 
 
 def preliminary_target(records, caps, top_frac=TOP_FRAC):

@@ -71,9 +71,8 @@ class TestCommon:
             (
                 "mlp",
                 {"hidden": (100, 50), "learning_rate": 0.001, "batch_size": 256, "max_epochs": 500,
-                 "early_stopping": True, "validation_fraction": 0.1, "tol": 0.0001, "patience": 10,
-                 "class_weight": "balanced"},
-                "2ec85a0373fbd984",
+                 "validation_fraction": 0.1, "tol": 0.0001, "patience": 10},
+                "63a1d38c3d8d8331",
             ),
             ("random_forest", {"n_trees": 100, "max_features": "sqrt", "min_samples_split": 2, "max_depth": None},
              "184121552c9208a1"),

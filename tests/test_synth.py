@@ -5,7 +5,7 @@ import pytest
 
 from viralearly import ingest
 from viralearly.errors import ConfigError
-from viralearly.labeling import NormalizationCaps, normalize_metric
+from viralearly.labeling import NormalizationCaps
 from viralearly.synth import SynthConfig, generate, mock_static_extractor, poll_grid
 
 import oracles
@@ -106,7 +106,7 @@ class TestTrajectoryShape:
                 continue
             t = np.array(record.snapshots.t_minutes)
             norm = np.array(
-                [normalize_metric(s, record.subreddit.subscribers, 1e12) for s in record.snapshots.score]
+                [oracles.normalize_metric(s, record.subreddit.subscribers, 1e12) for s in record.snapshots.score]
             )
             point = oracles.takeoff_point(t, norm)
             tv, v = oracles.velocity_series(t, norm)

@@ -3,6 +3,8 @@ batched kernel's own contract: the window rule, its padded batch and the
 inputs it rejects. Its values are checked against the reference in
 ``test_feature_equivalence``."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,19 @@ class TestKernel:
     def test_times_out_of_order_are_rejected(self, times):
         with pytest.raises(DatasetError, match="post bad: snapshot times"):
             trajectory.pad_snapshots([make_record(), make_record(post_id="bad", times=times)], WIDE)
+
+    def test_normalized_counts_are_the_scalar_reference_at_and_past_two_to_the_53(self):
+        # one batch: a count past 2**53, subscribers past 64 bits, and a post without snapshots
+        records = [
+            make_record(post_id="a", times=[0, 5], scores=[2**53 + 1, -(2**63)], subscribers=3),
+            make_record(post_id="b", times=[0, 5, 9], scores=[1, 7, 2**62], subscribers=2**64 + 7),
+            make_record(post_id="c", times=[], scores=[], subscribers=-5),
+            make_record(post_id="d", times=[1], scores=[5], subscribers=2**53 + 1),
+        ]
+        batch = trajectory.pad_snapshots(records, NormalizationCaps({m: math.inf for m in trajectory.VOLUME_METRICS}))
+        for row, r in zip(batch.norm["score"], records):
+            want = [oracles.normalize_metric(c, r.subreddit.subscribers, math.inf) for c in r.snapshots.score]
+            assert row.tolist() == want + [0.0] * (len(row) - len(want))
 
     def test_post_without_subscribers_is_rejected(self):
         with pytest.raises(DatasetError, match="subscribers must be >= 1"):
