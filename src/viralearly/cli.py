@@ -148,6 +148,7 @@ def _list(item=str):
 _minutes = _checked(lambda text: WindowSpec(float(text)).minutes, lambda v: True, "a positive, finite number of minutes")
 _age = _checked(float, lambda v: 0 <= v < float("inf"), "a finite number of minutes >= 0")
 _fraction = _checked(float, lambda v: 0 < v < 1, "a fraction in (0, 1)")
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -160,7 +161,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", type=Path, default=None, help="INI config file; flags override it")
         if seed is not None:
-            p.add_argument("--seed", type=int, default=seed)
+            p.add_argument("--seed", type=_seed, default=seed)
         if name != "validate":  # validate only reports
             p.add_argument("--out", type=Path, default=Path("runs", name), help="run directory")
         p.set_defaults(handler=handler)

@@ -8,6 +8,14 @@ snapshots sit on the collector's default poll schedule, and everything is
 seed-driven (one spawned stream per post), so the same config always yields
 byte-identical corpora.
 
+A categorical draw is the generator call ``Generator.choice`` itself makes,
+with no array built per draw: one ``integers`` call for an unweighted choice,
+one ``random()`` searched in a CDF computed once, as ``choice`` computes it,
+for a weighted one. The category walk and the three engagement series take
+one call each. A post's draws keep their order, so the corpus bytes are
+pinned: tests fix the written bytes of every signal placement and compare
+them with the former ``choice``-based generator.
+
 ``signal`` controls which modalities carry label information beyond the
 trajectories themselves: "temporal" leaves static blobs and category paths as
 pure noise, "static" / "network" additionally correlate those groups with the
@@ -23,8 +31,10 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from numbers import Integral
 
 import numpy as np
 
@@ -57,14 +67,29 @@ class SynthConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.n_posts < 20:
-            raise ConfigError("n_posts must be at least 20")
+        if not isinstance(self.n_posts, Integral) or self.n_posts < 20:
+            raise ConfigError(f"n_posts must be an integer of at least 20, got {self.n_posts!r}")
         if not 0.0 < self.viral_frac < 1.0:
             raise ConfigError("viral_frac must be in (0, 1)")
+        if not 0 < self.n_viral < self.n_posts:
+            raise ConfigError(f"viral_frac {self.viral_frac!r} plants {self.n_viral} of {self.n_posts} posts; it must plant 1 to {self.n_posts - 1}")
         if self.signal not in SIGNAL_PLACEMENTS:
             raise ConfigError(f"signal must be one of {SIGNAL_PLACEMENTS}")
+        if not 0.0 < self.takeoff_median_minutes < math.inf:
+            raise ConfigError(f"takeoff_median_minutes must be a finite number > 0, got {self.takeoff_median_minutes!r}")
+        if not 0.0 <= self.takeoff_log_sd < math.inf:
+            raise ConfigError(f"takeoff_log_sd must be a finite number >= 0, got {self.takeoff_log_sd!r}")
+        if not 0.0 <= self.false_start_frac <= 1.0:
+            raise ConfigError(f"false_start_frac must be in [0, 1], got {self.false_start_frac!r}")
         if not 0.0 <= self.horizon_minutes < math.inf:
             raise ConfigError(f"horizon_minutes must be a finite number >= 0, got {self.horizon_minutes!r}")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+    @property
+    def n_viral(self) -> int:
+        """The number of planted viral posts, ``round(viral_frac * n_posts)``."""
+        return round(self.viral_frac * self.n_posts)
 
 
 _LANGUAGE_POOL = (
@@ -93,6 +118,31 @@ _OBJECTS = ("person", "animal", "text", "cartoon", "object")
 _EMOTIONS = ("joy", "anger", "surprise", "neutral", "none")
 
 
+def _weighted(options: tuple[str, ...], p: tuple[float, ...]) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """The options of a weighted choice and the CDF ``Generator.choice`` searches for them."""
+    cdf = np.cumsum(p)
+    return options, tuple((cdf / cdf[-1]).tolist())
+
+
+_MEDIA_TYPES = _weighted(("image", "video", "gif", "text", "audio"), (0.85, 0.08, 0.03, 0.02, 0.02))
+_OFFENSE_TYPES = _weighted(("none", "mild", "crude", "political"), (0.7, 0.15, 0.1, 0.05))
+_PROFANITY = _weighted(("none", "mild", "strong"), (0.75, 0.2, 0.05))
+_PANELS = _weighted(("1", "2", "3", "4+"), (0.6, 0.2, 0.1, 0.1))
+_CHARACTERS = _weighted(("none", "spongebob", "shrek", "batman"), (0.7, 0.1, 0.1, 0.1))
+_CELEBRITIES = _weighted(("none", "keanu", "elon"), (0.85, 0.08, 0.07))
+
+
+def _pick(rng: np.random.Generator, options: tuple[str, ...]) -> str:
+    """``rng.choice(options)`` as the generator draws it: one ``integers`` call."""
+    return options[rng.integers(0, len(options))]
+
+
+def _pick_weighted(rng: np.random.Generator, weighted: tuple[tuple[str, ...], tuple[float, ...]]) -> str:
+    """``rng.choice(options, p=p)`` as the generator draws it: one ``random()`` searched in the CDF."""
+    options, cdf = weighted
+    return options[bisect_right(cdf, rng.random())]
+
+
 def generate(config: SynthConfig) -> tuple[list[PostRecord], np.ndarray]:
     """Build the corpus; returns records plus the planted binary labels.
 
@@ -105,9 +155,8 @@ def generate(config: SynthConfig) -> tuple[list[PostRecord], np.ndarray]:
     post_seeds = root.spawn(config.n_posts)
 
     n = config.n_posts
-    n_viral = int(round(config.viral_frac * n))
     labels = np.zeros(n, dtype=np.int8)
-    labels[corpus_rng.permutation(n)[:n_viral]] = 1
+    labels[corpus_rng.permutation(n)[:config.n_viral]] = 1
 
     subreddits = _subreddit_pool(corpus_rng)
     base_time = datetime(2024, 1, 1, tzinfo=timezone.utc)
@@ -165,12 +214,12 @@ def _make_post(index, rng, is_viral, config, subreddit, created, grid) -> PostRe
     static_signal = config.signal in ("static", "mixed")
 
     score_raw = _score_curve(rng, is_viral, config, subreddit.subscribers, grid)
-    comments_raw = _poisson_cumulative(rng, 0.12 * score_raw)
-    crossposts_raw = _poisson_cumulative(rng, 0.012 * score_raw)
-    scores = _poisson_cumulative(rng, score_raw)
+    # comments, crossposts and score: one Poisson call over the three series' increments, row by row
+    increments = np.clip(np.diff(np.stack((0.12 * score_raw, 0.012 * score_raw, score_raw)), prepend=0.0), 0.0, None)
+    comments_raw, crossposts_raw, scores = np.cumsum(rng.poisson(increments), axis=1)
 
     categories = _category_path(rng, grid, is_viral, network_signal)
-    ratio = float(np.clip(rng.normal(0.92 if is_viral else 0.78, 0.03 if is_viral else 0.06), 0.05, 0.99))
+    ratio = min(max(rng.normal(0.92 if is_viral else 0.78, 0.03 if is_viral else 0.06), 0.05), 0.99)
     ratios = np.clip(ratio + 0.005 * rng.normal(size=len(grid)), 0.0, 1.0)
     snapshots = Snapshots(
         t_minutes=array("d", grid.tobytes()),
@@ -191,8 +240,8 @@ def _make_post(index, rng, is_viral, config, subreddit, created, grid) -> PostRe
         is_premium=bool(rng.random() < 0.08),
     )
 
-    title = " ".join(rng.choice(_TITLE_WORDS, size=int(rng.integers(3, 10))))
-    media_type = str(rng.choice(("image", "video", "gif", "text", "audio"), p=(0.85, 0.08, 0.03, 0.02, 0.02)))
+    title = " ".join([_TITLE_WORDS[i] for i in rng.integers(0, len(_TITLE_WORDS), size=int(rng.integers(3, 10)))])
+    media_type = _pick_weighted(rng, _MEDIA_TYPES)
     return PostRecord(
         post_id=post_id,
         created_utc=created,
@@ -217,15 +266,9 @@ def _score_curve(rng, is_viral, config, subscribers, grid) -> np.ndarray:
     instead of being saturated at 30 minutes.
     """
     if is_viral:
-        target = float(np.clip(rng.lognormal(np.log(600.0), 0.35), 250.0, 4000.0))
-        takeoff = float(
-            np.clip(
-                rng.lognormal(np.log(config.takeoff_median_minutes), config.takeoff_log_sd),
-                4.0,
-                300.0,
-            )
-        )
-        t_peak_vel = float(np.clip(rng.normal(456.0, 120.0), takeoff + 60.0, 1300.0))
+        target = min(max(rng.lognormal(np.log(600.0), 0.35), 250.0), 4000.0)
+        takeoff = min(max(rng.lognormal(np.log(config.takeoff_median_minutes), config.takeoff_log_sd), 4.0), 300.0)
+        t_peak_vel = min(max(rng.normal(456.0, 120.0), takeoff + 60.0), 1300.0)
         rate = _TAKEOFF_LOGIT / (t_peak_vel - takeoff)
         norm_curve = target / (1.0 + np.exp(-rate * (grid - t_peak_vel)))
     elif rng.random() < config.false_start_frac:
@@ -238,11 +281,6 @@ def _score_curve(rng, is_viral, config, subscribers, grid) -> np.ndarray:
         tau = rng.uniform(15.0, 240.0)
         norm_curve = target * (1.0 - np.exp(-grid / tau))
     return norm_curve * subscribers / 100_000.0
-
-
-def _poisson_cumulative(rng, expected: np.ndarray) -> np.ndarray:
-    increments = np.clip(np.diff(expected, prepend=0.0), 0.0, None)
-    return np.cumsum(rng.poisson(increments))
 
 
 def _category_path(rng, grid, is_viral, network_signal) -> list[str]:
@@ -264,8 +302,7 @@ def _category_path(rng, grid, is_viral, network_signal) -> list[str]:
     # placement elsewhere: a label-independent sparse random walk
     level = 0
     path = []
-    for _ in grid:
-        u = rng.random()
+    for u in rng.random(len(grid)).tolist():
         if u < 0.02 and level < 3:
             level += 1
         elif u > 0.98 and level > 0:
@@ -276,64 +313,64 @@ def _category_path(rng, grid, is_viral, network_signal) -> list[str]:
 
 def _static_blob(rng, is_viral, static_signal, media_type, title) -> dict:
     if static_signal and is_viral:
-        template = "golden_template" if rng.random() < 0.8 else str(rng.choice(_TEMPLATES[1:]))
+        template = "golden_template" if rng.random() < 0.8 else _pick(rng, _TEMPLATES[1:])
         relatability = int(rng.integers(6, 11))
         novelty = int(rng.integers(6, 11))
     elif static_signal:
-        template = str(rng.choice(_TEMPLATES[1:]))
+        template = _pick(rng, _TEMPLATES[1:])
         relatability = int(rng.integers(0, 7))
         novelty = int(rng.integers(0, 7))
     else:
-        template = str(rng.choice(_TEMPLATES))
+        template = _pick(rng, _TEMPLATES)
         relatability = int(rng.integers(0, 11))
         novelty = int(rng.integers(0, 11))
     return {
         "is_offensive": bool(rng.random() < 0.12),
-        "offense_type": str(rng.choice(("none", "mild", "crude", "political"), p=(0.7, 0.15, 0.1, 0.05))),
-        "cultural_reference_type": str(rng.choice(("global", "regional", "niche", "none"))),
-        "primary_topic": str(rng.choice(_TOPICS)),
-        "target_audience": str(rng.choice(("general", "teens", "adults", "gamers"))),
-        "meme_type": str(rng.choice(("image_macro", "reaction", "exploitable", "screenshot"))),
+        "offense_type": _pick_weighted(rng, _OFFENSE_TYPES),
+        "cultural_reference_type": _pick(rng, ("global", "regional", "niche", "none")),
+        "primary_topic": _pick(rng, _TOPICS),
+        "target_audience": _pick(rng, ("general", "teens", "adults", "gamers")),
+        "meme_type": _pick(rng, ("image_macro", "reaction", "exploitable", "screenshot")),
         "analyzed_media_type": media_type,
-        "title_media_coherence": str(rng.choice(("high", "medium", "low"))),
+        "title_media_coherence": _pick(rng, ("high", "medium", "low")),
         "controversy_score": int(rng.integers(0, 11)),
-        "controversy_type": str(rng.choice(("none", "political", "social"))),
-        "emotional_resonance": str(rng.choice(("high", "medium", "low"))),
-        "humor_type": str(rng.choice(_HUMOR)),
+        "controversy_type": _pick(rng, ("none", "political", "social")),
+        "emotional_resonance": _pick(rng, ("high", "medium", "low")),
+        "humor_type": _pick(rng, _HUMOR),
         "insight_commentary_score": int(rng.integers(0, 11)),
         "novelty_uniqueness_score": novelty,
-        "profanity_level": str(rng.choice(("none", "mild", "strong"), p=(0.75, 0.2, 0.05))),
+        "profanity_level": _pick_weighted(rng, _PROFANITY),
         "relatability_score": relatability,
-        "format_effort": str(rng.choice(("low", "medium", "high"))),
+        "format_effort": _pick(rng, ("low", "medium", "high")),
         "format_simplicity": int(rng.integers(1, 6)),
         "format_appeal": int(rng.integers(1, 6)),
         "format_clarity": int(rng.integers(1, 6)),
-        "social_platform": str(rng.choice(("reddit_native", "cross_platform", "unknown"))),
-        "social_shareability": str(rng.choice(("high", "medium", "low"))),
-        "social_currency": str(rng.choice(("current", "evergreen", "dated"))),
-        "social_trend": str(rng.choice(("rising", "stable", "fading"))),
+        "social_platform": _pick(rng, ("reddit_native", "cross_platform", "unknown")),
+        "social_shareability": _pick(rng, ("high", "medium", "low")),
+        "social_currency": _pick(rng, ("current", "evergreen", "dated")),
+        "social_trend": _pick(rng, ("rising", "stable", "fading")),
         "text_language": "english",
-        "text_sentiment_overall": str(rng.choice(_SENTIMENTS)),
+        "text_sentiment_overall": _pick(rng, _SENTIMENTS),
         "text_word_count": float(rng.integers(0, 30)),
-        "text_image_alignment": str(rng.choice(("aligned", "partial", "unrelated"))),
-        "text_tone": str(rng.choice(_TONES)),
+        "text_image_alignment": _pick(rng, ("aligned", "partial", "unrelated")),
+        "text_tone": _pick(rng, _TONES),
         "is_title_present": bool(title.strip()),
         "title_word_count": len(title.split()),
-        "title_sentiment": str(rng.choice(_SENTIMENTS)),
+        "title_sentiment": _pick(rng, _SENTIMENTS),
         "media_type": media_type,
         "image_height": float(rng.integers(300, 2000)),
         "image_width": float(rng.integers(300, 2000)),
-        "key_objects_primary": str(rng.choice(_OBJECTS)),
-        "composition": str(rng.choice(("single_panel", "multi_panel", "collage"))),
-        "panels": str(rng.choice(("1", "2", "3", "4+"), p=(0.6, 0.2, 0.1, 0.1))),
+        "key_objects_primary": _pick(rng, _OBJECTS),
+        "composition": _pick(rng, ("single_panel", "multi_panel", "collage")),
+        "panels": _pick_weighted(rng, _PANELS),
         "template_is_variant": bool(rng.random() < 0.3),
         "template_name": template,
         "facial_expression_is_face": bool(rng.random() < 0.6),
-        "facial_expression_primary_emotion": str(rng.choice(_EMOTIONS)),
+        "facial_expression_primary_emotion": _pick(rng, _EMOTIONS),
         "identified_person_is_celebrity": bool(rng.random() < 0.1),
         "identified_person_is_character": bool(rng.random() < 0.2),
-        "identified_character_name": str(rng.choice(("none", "spongebob", "shrek", "batman"), p=(0.7, 0.1, 0.1, 0.1))),
-        "identified_person_celebrity_name": str(rng.choice(("none", "keanu", "elon"), p=(0.85, 0.08, 0.07))),
+        "identified_character_name": _pick_weighted(rng, _CHARACTERS),
+        "identified_person_celebrity_name": _pick_weighted(rng, _CELEBRITIES),
     }
 
 

@@ -49,13 +49,23 @@ each column whole.
 ``reference_roc_auc`` is the midrank loop the vectorised tie-block ranks
 replaced, and ``STATIC_CATALOG`` pins the static feature catalog as it was
 written out by hand before it was derived from the shipped schema.
+
+``reference_generate`` is the synthetic corpus generator as it was before
+its draws became the generator calls ``Generator.choice`` makes: a
+``choice`` call per categorical field, one ``random()`` per step of the
+category walk, one Poisson call per engagement series and ``np.clip`` on
+scalars. ``reference_static_blob`` is its static blob, which
+``mock_static_extractor`` shares. They reuse ``synth``'s subreddit pool,
+poll grid, constants and config.
 """
 
 import json
 import math
 import time
+from array import array
 from collections import namedtuple
 from dataclasses import fields, replace
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -73,10 +83,33 @@ from viralearly.features import (
     WindowSpec,
     extract_static,
 )
-from viralearly.ingest import MAX_SNAPSHOT_GAP_MINUTES, MIN_TRACKING_MINUTES, Snapshots, read_engagement, read_list, read_number, read_object
+from viralearly.ingest import (
+    MAX_SNAPSHOT_GAP_MINUTES,
+    MIN_TRACKING_MINUTES,
+    AuthorInfo,
+    PostRecord,
+    Snapshots,
+    read_engagement,
+    read_list,
+    read_number,
+    read_object,
+)
 from viralearly.labeling import LABELING_FEATURES, METRICS
 from viralearly.models._common import _Tree, check_training_data, sigmoid
 from viralearly.models.gbt import _GAIN_EPS, GBTModel
+from viralearly.synth import (
+    _EMOTIONS,
+    _HUMOR,
+    _OBJECTS,
+    _SENTIMENTS,
+    _TAKEOFF_LOGIT,
+    _TEMPLATES,
+    _TITLE_WORDS,
+    _TONES,
+    _TOPICS,
+    _subreddit_pool,
+    poll_grid,
+)
 from viralearly.trajectory import (
     ENTROPY_BINS,
     MOMENTUM_EPS,
@@ -1041,3 +1074,203 @@ def _reference_grow_tree(
     tree = _Tree(feature, value, left, right, leaf_value)
     margin += tree.leaf_value[row_node]
     return tree
+
+
+def reference_generate(config):
+    """The corpus and planted labels, drawn with ``choice`` calls and a Python loop per walk step."""
+    root = np.random.SeedSequence(config.seed)
+    corpus_rng = np.random.default_rng(root.spawn(1)[0])
+    post_seeds = root.spawn(config.n_posts)
+
+    n = config.n_posts
+    n_viral = int(round(config.viral_frac * n))
+    labels = np.zeros(n, dtype=np.int8)
+    labels[corpus_rng.permutation(n)[:n_viral]] = 1
+
+    subreddits = _subreddit_pool(corpus_rng)
+    base_time = datetime(2024, 1, 1, tzinfo=timezone.utc)
+    days = np.sort(corpus_rng.uniform(0.0, 70 * 1440.0, size=n)) // 1440.0
+    viral_hours = corpus_rng.normal(19.0, 2.0, size=n) % 24.0
+    flat_hours = corpus_rng.uniform(0.0, 24.0, size=n)
+    hours = np.where(labels == 1, viral_hours, flat_hours)
+    minutes = corpus_rng.uniform(0.0, 59.0, size=n)
+    created = days * 1440.0 + hours * 60.0 + minutes + np.arange(n) * 1e-3
+
+    grid = poll_grid(config.horizon_minutes)
+    records = [
+        _reference_make_post(
+            index=i,
+            rng=np.random.default_rng(post_seeds[i]),
+            is_viral=bool(labels[i]),
+            config=config,
+            subreddit=subreddits[int(corpus_rng.integers(0, len(subreddits)))],
+            created=base_time + timedelta(minutes=float(created[i])),
+            grid=grid,
+        )
+        for i in range(n)
+    ]
+    return records, labels
+
+
+def _reference_make_post(index, rng, is_viral, config, subreddit, created, grid):
+    post_id = f"p{index:06d}"
+    network_signal = config.signal in ("network", "mixed")
+    static_signal = config.signal in ("static", "mixed")
+
+    score_raw = _reference_score_curve(rng, is_viral, config, subreddit.subscribers, grid)
+    comments_raw = _reference_poisson_cumulative(rng, 0.12 * score_raw)
+    crossposts_raw = _reference_poisson_cumulative(rng, 0.012 * score_raw)
+    scores = _reference_poisson_cumulative(rng, score_raw)
+
+    categories = _reference_category_path(rng, grid, is_viral, network_signal)
+    ratio = float(np.clip(rng.normal(0.92 if is_viral else 0.78, 0.03 if is_viral else 0.06), 0.05, 0.99))
+    ratios = np.clip(ratio + 0.005 * rng.normal(size=len(grid)), 0.0, 1.0)
+    snapshots = Snapshots(
+        t_minutes=array("d", grid.tobytes()),
+        score=array("q", scores.astype(np.int64, copy=False).tobytes()),
+        comments=array("q", comments_raw.astype(np.int64, copy=False).tobytes()),
+        crossposts=array("q", crossposts_raw.astype(np.int64, copy=False).tobytes()),
+        upvote_ratio=tuple(round(r, 4) for r in ratios.tolist()),
+        category=tuple(categories),
+    )
+
+    if network_signal:
+        karma = float(np.exp(rng.normal(11.0 if is_viral else 8.0, 0.7)))
+    else:
+        karma = float(np.exp(rng.normal(9.0, 1.2)))
+    author = AuthorInfo(
+        total_karma=int(karma),
+        account_age_days=float(np.round(rng.uniform(10, 3000), 1)),
+        is_premium=bool(rng.random() < 0.08),
+    )
+
+    title = " ".join(rng.choice(_TITLE_WORDS, size=int(rng.integers(3, 10))))
+    media_type = str(rng.choice(("image", "video", "gif", "text", "audio"), p=(0.85, 0.08, 0.03, 0.02, 0.02)))
+    return PostRecord(
+        post_id=post_id,
+        created_utc=created,
+        title=title,
+        author=author,
+        subreddit=subreddit,
+        media_type=media_type,
+        media_url=f"https://media.example/{post_id}.jpg",
+        removed=False,
+        snapshots=snapshots,
+        static_features=reference_static_blob(rng, is_viral, static_signal, media_type, title),
+    )
+
+
+def _reference_score_curve(rng, is_viral, config, subscribers, grid):
+    if is_viral:
+        target = float(np.clip(rng.lognormal(np.log(600.0), 0.35), 250.0, 4000.0))
+        takeoff = float(np.clip(rng.lognormal(np.log(config.takeoff_median_minutes), config.takeoff_log_sd), 4.0, 300.0))
+        t_peak_vel = float(np.clip(rng.normal(456.0, 120.0), takeoff + 60.0, 1300.0))
+        rate = _TAKEOFF_LOGIT / (t_peak_vel - takeoff)
+        norm_curve = target / (1.0 + np.exp(-rate * (grid - t_peak_vel)))
+    elif rng.random() < config.false_start_frac:
+        target = float(rng.uniform(5.0, 70.0))
+        t_mid = rng.uniform(15.0, 90.0)
+        rate = rng.uniform(0.05, 0.15)
+        norm_curve = target / (1.0 + np.exp(-rate * (grid - t_mid)))
+    else:
+        target = float(min(rng.gamma(2.0, 4.0) + 0.3, 80.0))
+        tau = rng.uniform(15.0, 240.0)
+        norm_curve = target * (1.0 - np.exp(-grid / tau))
+    return norm_curve * subscribers / 100_000.0
+
+
+def _reference_poisson_cumulative(rng, expected):
+    increments = np.clip(np.diff(expected, prepend=0.0), 0.0, None)
+    return np.cumsum(rng.poisson(increments))
+
+
+def _reference_category_path(rng, grid, is_viral, network_signal):
+    ladder = ("new", "rising", "hot", "top")
+    if network_signal and is_viral:
+        t_rising, t_hot, t_top = sorted(rng.uniform(10.0, 400.0, size=3))
+
+        def state(t):
+            if t >= t_top:
+                return "top"
+            if t >= t_hot:
+                return "hot"
+            if t >= t_rising:
+                return "rising"
+            return "new"
+
+        return [state(t) for t in grid]
+    if network_signal:
+        return ["new"] * len(grid)
+    level = 0
+    path = []
+    for _ in grid:
+        u = rng.random()
+        if u < 0.02 and level < 3:
+            level += 1
+        elif u > 0.98 and level > 0:
+            level -= 1
+        path.append(ladder[level])
+    return path
+
+
+def reference_static_blob(rng, is_viral, static_signal, media_type, title):
+    if static_signal and is_viral:
+        template = "golden_template" if rng.random() < 0.8 else str(rng.choice(_TEMPLATES[1:]))
+        relatability = int(rng.integers(6, 11))
+        novelty = int(rng.integers(6, 11))
+    elif static_signal:
+        template = str(rng.choice(_TEMPLATES[1:]))
+        relatability = int(rng.integers(0, 7))
+        novelty = int(rng.integers(0, 7))
+    else:
+        template = str(rng.choice(_TEMPLATES))
+        relatability = int(rng.integers(0, 11))
+        novelty = int(rng.integers(0, 11))
+    return {
+        "is_offensive": bool(rng.random() < 0.12),
+        "offense_type": str(rng.choice(("none", "mild", "crude", "political"), p=(0.7, 0.15, 0.1, 0.05))),
+        "cultural_reference_type": str(rng.choice(("global", "regional", "niche", "none"))),
+        "primary_topic": str(rng.choice(_TOPICS)),
+        "target_audience": str(rng.choice(("general", "teens", "adults", "gamers"))),
+        "meme_type": str(rng.choice(("image_macro", "reaction", "exploitable", "screenshot"))),
+        "analyzed_media_type": media_type,
+        "title_media_coherence": str(rng.choice(("high", "medium", "low"))),
+        "controversy_score": int(rng.integers(0, 11)),
+        "controversy_type": str(rng.choice(("none", "political", "social"))),
+        "emotional_resonance": str(rng.choice(("high", "medium", "low"))),
+        "humor_type": str(rng.choice(_HUMOR)),
+        "insight_commentary_score": int(rng.integers(0, 11)),
+        "novelty_uniqueness_score": novelty,
+        "profanity_level": str(rng.choice(("none", "mild", "strong"), p=(0.75, 0.2, 0.05))),
+        "relatability_score": relatability,
+        "format_effort": str(rng.choice(("low", "medium", "high"))),
+        "format_simplicity": int(rng.integers(1, 6)),
+        "format_appeal": int(rng.integers(1, 6)),
+        "format_clarity": int(rng.integers(1, 6)),
+        "social_platform": str(rng.choice(("reddit_native", "cross_platform", "unknown"))),
+        "social_shareability": str(rng.choice(("high", "medium", "low"))),
+        "social_currency": str(rng.choice(("current", "evergreen", "dated"))),
+        "social_trend": str(rng.choice(("rising", "stable", "fading"))),
+        "text_language": "english",
+        "text_sentiment_overall": str(rng.choice(_SENTIMENTS)),
+        "text_word_count": float(rng.integers(0, 30)),
+        "text_image_alignment": str(rng.choice(("aligned", "partial", "unrelated"))),
+        "text_tone": str(rng.choice(_TONES)),
+        "is_title_present": bool(title.strip()),
+        "title_word_count": len(title.split()),
+        "title_sentiment": str(rng.choice(_SENTIMENTS)),
+        "media_type": media_type,
+        "image_height": float(rng.integers(300, 2000)),
+        "image_width": float(rng.integers(300, 2000)),
+        "key_objects_primary": str(rng.choice(_OBJECTS)),
+        "composition": str(rng.choice(("single_panel", "multi_panel", "collage"))),
+        "panels": str(rng.choice(("1", "2", "3", "4+"), p=(0.6, 0.2, 0.1, 0.1))),
+        "template_is_variant": bool(rng.random() < 0.3),
+        "template_name": template,
+        "facial_expression_is_face": bool(rng.random() < 0.6),
+        "facial_expression_primary_emotion": str(rng.choice(_EMOTIONS)),
+        "identified_person_is_celebrity": bool(rng.random() < 0.1),
+        "identified_person_is_character": bool(rng.random() < 0.2),
+        "identified_character_name": str(rng.choice(("none", "spongebob", "shrek", "batman"), p=(0.7, 0.1, 0.1, 0.1))),
+        "identified_person_celebrity_name": str(rng.choice(("none", "keanu", "elon"), p=(0.85, 0.08, 0.07))),
+    }

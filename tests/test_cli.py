@@ -966,6 +966,37 @@ class TestConfigFile:
         assert not (tmp_path / "o").exists()
 
 
+    # numpy's "expected non-negative integer" named no flag, and train --model gbt wrote "seed": -1
+    @pytest.mark.parametrize(
+        "command, required",
+        [
+            ("synth", []),
+            ("label", ["--data", "posts.jsonl"]),
+            ("sweep", ["--data", "posts.jsonl"]),
+            ("ablate", ["--data", "posts.jsonl"]),
+            ("importance", ["--data", "posts.jsonl"]),
+            ("train", ["--matrix", "features.csv", "--labels", "labels.csv", "--model", "gbt"]),
+        ],
+        ids=["synth", "label", "sweep", "ablate", "importance", "train"],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command, required, source):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{command}]\nseed = -1\n", encoding="utf-8")
+        seed = ["--seed", "-1"] if source == "flag" else ["--config", str(cfg)]
+        assert main([command, *required, *seed, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: '-1' is not a non-negative integer" in err
+        assert f"usage: viralearly {command}" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("viral_frac", ["0.01", "0.99"], ids=["no-viral-post", "every-post-viral"])
+    def test_synth_that_plants_no_class_is_usage_error(self, tmp_path, capsys, viral_frac):
+        assert main(["synth", "--n", "20", "--viral-frac", viral_frac, "--out", str(tmp_path / "o")]) == 1
+        assert "viral_frac" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 SECRET = "Bearer not-for-any-file"
 
 

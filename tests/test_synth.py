@@ -24,6 +24,37 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SynthConfig(n_posts=100, signal="vibes")
 
+    # each was accepted, or failed inside a draw with numpy's message or a TypeError
+    @pytest.mark.parametrize(
+        "settings, field",
+        [
+            ({"takeoff_log_sd": -1.0}, "takeoff_log_sd"),
+            ({"takeoff_log_sd": float("nan")}, "takeoff_log_sd"),
+            ({"takeoff_median_minutes": float("nan")}, "takeoff_median_minutes"),
+            ({"takeoff_median_minutes": -5.0}, "takeoff_median_minutes"),
+            ({"takeoff_median_minutes": 0.0}, "takeoff_median_minutes"),
+            ({"false_start_frac": 1.5}, "false_start_frac"),
+            ({"false_start_frac": -0.1}, "false_start_frac"),
+            ({"n_posts": 20.5}, "n_posts"),
+            ({"n_posts": 20, "viral_frac": 0.01}, "viral_frac"),
+            ({"n_posts": 20, "viral_frac": 0.99}, "viral_frac"),
+            ({"seed": -1}, "seed"),
+        ],
+        ids=[
+            "negative-log_sd", "nan-log_sd", "nan-median", "negative-median", "zero-median", "false_start-above-1",
+            "negative-false_start", "fractional-n_posts", "no-viral-post", "every-post-viral", "negative-seed",
+        ],
+    )
+    def test_setting_it_cannot_honour_rejected(self, settings, field):
+        with pytest.raises(ConfigError, match=field):
+            SynthConfig(**settings)
+
+    def test_edges_it_can_honour_accepted(self):
+        config = SynthConfig(n_posts=20, viral_frac=0.05, takeoff_log_sd=0.0, false_start_frac=1.0, seed=0)
+        assert config.n_viral == 1
+        _, labels = generate(config)
+        assert int(labels.sum()) == 1
+
     # an infinite horizon never ended the poll-grid walk
     @pytest.mark.parametrize("horizon", [-1.0, float("inf"), float("nan")], ids=["negative", "inf", "nan"])
     def test_horizon_that_is_negative_or_not_finite_rejected(self, horizon):
@@ -49,8 +80,14 @@ class TestGenerate:
         [
             (SynthConfig(n_posts=200, seed=7), "95820d47d2471736788c91e4c4dc30cc2b583a7b165a4162b0320077c6bd6e7c"),
             (SynthConfig(n_posts=200, seed=3, signal="mixed"), "ea5eca4bdfbc195d68868fbacc04a111b6082e9847228750ebbf88fdabd16873"),
+            (SynthConfig(n_posts=200, seed=5, signal="network"), "09de2c595ee96ba74e63c3656f7788e6abac8af1548e472211eecd856ec94f22"),
+            (SynthConfig(n_posts=200, seed=9, signal="static"), "e15afe8b855c7df6106d72bb481dd715d17041a954d4cbef0a6085f25ca40e2f"),
+            (
+                SynthConfig(n_posts=40, seed=11, signal="mixed", horizon_minutes=0.0),
+                "eb7edbae4c2368f6ae2fcad5924589020d3b78b349c8cdeff14e767d718a3126",
+            ),
         ],
-        ids=["temporal_seed_7", "mixed_seed_3"],
+        ids=["temporal_seed_7", "mixed_seed_3", "network_seed_5", "static_seed_9", "mixed_seed_11_horizon_0"],
     )
     def test_written_corpus_is_pinned(self, tmp_path, config, digest):
         # any change to the generator's draws or to the line format shows here
@@ -125,6 +162,34 @@ class TestTrajectoryShape:
                 continue
             finals.append(record.snapshots.score[-1] / record.subreddit.subscribers * 100_000)
         assert np.median(finals) < 50.0
+
+
+class TestReference:
+    """The generator's draws against the ``choice``-based reference, byte for byte."""
+
+    @pytest.mark.parametrize("horizon", [1560.0, 0.0])
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("signal", ["temporal", "network", "static", "mixed"])
+    def test_written_corpus_equals_the_reference(self, tmp_path, signal, seed, horizon):
+        config = SynthConfig(n_posts=40, seed=seed, signal=signal, horizon_minutes=horizon)
+        records, labels = generate(config)
+        expected_records, expected_labels = oracles.reference_generate(config)
+        ingest.write_dataset(records, tmp_path / "posts.jsonl")
+        ingest.write_dataset(expected_records, tmp_path / "reference.jsonl")
+        assert (tmp_path / "posts.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+        assert labels.dtype == expected_labels.dtype
+        assert labels.tobytes() == expected_labels.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mock_static_extractor_equals_the_reference(self, seed):
+        for i in range(20):
+            post_id = f"p{i:06d}"
+            digest = hashlib.sha256(f"{seed}:{post_id}".encode()).digest()
+            rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+            expected = oracles.reference_static_blob(rng, False, False, "video", "cat meets boss")
+            blob = mock_static_extractor(post_id, title="cat meets boss", media_type="video", seed=seed)
+            assert list(blob.items()) == list(expected.items())
+            assert [type(v) for v in blob.values()] == [type(v) for v in expected.values()]
 
 
 def test_mock_static_extractor_deterministic():
